@@ -36,7 +36,7 @@ from .errors import (
     NumericalBlowupError,
     SingularFlowError,
 )
-from .estimates import EstimatorReport, GradientEstimate
+from .estimates import GradientEstimate
 from .functionals import CylindricalFunctional, evaluate_functional, make_functional
 from .gradients import (
     chaos_gradient_contraction,
@@ -69,7 +69,7 @@ __all__ = [
     "simulate_compensated_poisson", "simulate_symmetric_compound_poisson",
     "ConfigurationError", "DimensionMismatchError", "DomainError",
     "InvalidKernelError", "NumericalBlowupError", "SingularFlowError",
-    "EstimatorReport", "GradientEstimate",
+    "GradientEstimate",
     "CylindricalFunctional", "evaluate_functional", "make_functional",
     "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
     "integration_by_parts_check", "lent_particle_sde",

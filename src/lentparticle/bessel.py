@@ -21,9 +21,9 @@ from .errors import DomainError
 
 def _coefficient_sq(n: int, x: float, tol: float, max_terms: int = 2000) -> float:
     """Series for c_n^2 with relative-tolerance stopping."""
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
     half = x / 2.0
+    if half == 0.0:  # x == 0, or a subnormal x whose half underflows
+        return 1.0 if n == 0 else 0.0
     # k = 0 term: half^n / n!, via logs to stay finite for large n.
     term = math.exp(n * math.log(half) - math.lgamma(n + 1))
     total = term

@@ -1,4 +1,4 @@
-"""Result containers for gradient estimates and Monte Carlo aggregates."""
+"""Result container for pathwise gradient estimates."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ class GradientEstimate:
 
     ``value`` is the primary estimate for the recorded method; jump-difference
     estimates carry the difference step in ``theta`` and, where available, the
-    closed-form value in ``analytic``.
+    value of the independent route (chain rule or flow form) in ``analytic``.
     """
 
     u: float
@@ -24,20 +24,3 @@ class GradientEstimate:
     analytic: float | np.ndarray | None = None
     snapped: bool = False
 
-
-@dataclass
-class EstimatorReport:
-    """Monte Carlo aggregate for a scalar target; a pure function of (seed, config)."""
-
-    mean: float
-    std_error: float
-    n_paths: int
-    master_seed: int
-    grid: dict
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, master_seed: int, grid) -> "EstimatorReport":
-        samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-        return cls(float(samples.mean()), se, n, master_seed, grid.summary())

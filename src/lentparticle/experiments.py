@@ -23,8 +23,9 @@ from .chaos import chaotic_extension, exponential_vector, iterated_integral
 from .drivers import martingale_batch, rotate
 from .errors import ConfigurationError, DomainError
 from .functionals import make_b1, make_functional, make_second_chaos, make_square, make_three_term
-from .gradients import gradient_chaos, integration_by_parts_pair, supremum_decomposition
-from .grid import SamplePath, TimeGrid
+from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
+from .gradients import lent_particle_sde_table, supremum_decomposition, supremum_gradient
+from .grid import TimeGrid
 from .kernels import SimplexKernel
 from .ou import (
     inner_hat_batch,
@@ -33,7 +34,7 @@ from .ou import (
     rotation_gradient_samples,
     semigroup_bracket_samples,
 )
-from .sde import first_variation, make_sde, solve_sde
+from .sde import make_sde
 from .stepfn import StepFunction
 
 DEFAULT_SEED = 20240901
@@ -310,41 +311,6 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- 6. SDE lent particle vs flow oracle ------------------------------------
 
-def _sde_pair_table(spec, grid, cfg, u_list, t_list, theta):
-    """Per-(u,t) jump-difference vs flow-oracle stats over a path batch."""
-    t_idx = [int(round(t / grid.dt)) for t in t_list]
-
-    def batch(start, count):
-        B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
-        x = solve_sde(spec, B)
-        y = first_variation(spec, B, x)
-        out = {}
-        for u in u_list:
-            k = grid.index_at_or_after(u)
-            sig = spec.sigma(grid.times[k - 1], x[..., k - 1])
-            inc_p = B.increments.copy()
-            inc_p[..., k - 1] += theta
-            inc_m = B.increments.copy()
-            inc_m[..., k - 1] -= theta
-            xp = solve_sde(spec, SamplePath(grid, inc_p))
-            xm = solve_sde(spec, SamplePath(grid, inc_m))
-            for t, m in zip(t_list, t_idx):
-                if m < k:
-                    continue
-                est = (xp[..., m] - xm[..., m]) / (2.0 * theta)
-                oracle = sig * y[..., m] / y[..., k]
-                out[(u, t)] = (est, oracle)
-        return out
-
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
-    table = {}
-    for key in parts[0]:
-        est = np.concatenate([p[key][0] for p in parts])
-        oracle = np.concatenate([p[key][1] for p in parts])
-        table[key] = (est, oracle)
-    return table
-
-
 def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     theta = cfg.theta if cfg.theta is not None else 1e-4
@@ -354,14 +320,21 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     u_list = cfg.param("u_grid")
     t_list = cfg.param("t_grid")
     sde_params = cfg.param("sde_params")
+    specs = [make_sde(name, **sde_params.get(name, {})) for name in names]
+
+    def batch(start, count):
+        B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
+        return [lent_particle_sde_table(spec, B, u_list, t_list, theta) for spec in specs]
+
+    parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
     rows, checks = [], []
     excluded = 0
-    for name in names:
-        spec = make_sde(name, **sde_params.get(name, {}))
-        table = _sde_pair_table(spec, grid, cfg, u_list, t_list, theta)
+    for i, name in enumerate(names):
         worst_frac = 1.0
         worst_rel = 0.0
-        for (u, t), (est, oracle) in sorted(table.items()):
+        for u, t in sorted(parts[0][i]):
+            est = np.concatenate([p[i][u, t].value for p in parts])
+            oracle = np.concatenate([p[i][u, t].analytic for p in parts])
             finite = np.isfinite(est) & np.isfinite(oracle)
             excluded += int(np.sum(~finite))
             rel = np.abs(est[finite] - oracle[finite]) / (np.abs(oracle[finite]) + 1e-8)
@@ -395,7 +368,6 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     theta = cfg.theta if cfg.theta is not None else 1e-4
     name = cfg.param("sde")
     spec = make_sde(name, **cfg.param("sde_params").get(name, {}))
-    m = grid.n_steps  # evaluate at T
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
@@ -403,21 +375,12 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
         jumps = M.jump_increments
         n_jumps = np.count_nonzero(jumps, axis=-1)
         single = (n_jumps == 1) & (np.abs(jumps).max(axis=-1) == 1.0)
-        xp = solve_sde(spec, rotate(B, M, theta))[..., m]
-        xm = solve_sde(spec, rotate(B, M, -theta))[..., m]
-        est = (xp - xm) / (2.0 * theta)
-        # flow oracle at the (single) jump time of each selected path
-        x = solve_sde(spec, B)
-        y = first_variation(spec, B, x)
-        k = np.where(single, np.argmax(np.abs(jumps) > 0, axis=-1) + 1, 1)
-        rows_idx = np.arange(count)
-        sig = spec.sigma(grid.times[k - 1], x[rows_idx, k - 1])
-        oracle = sig * y[:, m] / y[rows_idx, k]
-        marks = jumps[rows_idx, k - 1]
+        # on single-jump paths the sum is the mark J_1; the flow oracle at U_1 is `analytic`
+        grad = lent_particle_sde_poisson(spec, B, M, grid.horizon, theta)
         return {
             "single": single,
-            "debiased": np.where(single, marks * est, np.nan),
-            "oracle": np.where(single, oracle, np.nan),
+            "debiased": np.where(single, jumps.sum(axis=-1) * grad.value, np.nan),
+            "oracle": np.where(single, grad.analytic, np.nan),
         }
 
     parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
@@ -549,20 +512,24 @@ def _run_supremum(cfg: ExperimentConfig) -> ExperimentResult:
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         before, after = supremum_decomposition(None, B, u)
-        return before, after
+        gap = after - before
+        tied = (gap == 0.0) | ((gap < 0.0) & (gap > -a))
+        # the library's difference quotient must be the 0/1 indicator averaged below
+        quotient = supremum_gradient(None, B, u, a)[~tied]
+        offending = int(np.sum(quotient != (gap[~tied] >= 0.0)))
+        return gap, tied, offending
 
     parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    before = np.concatenate([p[0] for p in parts])
-    after = np.concatenate([p[1] for p in parts])
-    gap = after - before
-    tied = (gap == 0.0) | ((gap < 0.0) & (gap > -a))
+    gap = np.concatenate([p[0] for p in parts])
+    tied = np.concatenate([p[1] for p in parts])
+    offending = sum(p[2] for p in parts)
     indicator = (gap[~tied] >= 0.0).astype(float)
     mean, se = _mean_se(indicator)
     z = (mean - 0.5) / se
     rows = [{"u": u, "a": a, "mean_gradient": mean, "std_error": se,
              "target": 0.5, "tied_paths": int(tied.sum())}]
     checks = [
-        _check("supremum_binary", True, note="gradient is 0/1 by the max decomposition"),
+        _check("supremum_binary", offending == 0, offending_paths=offending),
         _check("supremum_mean", abs(z) <= 4.0, z_score=z),
         _check("supremum_tie_rate", tied.mean() <= 0.001, tie_rate=float(tied.mean())),
     ]

@@ -25,7 +25,7 @@ from .estimates import GradientEstimate
 from .functionals import CylindricalFunctional, evaluate_functional
 from .grid import SamplePath, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
-from .sde import SdeSpec, solve_sde
+from .sde import SdeSpec, euler, flow_form
 from .stepfn import StepFunction
 
 DEFAULT_STEP = 1e-4
@@ -104,52 +104,76 @@ def chaos_gradient_contraction(
 def lent_particle_sde(
     spec: SdeSpec, brownian: SamplePath, u: float, t: float, theta: float = DEFAULT_STEP
 ) -> GradientEstimate:
-    """D_u X_t by solving against dB + theta 1_{. >= u} and differencing in theta."""
+    """D_u X_t by solving against dB + theta 1_{. >= u} and differencing in theta.
+
+    ``analytic`` carries the flow form (sde.flow_oracle) from the same pass.
+    """
+    out = lent_particle_sde_table(spec, brownian, (u,), (t,), theta)
+    if not out:
+        raise DomainError(f"need u <= t <= T on the grid, got u={u}, t={t}")
+    return out[u, t]
+
+
+def lent_particle_sde_table(
+    spec: SdeSpec, brownian: SamplePath, us, ts, theta: float = DEFAULT_STEP
+) -> dict:
+    """lent_particle_sde for every (u, t) in us x ts with u <= t on the grid.
+
+    One stacked Euler pass serves them all: each +-theta perturbation is a
+    bumped row, and the flow form reads the base row's first variation.
+    """
     if theta <= 0.0:
         raise DomainError(f"theta must be > 0, got {theta}")
     grid = brownian.grid
-    k = grid.index_at_or_after(u)
-    m = int(round(t / grid.dt))
-    if not k <= m <= grid.n_steps:
-        raise DomainError(f"need u <= t <= T on the grid, got u={u}, t={t}")
-    plus = solve_sde(spec, add_unit_jump(brownian, u, theta))[..., m]
-    minus = solve_sde(spec, add_unit_jump(brownian, u, -theta))[..., m]
-    value = (plus - minus) / (2.0 * theta)
-    return GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value,
-                            method="jump_difference", theta=theta)
+    ks = [grid.index_at_or_after(u) for u in us]
+    ms = [int(round(t / grid.dt)) for t in ts]
+    bumps = [(k, a) for k in ks for a in (theta, -theta)]
+    xs, ys = euler(spec, grid, [brownian.increments], bumps,
+                   x_steps=ms + [k - 1 for k in ks], y_steps=ms + ks)
+    n_t = len(ms)
+    out = {}
+    for i, (u, k) in enumerate(zip(us, ks)):
+        for j, (t, m) in enumerate(zip(ts, ms)):
+            if m < k:
+                continue
+            value = (xs[j][1 + 2 * i] - xs[j][2 + 2 * i]) / (2.0 * theta)
+            flow = flow_form(spec, grid, k, xs[n_t + i][0], ys[n_t + i], ys[j])
+            out[u, t] = GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value,
+                                         method="jump_difference", theta=theta,
+                                         analytic=flow)
+    return out
 
 
 def lent_particle_sde_poisson(
-    spec: SdeSpec,
-    brownian: SamplePath,
-    martingale: SamplePath,
-    t: float,
+    spec: SdeSpec, brownian: SamplePath, martingale: SamplePath, t: float,
     theta: float = DEFAULT_STEP,
-    u_from_jump: bool = True,
 ) -> GradientEstimate | None:
     """The Poisson-driver variant: solve against Y^theta and difference at 0.
 
     With the symmetric compound driver on a single-jump path the limit is
-    J_1 * D_{U_1} X_t; multiplying by the mark recovers D_{U_1} X_t.  Returns
-    None (skip) when ``u_from_jump`` is set and the path carries no jump.
+    J_1 * D_{U_1} X_t; multiplying by the mark recovers D_{U_1} X_t.  u is
+    the first jump time U_1 and ``analytic`` the flow form of D_{U_1} X_t;
+    on a batch both are per path and NaN on paths without a jump, and a
+    single path without a jump returns None (skip).  B, Y^theta and
+    Y^-theta are the rows of one Euler pass.
     """
     grid = require_same_grid(brownian, martingale)
     m = int(round(t / grid.dt))
     if not 1 <= m <= grid.n_steps:
         raise DomainError(f"t={t} not a positive grid time")
-    u = float("nan")
-    if u_from_jump:
-        if martingale.is_batch:
-            raise ConfigurationError("u_from_jump needs a single martingale path")
-        times = martingale.jump_times
-        if times.size == 0:
-            return None
-        u = float(times[0])
-    plus = solve_sde(spec, rotate(brownian, martingale, theta))[..., m]
-    minus = solve_sde(spec, rotate(brownian, martingale, -theta))[..., m]
-    value = (plus - minus) / (2.0 * theta)
-    return GradientEstimate(u=u, t=m * grid.dt, value=value,
-                            method="jump_difference", theta=theta)
+    jumps = martingale.jump_increments
+    jumped = np.zeros(martingale.increments.shape, bool) if jumps is None else jumps != 0.0
+    has_jump = jumped.any(axis=-1)
+    if not martingale.is_batch and not has_jump:
+        return None
+    k = np.where(has_jump, np.argmax(jumped, axis=-1) + 1, 1)
+    rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
+            rotate(brownian, martingale, -theta).increments]
+    (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))
+    flow = flow_form(spec, grid, k, x_before[0], y_k, y_m)
+    return GradientEstimate(u=np.where(has_jump, k * grid.dt, np.nan)[()], t=m * grid.dt,
+                            value=(x[1] - x[2]) / (2.0 * theta), method="jump_difference",
+                            theta=theta, analytic=np.where(has_jump, flow, np.nan)[()])
 
 
 def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):

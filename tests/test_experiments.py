@@ -103,6 +103,22 @@ class TestRunners:
         res = run_experiment(make_config("supremum", n_paths=3000))
         assert res.passed
         assert res.rows[0]["target"] == 0.5
+        (binary,) = [c for c in res.checks if c["name"] == "supremum_binary"]
+        assert binary["offending_paths"] == 0
+
+    def test_supremum_binary_can_fail(self, monkeypatch):
+        from lentparticle import experiments, gradients
+
+        def halved(K, brownian, u, a):
+            return 0.5 * gradients.supremum_gradient(K, brownian, u, a)
+
+        monkeypatch.setattr(experiments, "supremum_gradient", halved)
+        res = run_experiment(make_config("supremum", n_paths=500))
+        (binary,) = [c for c in res.checks if c["name"] == "supremum_binary"]
+        # every untied path whose quotient should be 1 now reads 0.5
+        untied = 500 - res.rows[0]["tied_paths"]
+        assert not binary["passed"]
+        assert binary["offending_paths"] == round(res.rows[0]["mean_gradient"] * untied) > 0
 
     def test_report_bytes_stable_across_workers(self):
         runs = []

@@ -25,7 +25,7 @@ from lentparticle.gradients import (
 )
 from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.kernels import ChaosVector, SimplexKernel
-from lentparticle.sde import make_sde, solve_sde
+from lentparticle.sde import flow_oracle, make_sde, solve_sde
 from lentparticle.stepfn import StepFunction
 
 SEED = 404
@@ -125,6 +125,24 @@ class TestPoissonSde:
         assert est.u == pytest.approx(100 * unit_grid.dt)
         # additive SDE: d/dtheta X(Y^theta) at 0 = M_T for the additive flow
         assert est.value == pytest.approx(mart.values[-1], abs=1e-6)
+
+    def test_batch_matches_single_paths(self, unit_grid):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 8)
+        spec = make_sde("gbm")
+        batch = lent_particle_sde_poisson(spec, B, M, 1.0)
+        skipped = 0
+        for i in range(8):
+            single = lent_particle_sde_poisson(spec, B.select(i), M.select(i), 1.0)
+            if single is None:
+                skipped += 1
+                assert np.isnan(batch.u[i]) and np.isnan(batch.analytic[i])
+                continue
+            assert batch.u[i] == single.u
+            assert batch.value[i] == single.value
+            oracle = flow_oracle(spec, B.select(i), single.u, 1.0)
+            assert batch.analytic[i] == single.analytic == oracle.value
+        assert 0 < skipped < 8
 
 
 class TestIntegrationByParts:

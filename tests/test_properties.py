@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lentparticle.bessel import bessel_spectrum, default_truncation
@@ -82,6 +82,7 @@ def test_step_combine_is_pointwise_linear(f, g, a, b):
 
 
 @given(x=st.floats(0.0, 20.0, allow_nan=False))
+@example(x=5e-324)  # x / 2 underflows to 0.0
 @settings(max_examples=30, deadline=None)
 def test_spectrum_is_a_probability_like_mass(x):
     report = bessel_spectrum(x, default_truncation(x))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lentparticle import experiments
 from lentparticle.drivers import martingale_batch, simulate_brownian
 from lentparticle.errors import (
     ConfigurationError,
@@ -12,9 +13,31 @@ from lentparticle.errors import (
 )
 from lentparticle.gradients import lent_particle_sde
 from lentparticle.grid import RngStream, SamplePath, TimeGrid
-from lentparticle.sde import SdeSpec, first_variation, flow_oracle, make_sde, solve_sde
+from lentparticle.sde import (
+    STEP_BLOCK,
+    SdeSpec,
+    euler,
+    first_variation,
+    flow_oracle,
+    make_sde,
+    solve_sde,
+)
 
 SEED = 202
+
+
+def reference_euler(spec, grid, inc):
+    """The left-endpoint scheme and its first variation, one loop per driver."""
+    x = np.full(inc.shape[:-1], spec.x0)
+    y = np.ones(inc.shape[:-1])
+    xs, ys = [x], [y]
+    for j in range(grid.n_steps):
+        t = grid.times[j]
+        y = y * (1.0 + spec.sigma_x(t, x) * inc[..., j] + spec.b_x(t, x) * grid.dt)
+        x = x + spec.sigma(t, x) * inc[..., j] + spec.b(t, x) * grid.dt
+        xs.append(x)
+        ys.append(y)
+    return np.stack(xs, axis=-1), np.stack(ys, axis=-1)
 
 
 class TestRegistry:
@@ -103,13 +126,12 @@ class TestFirstVariation:
         # for gbm the linearized flow coincides with X_t / x0
         spec = make_sde("gbm", x0=2.0)
         x = solve_sde(spec, brownian)
-        y = first_variation(spec, brownian, x)
+        y = first_variation(spec, brownian)
         np.testing.assert_allclose(y, x / 2.0, rtol=1e-10)
 
     def test_additive_flow_is_one(self, unit_grid, brownian):
         spec = make_sde("additive")
-        x = solve_sde(spec, brownian)
-        y = first_variation(spec, brownian, x)
+        y = first_variation(spec, brownian)
         np.testing.assert_array_equal(y, np.ones_like(y))
 
 
@@ -123,6 +145,7 @@ class TestFlowOracle:
             oracle = flow_oracle(spec, B, u, t)
             jump = lent_particle_sde(spec, B, u, t, theta=1e-5)
             assert jump.value == pytest.approx(oracle.value, rel=1e-5), (u, t)
+            assert jump.analytic == oracle.value  # the same flow form from one pass
             assert jump.u == oracle.u and jump.t == oracle.t
 
     def test_additive_is_exact(self, unit_grid, brownian):
@@ -152,3 +175,76 @@ class TestFlowOracle:
         B = SamplePath(grid, inc)
         with pytest.raises(SingularFlowError):
             flow_oracle(spec, B, 0.1, 1.0)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion"])
+    def test_rows_match_reference_loop(self, name):
+        grid = TimeGrid(1.0, 2 * STEP_BLOCK + 50)  # crosses two block boundaries
+        B = martingale_batch("brownian", grid, SEED, 0, 5)
+        spec = make_sde(name)
+        theta = 1e-3
+        # bumps at the first step, the first step of a block and the last step
+        bumps = [(k, a) for k in (1, STEP_BLOCK + 1, grid.n_steps) for a in (theta, -theta)]
+        steps = range(grid.n_steps + 1)
+        xs, ys = euler(spec, grid, [B.increments], bumps, x_steps=steps, y_steps=steps)
+        x = np.stack(xs, axis=-1)
+        x_ref, y_ref = reference_euler(spec, grid, B.increments)
+        np.testing.assert_array_equal(x[0], x_ref)
+        np.testing.assert_array_equal(np.stack(ys, axis=-1), y_ref)
+        for row, (k, a) in enumerate(bumps, start=1):
+            inc = B.increments.copy()
+            inc[:, k - 1] += a
+            np.testing.assert_array_equal(x[row], reference_euler(spec, grid, inc)[0])
+            np.testing.assert_array_equal(x[row][:, :k], x_ref[:, :k])
+
+    def test_per_path_columns(self):
+        grid = TimeGrid(1.0, STEP_BLOCK + 50)
+        B = martingale_batch("brownian", grid, SEED, 0, 5)
+        spec = make_sde("sine-diffusion")
+        steps = np.array([0, 3, STEP_BLOCK + 50, STEP_BLOCK + 1, 3])
+        (x,), (y,) = euler(spec, grid, [B.increments], x_steps=(steps,), y_steps=(steps,))
+        x_ref, y_ref = reference_euler(spec, grid, B.increments)
+        np.testing.assert_array_equal(x[0], x_ref[np.arange(5), steps])
+        np.testing.assert_array_equal(y, y_ref[np.arange(5), steps])
+
+    def test_rejects_bad_steps(self, unit_grid, brownian):
+        spec = make_sde("gbm")
+        n = unit_grid.n_steps
+        for bumps, steps in [([(0, 1e-3)], ()), ([(n + 1, 1e-3)], ()), ((), (n + 1,))]:
+            with pytest.raises(DomainError):
+                euler(spec, unit_grid, [brownian.increments], bumps, x_steps=steps)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_exploding_path_stays_nonfinite(self, unit_grid):
+        # dX = dB - X^3 dt is stable, but Euler diverges once X^2 dt > 2:
+        # one kicked path explodes and the rest of the batch is untouched
+        spec = SdeSpec("cubic", 0.0, sigma=lambda t, x: 1.0, b=lambda t, x: -x**3,
+                       sigma_x=lambda t, x: 0.0, b_x=lambda t, x: -3.0 * x**2)
+        inc = martingale_batch("brownian", unit_grid, SEED, 0, 3).increments.copy()
+        inc[1, 10] = 50.0
+        x = solve_sde(spec, SamplePath(unit_grid, inc))
+        assert np.all(np.isfinite(x[[0, 2]]))
+        assert not np.isfinite(x[1, -1])
+        np.testing.assert_array_equal(x[0], reference_euler(spec, unit_grid, inc[0])[0])
+        with pytest.raises(NumericalBlowupError) as err:
+            solve_sde(spec, SamplePath(unit_grid, inc[1]))
+        assert err.value.step > 11
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_experiment_counts_exploding_path(self, monkeypatch):
+        real = experiments.martingale_batch
+
+        def kicked(kind, grid, seed, start, count):
+            B = real(kind, grid, seed, start, count)
+            if start == 0:
+                B.increments[0, :2] = 1e200  # gbm overflows at step 2
+            return B
+
+        monkeypatch.setattr(experiments, "martingale_batch", kicked)
+        cfg = experiments.make_config("sde-lent-particle", n_paths=64, n_steps=200,
+                                      params={"sde": "gbm"})
+        res = experiments.run_experiment(cfg)
+        assert res.excluded_paths == 25  # the kicked path, at every (u, t) pair
+        checks = {c["name"]: c["passed"] for c in res.checks}
+        assert checks == {"sde_gbm_frac_ok": True, "sde_exclusion_rate": False}
