@@ -14,20 +14,12 @@ __version__ = "0.1.0"
 from .bessel import SpectrumReport, bessel_spectrum, default_truncation
 from .chaos import (
     chaotic_extension,
-    covariance_curve,
     evaluate_chaos,
     exponential_vector,
     iterated_integral,
     stochastic_integral,
 )
-from .drivers import (
-    add_unit_jump,
-    martingale_batch,
-    rotate,
-    simulate_brownian,
-    simulate_compensated_poisson,
-    simulate_symmetric_compound_poisson,
-)
+from .drivers import add_unit_jump, martingale_batch, rotate
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -42,42 +34,31 @@ from .gradients import (
     chaos_gradient_contraction,
     gradient_chaos,
     gradient_cylindrical,
-    integration_by_parts_check,
     lent_particle_sde,
     lent_particle_sde_poisson,
     supremum_gradient,
 )
 from .grid import RngStream, SamplePath, TimeGrid
 from .kernels import ChaosVector, SimplexKernel
-from .ou import (
-    OuEvaluation,
-    carre_du_champ,
-    gradient_brownian_rotation,
-    mehler_semigroup,
-    richardson_limit,
-    semigroup_limit_gamma,
-)
+from .ou import carre_du_champ, mehler_semigroup, richardson_limit, semigroup_limit_gamma
 from .sde import SdeSpec, first_variation, flow_oracle, make_sde, solve_sde
 from .stepfn import StepFunction
 
 __all__ = [
     "__version__",
     "SpectrumReport", "bessel_spectrum", "default_truncation",
-    "chaotic_extension", "covariance_curve", "evaluate_chaos",
-    "exponential_vector", "iterated_integral", "stochastic_integral",
-    "add_unit_jump", "martingale_batch", "rotate", "simulate_brownian",
-    "simulate_compensated_poisson", "simulate_symmetric_compound_poisson",
+    "chaotic_extension", "evaluate_chaos", "exponential_vector",
+    "iterated_integral", "stochastic_integral",
+    "add_unit_jump", "martingale_batch", "rotate",
     "ConfigurationError", "DimensionMismatchError", "DomainError",
     "InvalidKernelError", "NumericalBlowupError", "SingularFlowError",
     "GradientEstimate",
     "CylindricalFunctional", "evaluate_functional", "make_functional",
     "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
-    "integration_by_parts_check", "lent_particle_sde",
-    "lent_particle_sde_poisson", "supremum_gradient",
+    "lent_particle_sde", "lent_particle_sde_poisson", "supremum_gradient",
     "RngStream", "SamplePath", "TimeGrid",
     "ChaosVector", "SimplexKernel",
-    "OuEvaluation", "carre_du_champ", "gradient_brownian_rotation",
-    "mehler_semigroup", "richardson_limit", "semigroup_limit_gamma",
+    "carre_du_champ", "mehler_semigroup", "richardson_limit", "semigroup_limit_gamma",
     "SdeSpec", "first_variation", "flow_oracle", "make_sde", "solve_sde",
     "StepFunction",
 ]

@@ -145,39 +145,3 @@ def exponential_vector(
         return value, np.any(factors == 0.0, axis=-1)
     return value
 
-
-def covariance_curve(
-    F: ChaosVector,
-    phis,
-    n_paths: int,
-    seed: int,
-    grid,
-    theta0: float = 0.0,
-    martingale_kind: str = "poisson",
-    chunk: int = 8192,
-) -> list[tuple[float, float, float]]:
-    """Monte Carlo curve phi -> E[F^{theta0+phi} F^{theta0}] with standard errors."""
-    from .drivers import martingale_batch
-
-    if n_paths < 2:
-        raise DomainError("n_paths must be >= 2")
-    phis = [float(p) for p in phis]
-    sums = np.zeros(len(phis))
-    sq_sums = np.zeros(len(phis))
-    done = 0
-    while done < n_paths:
-        count = min(chunk, n_paths - done)
-        B = martingale_batch("brownian", grid, seed, done, count)
-        M = martingale_batch(martingale_kind, grid, seed, done, count)
-        base = chaotic_extension(F, B, M, theta0)
-        for i, phi in enumerate(phis):
-            prod = chaotic_extension(F, B, M, theta0 + phi) * base
-            sums[i] += prod.sum()
-            sq_sums[i] += np.sum(prod**2)
-        done += count
-    out = []
-    for i, phi in enumerate(phis):
-        mean = sums[i] / n_paths
-        var = max(sq_sums[i] / n_paths - mean**2, 0.0)
-        out.append((phi, float(mean), float(np.sqrt(var / n_paths))))
-    return out

@@ -11,7 +11,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .drivers import martingale_batch, rotate

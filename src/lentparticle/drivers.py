@@ -29,34 +29,6 @@ from .grid import (
 )
 
 
-def simulate_brownian(grid: TimeGrid, rng: RngStream) -> SamplePath:
-    """Brownian path: i.i.d. N(0, dt) increments, B_0 = 0."""
-    gen = rng.generator()
-    inc = gen.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    return SamplePath.from_increments(grid, inc)
-
-
-def simulate_compensated_poisson(grid: TimeGrid, rng: RngStream) -> SamplePath:
-    """Compensated Poisson path N~_t = N_t - t with unit jumps on the grid."""
-    gen = rng.generator()
-    jumps = np.zeros(grid.n_steps)
-    for k in _jump_step_indices(gen, grid):
-        jumps[k - 1] += 1.0
-    return SamplePath.from_increments(grid, jumps - grid.dt, jump_increments=jumps)
-
-
-def simulate_symmetric_compound_poisson(grid: TimeGrid, rng: RngStream) -> SamplePath:
-    """Compound Poisson path with +-1 marks; mean-zero, no compensator term."""
-    gen = rng.generator()
-    jumps = np.zeros(grid.n_steps)
-    idx = _jump_step_indices(gen, grid)
-    if idx:
-        marks = gen.integers(0, 2, size=len(idx)) * 2.0 - 1.0
-        for k, m in zip(idx, marks):
-            jumps[k - 1] += m
-    return SamplePath.from_increments(grid, jumps.copy(), jump_increments=jumps)
-
-
 def _jump_step_indices(gen: np.random.Generator, grid: TimeGrid) -> list[int]:
     """Arrival times as exponential gaps, snapped forward to distinct grid points."""
     out: list[int] = []
@@ -84,23 +56,25 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return float(c), float(s)
 
 
-def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
-    """Y^theta = B cos(theta) + M sin(theta), combined at the level of grid values.
+def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath:
+    """c1 * p1 + c2 * p2 for a continuous p1, combined at the level of grid values.
 
-    The identity Y^theta_{t_k} = B_{t_k} cos(theta) + M_{t_k} sin(theta) holds
-    bit-for-bit at every grid point because the levels are combined directly
-    and the increments are derived from them.
+    The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
+    bit-for-bit at every grid point because the levels are combined directly;
+    the jump part is c2 times that of p2.
     """
-    grid = require_same_grid(brownian, martingale)
-    c, s = _cos_sin(theta)
-    values = c * brownian.values + s * martingale.values
-    increments = c * brownian.increments + s * martingale.increments
-    jumps = None
-    if martingale.jump_increments is not None:
-        jumps = s * martingale.jump_increments
+    grid = require_same_grid(p1, p2)
+    values = c1 * p1.values + c2 * p2.values
+    increments = c1 * p1.increments + c2 * p2.increments
+    jumps = None if p2.jump_increments is None else c2 * p2.jump_increments
     out = SamplePath(grid, increments, jump_increments=jumps)
     out._values = values
     return out
+
+
+def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
+    """Y^theta = B cos(theta) + M sin(theta), exact at every grid point."""
+    return _combine(brownian, martingale, *_cos_sin(theta))
 
 
 def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
@@ -124,41 +98,55 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
 
 # --- batch simulation -------------------------------------------------------
 #
-# Batches stack per-path streams: path i uses the stream (master_seed,
-# channel, i, 0) regardless of batch boundaries, so any chunking or worker
-# layout produces bitwise-identical paths.
+# Every path has its own stream, keyed (master_seed, channel, i, 0) for path i
+# of a driver and (master_seed, CHANNEL_HAT, i, j + 1) for hat copy j of
+# outer path i, regardless of batch boundaries, so any chunking or worker
+# layout produces bitwise-identical paths.  A single path is a batch of one:
+# martingale_batch(kind, grid, seed, i, 1).select(0).
+
+def _normal_batch(grid: TimeGrid, streams) -> SamplePath:
+    """One Brownian path of N(0, dt) increments per stream, in order."""
+    streams = list(streams)
+    inc = np.empty((len(streams), grid.n_steps))
+    for i, stream in enumerate(streams):
+        inc[i] = stream.generator().standard_normal(grid.n_steps)
+    inc *= np.sqrt(grid.dt)
+    return SamplePath(grid, inc)
+
+
+def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
+                channel: int, signed: bool) -> np.ndarray:
+    """Jump part of each path: unit marks, or fair +-1 marks when ``signed``."""
+    jumps = np.zeros((count, grid.n_steps))
+    for i in range(count):
+        gen = RngStream(master_seed, start + i, channel).generator()
+        idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
+        marks = gen.integers(0, 2, size=idx.size) * 2.0 - 1.0 if signed else 1.0
+        jumps[i, idx - 1] = marks
+    return jumps
+
 
 def brownian_batch(
     grid: TimeGrid, master_seed: int, start: int, count: int, channel: int = CHANNEL_BROWNIAN
 ) -> SamplePath:
-    inc = np.empty((count, grid.n_steps))
-    root = np.sqrt(grid.dt)
-    for i in range(count):
-        gen = RngStream(master_seed, start + i, channel).generator()
-        inc[i] = gen.standard_normal(grid.n_steps)
-    inc *= root
-    return SamplePath.from_increments(grid, inc)
+    return _normal_batch(grid, (RngStream(master_seed, start + i, channel) for i in range(count)))
+
+
+def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: int) -> SamplePath:
+    """Batch of independent Brownian copies keyed (seed, outer index, inner index)."""
+    return _normal_batch(
+        grid, (RngStream(master_seed, outer_index, CHANNEL_HAT, j + 1) for j in range(count))
+    )
 
 
 def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps = np.zeros((count, grid.n_steps))
-    for i in range(count):
-        gen = RngStream(master_seed, start + i, CHANNEL_POISSON).generator()
-        for k in _jump_step_indices(gen, grid):
-            jumps[i, k - 1] += 1.0
-    return SamplePath.from_increments(grid, jumps - grid.dt, jump_increments=jumps)
+    jumps = _jump_batch(grid, master_seed, start, count, CHANNEL_POISSON, signed=False)
+    return SamplePath(grid, jumps - grid.dt, jump_increments=jumps)
 
 
 def compound_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps = np.zeros((count, grid.n_steps))
-    for i in range(count):
-        gen = RngStream(master_seed, start + i, CHANNEL_COMPOUND).generator()
-        idx = _jump_step_indices(gen, grid)
-        if idx:
-            marks = gen.integers(0, 2, size=len(idx)) * 2.0 - 1.0
-            for k, m in zip(idx, marks):
-                jumps[i, k - 1] += m
-    return SamplePath.from_increments(grid, jumps.copy(), jump_increments=jumps)
+    jumps = _jump_batch(grid, master_seed, start, count, CHANNEL_COMPOUND, signed=True)
+    return SamplePath(grid, jumps.copy(), jump_increments=jumps)
 
 
 DRIVER_BATCHES = {
@@ -169,9 +157,7 @@ DRIVER_BATCHES = {
 
 
 def martingale_batch(kind: str, grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    """Batch of normal-martingale paths; kind in {brownian, poisson, compound, hat}."""
-    if kind == "hat":
-        return brownian_batch(grid, master_seed, start, count, channel=CHANNEL_HAT)
+    """Batch of normal-martingale paths; kind in {brownian, poisson, compound}."""
     try:
         return DRIVER_BATCHES[kind](grid, master_seed, start, count)
     except KeyError:

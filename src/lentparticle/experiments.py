@@ -19,20 +19,21 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_spectrum, default_truncation
-from .chaos import chaotic_extension, exponential_vector, iterated_integral
+from .chaos import exponential_vector, iterated_integral
 from .drivers import martingale_batch, rotate
 from .errors import ConfigurationError, DomainError
-from .functionals import make_b1, make_functional, make_second_chaos, make_square, make_three_term
+from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
+from .functionals import make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
 from .gradients import lent_particle_sde_table, supremum_decomposition, supremum_gradient
 from .grid import TimeGrid
 from .kernels import SimplexKernel
 from .ou import (
+    carre_du_champ,
     inner_hat_batch,
     mehler_samples,
     richardson_limit,
-    rotation_gradient_samples,
-    semigroup_bracket_samples,
+    semigroup_limit_gamma,
 )
 from .sde import make_sde
 from .stepfn import StepFunction
@@ -137,6 +138,8 @@ def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> list:
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    if samples.size < 2:
+        raise DomainError(f"a standard error needs at least 2 samples, got {samples.size}")
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     return mean, se
@@ -456,12 +459,10 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     def outer_stats(i):
         B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
         hats = inner_hat_batch(grid, cfg.master_seed, i, n_inner)
-        gamma_b1 = float(np.mean(rotation_gradient_samples(b1, B, hats, theta) ** 2))
-        g8 = rotation_gradient_samples(f2, B, hats, theta) ** 2
-        brackets = {t: semigroup_bracket_samples(f2, B, t, hats) for t in t_list}
-        rich = richardson_limit([(t, float(np.mean(v))) for t, v in brackets.items()])
-        d = rich - float(np.mean(g8))
-        return gamma_b1, d
+        gamma_b1 = carre_du_champ(b1, B, hats, theta)
+        gamma_f2 = carre_du_champ(f2, B, hats, theta)
+        brackets = semigroup_limit_gamma(f2, B, t_list, hats)
+        return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2
 
     stats = parallel_batches(lambda s, c: [outer_stats(s + j) for j in range(c)],
                              n_outer, cfg.workers, chunk=max(1, n_outer // 16))
@@ -473,24 +474,31 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
                  "std_error": se_g, "target": 1.0})
     checks.append(_check("gamma_b1", abs(z_g) <= 4.0, z_score=z_g))
 
-    # eigenvalue property on a few outer paths, inner-MC error bars
-    for n, F in ((1, b1), (2, f2)):
+    # eigenvalue property P_t F = lam F on a few outer paths, inner-MC error
+    # bars; lam is measured by weighted least squares over the paths
+    if cfg.param("n_eigen_paths") < 1:
+        raise ConfigurationError("n_eigen_paths must be >= 1")
+    eigen = {1: [], 2: []}  # per order: (F, inner mean, inner SE) per path
+    for i in range(cfg.param("n_eigen_paths")):
+        B = martingale_batch("brownian", grid, cfg.master_seed, 10_000 + i, 1).select(0)
+        hats = inner_hat_batch(grid, cfg.master_seed, 10_000 + i, n_inner)
+        for n, F in ((1, b1), (2, f2)):
+            eigen[n].append((float(evaluate_functional(F, B)),
+                             *_mean_se(mehler_samples(F, B, t_eigen, hats))))
+    for n, paths in eigen.items():
         lam = math.exp(-n * t_eigen / 2.0)
         worst = 0.0
         ok = True
-        for i in range(cfg.param("n_eigen_paths")):
-            B = martingale_batch("brownian", grid, cfg.master_seed, 10_000 + i, 1).select(0)
-            hats = inner_hat_batch(grid, cfg.master_seed, 10_000 + i, n_inner)
-            samples = mehler_samples(F, B, t_eigen, hats)
-            mean, se = _mean_se(samples)
-            from .functionals import evaluate_functional
-
-            target = lam * float(evaluate_functional(F, B))
-            dev = abs(mean - target)
+        for f, mean, se in paths:
+            dev = abs(mean - lam * f)
             worst = max(worst, dev / se)
             ok = ok and dev <= 4.0 * se
-        rows.append({"quantity": f"eigenvalue_n{n}", "t": t_eigen, "estimate": lam,
-                     "std_error": float("nan"), "target": lam})
+        f, mean, se = np.array(paths).T
+        norm = float(np.sum(f**2))
+        rows.append({"quantity": f"eigenvalue_n{n}", "t": t_eigen,
+                     "estimate": float(np.sum(f * mean)) / norm,
+                     "std_error": math.sqrt(float(np.sum(f**2 * se**2))) / norm,
+                     "target": lam})
         checks.append(_check(f"eigenvalue_n{n}", ok, worst_z=worst))
 
     diffs = np.array([x[1] for x in flat])
@@ -640,7 +648,7 @@ _register(
 _register(
     "reproducibility", _run_reproducibility,
     "byte-identical reports across reruns and 1-vs-8 workers",
-    {"target": "covariance-decay", "target_n_paths": 4000},
+    {"target": "covariance-decay", "target_n_paths": 4097},
 )
 
 

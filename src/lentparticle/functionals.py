@@ -19,9 +19,6 @@ from .grid import SamplePath
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
-Functional = "ChaosVector | CylindricalFunctional"
-
-
 @dataclass(frozen=True)
 class CylindricalFunctional:
     """F = Phi(int h_1 dB, ..., int h_k dB); Phi assumed C^1 and Lipschitz.
@@ -34,12 +31,7 @@ class CylindricalFunctional:
     h_list: tuple
     phi: Callable
     phi_grad: Callable
-    lipschitz: bool = True
     name: str = ""
-
-    @property
-    def arity(self) -> int:
-        return len(self.h_list)
 
     def arguments(self, path: SamplePath) -> list[np.ndarray]:
         out = []

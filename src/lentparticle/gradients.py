@@ -199,32 +199,6 @@ def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):
     return lhs, rhs
 
 
-def integration_by_parts_check(
-    F, G: StepFunction, n_paths: int, seed: int, grid, chunk: int = 8192
-) -> tuple[float, float, float]:
-    """Returns (lhs mean, rhs mean, pooled standard error of the difference)."""
-    from .drivers import martingale_batch
-
-    lhs_sum = rhs_sum = d_sum = d_sq = 0.0
-    done = 0
-    while done < n_paths:
-        count = min(chunk, n_paths - done)
-        B = martingale_batch("brownian", grid, seed, done, count)
-        lhs, rhs = integration_by_parts_pair(F, G, B)
-        lhs = np.broadcast_to(np.asarray(lhs, dtype=float), (count,))
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
-        d = lhs - rhs
-        lhs_sum += lhs.sum()
-        rhs_sum += rhs.sum()
-        d_sum += d.sum()
-        d_sq += np.sum(d**2)
-        done += count
-    mean_d = d_sum / n_paths
-    var_d = max(d_sq / n_paths - mean_d**2, 0.0)
-    pooled_se = float(np.sqrt(var_d / n_paths))
-    return lhs_sum / n_paths, rhs_sum / n_paths, pooled_se
-
-
 def supremum_decomposition(K, brownian: SamplePath, u: float):
     """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward."""
     grid = brownian.grid

@@ -23,7 +23,6 @@ CHANNEL_BROWNIAN = 0
 CHANNEL_POISSON = 1
 CHANNEL_COMPOUND = 2
 CHANNEL_HAT = 3  # independent Brownian copy (inner / rotation streams)
-CHANNEL_MISC = 4
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,6 @@ class SamplePath:
                 raise DimensionMismatchError("jump_increments shape mismatch")
 
     @classmethod
-    def from_increments(cls, grid: TimeGrid, increments, jump_increments=None) -> "SamplePath":
-        return cls(grid, increments, jump_increments)
-
-    @classmethod
     def from_values(cls, grid: TimeGrid, values, jump_increments=None) -> "SamplePath":
         """Build from levels at grid points; values[..., 0] must be 0."""
         values = np.asarray(values, dtype=float)
@@ -130,13 +125,6 @@ class SamplePath:
     @property
     def n_paths(self) -> int:
         return 1 if not self.is_batch else int(np.prod(self.increments.shape[:-1]))
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Level at the grid point closest to t (t must sit on the grid)."""
-        k = int(round(t / self.grid.dt))
-        if not 0 <= k <= self.grid.n_steps:
-            raise DomainError(f"time {t} outside the grid")
-        return self.values[..., k]
 
     @property
     def jump_times(self) -> np.ndarray:

@@ -15,45 +15,20 @@ copy are reproducible at fixed outer path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .drivers import _combine, inner_hat_batch  # inner_hat_batch: part of this module's API
 from .errors import DomainError
-from .grid import CHANNEL_HAT, RngStream, SamplePath, TimeGrid, require_same_grid
+from .grid import SamplePath
 from .functionals import evaluate_functional
 
 
-@dataclass(frozen=True)
-class OuEvaluation:
-    """Configuration of a two-level semigroup evaluation."""
-
-    t_semigroup: float
-    inner_paths: int
-
-    def __post_init__(self):
-        if self.t_semigroup < 0.0:
-            raise DomainError("t_semigroup must be >= 0")
-        if self.inner_paths < 1:
-            raise DomainError("inner_paths must be >= 1")
-
-
-def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: int) -> SamplePath:
-    """Batch of independent Brownian copies keyed (seed, outer index, inner index)."""
-    inc = np.empty((count, grid.n_steps))
-    for j in range(count):
-        gen = RngStream(master_seed, outer_index, CHANNEL_HAT, j + 1).generator()
-        inc[j] = gen.standard_normal(grid.n_steps)
-    inc *= np.sqrt(grid.dt)
-    return SamplePath.from_increments(grid, inc)
-
-
 def combine_paths(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath:
-    """c1 * p1 + c2 * p2 with levels and increments combined consistently."""
-    grid = require_same_grid(p1, p2)
-    out = SamplePath(grid, c1 * p1.increments + c2 * p2.increments)
-    out._values = c1 * p1.values + c2 * p2.values
-    return out
+    """c1 * p1 + c2 * p2 with levels and increments combined consistently.
+
+    The same combination as drivers.rotate, without its clamping of cos/sin.
+    """
+    return _combine(p1, p2, c1, c2)
 
 
 def mehler_samples(F, outer: SamplePath, t: float, hats: SamplePath) -> np.ndarray:
@@ -83,11 +58,6 @@ def rotation_gradient_samples(
     return np.asarray((plus - minus) / (2.0 * theta), dtype=float)
 
 
-def gradient_brownian_rotation(F, outer: SamplePath, hat: SamplePath, theta: float = 1e-4):
-    """F' for one hat path (or a batch of them)."""
-    return rotation_gradient_samples(F, outer, hat, theta)
-
-
 def carre_du_champ(F, outer: SamplePath, hats: SamplePath, theta: float = 1e-4) -> float:
     """Gamma[F] at the outer path: inner average of the squared theta-difference."""
     if hats.increments.shape[0] < 2:
@@ -115,8 +85,12 @@ def semigroup_limit_gamma(F, outer: SamplePath, t_list, hats: SamplePath) -> lis
 
 
 def richardson_limit(t_pairs: list[tuple[float, float]]) -> float:
-    """Linear-in-t extrapolation to t = 0 from the two smallest t values."""
-    if len(t_pairs) < 2:
-        raise DomainError("need at least two (t, value) pairs")
-    (t1, v1), (t2, v2) = sorted(t_pairs)[:2]
+    """Linear-in-t extrapolation to t = 0 from the two smallest distinct t values.
+
+    A repeated t keeps its last value.
+    """
+    distinct = sorted(dict(t_pairs).items())
+    if len(distinct) < 2:
+        raise DomainError("need (t, value) pairs at two distinct t")
+    (t1, v1), (t2, v2) = distinct[:2]
     return float((t2 * v1 - t1 * v2) / (t2 - t1))

@@ -92,9 +92,6 @@ class StepFunction:
             widths = np.diff(bp)
         return float(np.dot(widths, vals))
 
-    def scaled(self, c: float) -> "StepFunction":
-        return StepFunction(self.breakpoints, tuple(c * v for v in self.values))
-
     def combine(self, other: "StepFunction", a: float, b: float) -> "StepFunction":
         """Pointwise a * self + b * other as a step function."""
         bp = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
@@ -108,6 +105,3 @@ class StepFunction:
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
         return cls(tuple(d["breakpoints"]), tuple(d["values"]))
-
-
-ZERO_ON_UNIT = StepFunction((0.0, 1.0), (0.0,))

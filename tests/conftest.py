@@ -1,7 +1,7 @@
 import pytest
 
-from lentparticle.drivers import martingale_batch, simulate_brownian
-from lentparticle.grid import RngStream, TimeGrid
+from lentparticle.drivers import martingale_batch
+from lentparticle.grid import TimeGrid
 
 SEED = 777
 
@@ -13,7 +13,7 @@ def unit_grid():
 
 @pytest.fixture
 def brownian(unit_grid):
-    return simulate_brownian(unit_grid, RngStream(SEED, 0))
+    return martingale_batch("brownian", unit_grid, SEED, 0, 1).select(0)
 
 
 @pytest.fixture

@@ -6,15 +6,15 @@ import pytest
 
 from lentparticle.chaos import (
     chaotic_extension,
-    covariance_curve,
     evaluate_chaos,
     exponential_vector,
     iterated_integral,
     stochastic_integral,
 )
-from lentparticle.drivers import martingale_batch, simulate_brownian
+from lentparticle.drivers import martingale_batch
 from lentparticle.errors import DomainError
-from lentparticle.grid import RngStream, SamplePath, TimeGrid
+from lentparticle.experiments import make_config, run_experiment
+from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.kernels import ChaosVector, SimplexKernel
 from lentparticle.stepfn import StepFunction
 
@@ -181,15 +181,19 @@ class TestExponentialVector:
 
 
 class TestCovarianceCurve:
+    # The covariance-decay experiment with I_2(h x h), h = 1 on [0, 1]; its
+    # rows are normalized by 2! ||h x h||^2 = 2, so the target is cos^2(phi).
     def test_matches_cos_decay(self, unit_grid):
-        h = StepFunction.constant(1.0, 1.0)
-        F = ChaosVector(0.0, (SimplexKernel.power(h, 2),))
-        curve = covariance_curve(F, [0.0, math.pi / 3], 4000, SEED, unit_grid)
-        for phi, mean, se in curve:
-            target = 2.0 * math.cos(phi) ** 2  # 2! ||h x h||^2 cos^2
-            assert abs(mean - target) < 5 * se
+        cfg = make_config("covariance-decay", n_paths=4000, n_steps=unit_grid.n_steps,
+                          master_seed=SEED, params={"orders": (2,), "phis": (0.0, math.pi / 3)})
+        rows = run_experiment(cfg).rows
+        assert [r["phi"] for r in rows] == [0.0, math.pi / 3]
+        for r in rows:
+            assert r["exact"] == pytest.approx(math.cos(r["phi"]) ** 2)
+            assert abs(r["empirical"] - r["exact"]) < 5 * r["std_error"]
 
     def test_requires_paths(self, unit_grid):
-        F = ChaosVector(1.0, ())
+        cfg = make_config("covariance-decay", n_paths=1, n_steps=unit_grid.n_steps,
+                          master_seed=SEED, params={"orders": (2,), "phis": (0.0,)})
         with pytest.raises(DomainError):
-            covariance_curve(F, [0.0], 1, SEED, unit_grid)
+            run_experiment(cfg)

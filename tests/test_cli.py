@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -85,6 +86,20 @@ class TestRun:
     def test_bad_flag_value_exit_2(self, runner):
         result = runner.invoke(main, ["run", "supremum", "--n-paths", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("experiment", ["supremum", "isometry", "ibp"])
+    def test_too_few_paths_exit_2(self, runner, tmp_path, experiment):
+        # one path has no standard error: a configuration error, not a failed check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, [
+                "run", experiment, "--n-paths", "1", "--grid-steps", "20",
+                "--output", str(tmp_path),
+            ])
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+        assert "at least 2 samples" in result.output
+        assert not (tmp_path / f"{experiment}.json").exists()
 
     def test_unknown_param_exit_2(self, runner):
         result = runner.invoke(main, ["run", "bessel", "--param", "wat=1"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lentparticle.errors import ConfigurationError
+from lentparticle.errors import ConfigurationError, DomainError
 from lentparticle.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -143,6 +143,56 @@ class TestRunners:
     def test_reproducibility_rejects_self_target(self):
         cfg = make_config("reproducibility", params={"target": "reproducibility"})
         with pytest.raises(ConfigurationError):
+            run_experiment(cfg)
+
+    def test_reproducibility_workers_check_can_fail(self, monkeypatch):
+        from lentparticle import experiments
+
+        cfg = make_config("reproducibility", n_steps=20)
+        assert run_experiment(cfg).passed
+        original = experiments.parallel_batches
+
+        def reversed_when_threaded(fn, n_paths, workers, chunk=4096):
+            parts = original(fn, n_paths, workers, chunk)
+            return parts[::-1] if workers > 1 else parts
+
+        # the default target_n_paths spans two batches, so their order shows
+        monkeypatch.setattr(experiments, "parallel_batches", reversed_when_threaded)
+        checks = {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
+        assert checks == {"rerun_identical": True, "workers_identical": False}
+
+    def test_mehler_measures_the_eigenvalues(self):
+        res = run_experiment(make_config("mehler", n_steps=100, params={"n_outer": 4}))
+        rows = [r for r in res.rows if r["quantity"].startswith("eigenvalue")]
+        assert [r["target"] for r in rows] == pytest.approx([np.exp(-0.15), np.exp(-0.3)])
+        for r in rows:
+            assert np.isfinite(r["std_error"]) and r["std_error"] > 0.0
+            assert abs(r["estimate"] - r["target"]) <= 4.0 * r["std_error"]
+
+    def test_mehler_draws_each_outer_path_once(self, monkeypatch):
+        from lentparticle import experiments
+
+        keys = []
+        original = experiments.inner_hat_batch
+
+        def recording(grid, master_seed, outer_index, count):
+            keys.append(outer_index)
+            return original(grid, master_seed, outer_index, count)
+
+        monkeypatch.setattr(experiments, "inner_hat_batch", recording)
+        run_experiment(make_config(
+            "mehler", n_steps=20, params={"n_outer": 3, "n_inner": 8, "n_eigen_paths": 2}
+        ))
+        assert sorted(keys) == [0, 1, 2, 10_000, 10_001]
+
+    @pytest.mark.parametrize("params, error", [
+        ({"t_bracket": (0.1, 0.1)}, DomainError),  # one distinct bracket time
+        ({"n_eigen_paths": 0}, ConfigurationError),
+    ])
+    def test_mehler_rejects_unusable_params(self, params, error):
+        cfg = make_config("mehler", n_steps=20, params={
+            "n_outer": 2, "n_inner": 8, "n_eigen_paths": 1, **params})
+        with pytest.raises(error):
             run_experiment(cfg)
 
     def test_registry_descriptions(self):

@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from lentparticle.chaos import stochastic_integral
 from lentparticle.drivers import martingale_batch
 from lentparticle.errors import ConfigurationError, DomainError
+from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import (
     CylindricalFunctional,
-    make_b1,
     make_functional,
-    make_second_chaos,
     make_square,
     make_three_term,
 )
@@ -18,14 +14,14 @@ from lentparticle.gradients import (
     chaos_gradient_contraction,
     gradient_chaos,
     gradient_cylindrical,
-    integration_by_parts_check,
+    integration_by_parts_pair,
     lent_particle_sde_poisson,
     supremum_decomposition,
     supremum_gradient,
 )
-from lentparticle.grid import SamplePath, TimeGrid
+from lentparticle.grid import SamplePath
 from lentparticle.kernels import ChaosVector, SimplexKernel
-from lentparticle.sde import flow_oracle, make_sde, solve_sde
+from lentparticle.sde import flow_oracle, make_sde
 from lentparticle.stepfn import StepFunction
 
 SEED = 404
@@ -152,35 +148,35 @@ class TestIntegrationByParts:
     # ((int h dB)^2, 1): odd Gaussian moment E[X^2 B_T] = 0.
     ORACLES = {"b1": 1.0, "second": 0.0, "square": 0.0}
 
-    def test_b1_pair(self, unit_grid):
-        G = StepFunction.constant(1.0, 1.0)
-        lhs, rhs, se = integration_by_parts_check(
-            make_b1(1.0), G, 4000, SEED, unit_grid
-        )
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # the ibp experiment runs exactly these (F, G) pairs with h = 1 on [0, 1]
+        cfg = make_config("ibp", n_paths=4000, n_steps=500, master_seed=SEED)
+        return {r["pair"]: r for r in run_experiment(cfg).rows}
+
+    def test_b1_pair(self, rows):
+        r = rows["b1_unit"]
+        lhs, rhs, se = r["lhs"], r["rhs"], r["pooled_std_error"]
         assert rhs == pytest.approx(1.0, abs=1e-12)  # deterministic side
         assert abs(lhs - self.ORACLES["b1"]) < 5 * max(se, 0.02)
         assert abs(lhs - rhs) < 5 * se
 
-    def test_second_chaos_pair(self, unit_grid):
-        h = StepFunction.constant(1.0, 1.0)
-        lhs, rhs, se = integration_by_parts_check(
-            make_second_chaos(1.0), h, 4000, SEED, unit_grid
-        )
+    def test_second_chaos_pair(self, rows):
+        r = rows["second_chaos_h"]
+        lhs, rhs, se = r["lhs"], r["rhs"], r["pooled_std_error"]
         assert abs(lhs - rhs) < 5 * se
         assert abs(lhs - self.ORACLES["second"]) < 0.2
 
-    def test_square_pair(self, unit_grid):
-        G = StepFunction.constant(1.0, 1.0)
-        lhs, rhs, se = integration_by_parts_check(
-            make_square(1.0), G, 4000, SEED, unit_grid
-        )
+    def test_square_pair(self, rows):
+        r = rows["square_unit"]
+        lhs, rhs, se = r["lhs"], r["rhs"], r["pooled_std_error"]
         assert abs(lhs - rhs) < 5 * se
         assert abs(lhs - self.ORACLES["square"]) < 0.2
 
     def test_rejects_unsupported(self, unit_grid, brownian):
         G = StepFunction.constant(1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            integration_by_parts_check(object(), G, 10, SEED, unit_grid)
+            integration_by_parts_pair(object(), G, brownian)
 
 
 class TestSupremum:

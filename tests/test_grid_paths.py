@@ -6,9 +6,6 @@ from lentparticle.drivers import (
     brownian_batch,
     martingale_batch,
     rotate,
-    simulate_brownian,
-    simulate_compensated_poisson,
-    simulate_symmetric_compound_poisson,
 )
 from lentparticle.errors import (
     ConfigurationError,
@@ -109,13 +106,22 @@ class TestDrivers:
         assert abs(inc.var() / unit_grid.dt - 1.0) < 0.05
 
     def test_batch_matches_single_streams(self, unit_grid):
+        # path i is drawn from the stream keyed (seed, channel 0, i, 0)
         batch = brownian_batch(unit_grid, SEED, 5, 3)
         for i in range(3):
-            single = simulate_brownian(unit_grid, RngStream(SEED, 5 + i))
+            normals = RngStream(SEED, 5 + i).generator().standard_normal(unit_grid.n_steps)
+            np.testing.assert_array_equal(batch.increments[i], normals * np.sqrt(unit_grid.dt))
+
+    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
+    def test_single_path_is_a_batch_of_one(self, unit_grid, kind):
+        batch = martingale_batch(kind, unit_grid, SEED, 5, 3)
+        for i in range(3):
+            single = martingale_batch(kind, unit_grid, SEED, 5 + i, 1).select(0)
             np.testing.assert_array_equal(batch.increments[i], single.increments)
+            np.testing.assert_array_equal(batch.values[i], single.values)
 
     def test_compensated_poisson_structure(self, unit_grid):
-        path = simulate_compensated_poisson(unit_grid, RngStream(SEED, 1, channel=1))
+        path = martingale_batch("poisson", unit_grid, SEED, 1, 1).select(0)
         jumps = path.jump_increments
         assert np.all((jumps == 0.0) | (jumps == 1.0))
         np.testing.assert_allclose(path.increments, jumps - unit_grid.dt)
@@ -123,7 +129,7 @@ class TestDrivers:
         np.testing.assert_allclose(path.values[-1], jumps.sum() - unit_grid.horizon)
 
     def test_compound_marks(self, unit_grid):
-        path = simulate_symmetric_compound_poisson(unit_grid, RngStream(SEED, 2, channel=2))
+        path = martingale_batch("compound", unit_grid, SEED, 2, 1).select(0)
         marks = path.jump_marks
         assert np.all(np.abs(marks) == 1.0)
         np.testing.assert_array_equal(path.increments, path.jump_increments)
@@ -137,25 +143,26 @@ class TestDrivers:
         assert abs(empty - np.exp(-1)) < 4 * se
 
     def test_unknown_kind(self, unit_grid):
-        with pytest.raises(DomainError):
-            martingale_batch("levy", unit_grid, SEED, 0, 1)
+        for kind in ("levy", "hat"):
+            with pytest.raises(DomainError):
+                martingale_batch(kind, unit_grid, SEED, 0, 1)
 
 
 class TestRotate:
     def test_theta_zero_is_brownian(self, unit_grid, brownian):
-        mart = simulate_compensated_poisson(unit_grid, RngStream(SEED, 0, channel=1))
+        mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
         rotated = rotate(brownian, mart, 0.0)
         np.testing.assert_array_equal(rotated.values, brownian.values)
         np.testing.assert_array_equal(rotated.increments, brownian.increments)
 
     def test_half_pi_is_martingale(self, unit_grid, brownian):
-        mart = simulate_compensated_poisson(unit_grid, RngStream(SEED, 0, channel=1))
+        mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
         rotated = rotate(brownian, mart, np.pi / 2)
         np.testing.assert_array_equal(rotated.values, mart.values)
         np.testing.assert_array_equal(rotated.jump_increments, mart.jump_increments)
 
     def test_levels_combine_exactly(self, unit_grid, brownian):
-        mart = simulate_compensated_poisson(unit_grid, RngStream(SEED, 0, channel=1))
+        mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
         theta = 0.7
         rotated = rotate(brownian, mart, theta)
         expected = np.cos(theta) * brownian.values + np.sin(theta) * mart.values

@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lentparticle.drivers import martingale_batch
+from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.errors import DomainError
 from lentparticle.functionals import evaluate_functional, make_b1, make_second_chaos
-from lentparticle.grid import TimeGrid
 from lentparticle.ou import (
-    OuEvaluation,
     carre_du_champ,
     combine_paths,
-    gradient_brownian_rotation,
     inner_hat_batch,
     mehler_samples,
     mehler_semigroup,
@@ -95,11 +92,6 @@ class TestRotationGradient:
         with pytest.raises(DomainError):
             carre_du_champ(make_b1(1.0), outer, single)
 
-    def test_gradient_alias(self, outer, hats):
-        a = gradient_brownian_rotation(make_b1(1.0), outer, hats)
-        b = rotation_gradient_samples(make_b1(1.0), outer, hats)
-        np.testing.assert_array_equal(a, b)
-
 
 class TestBracket:
     def test_bracket_limits_to_carre(self, unit_grid, outer):
@@ -124,6 +116,13 @@ class TestBracket:
         with pytest.raises(DomainError):
             richardson_limit([(0.1, 1.0)])
 
+    def test_richardson_needs_two_distinct_t(self):
+        with pytest.raises(DomainError):
+            richardson_limit([(0.1, 1.0), (0.1, 1.0)])
+        gamma, slope = 2.5, -0.7
+        pairs = [(t, gamma + slope * t) for t in (0.01, 0.2, 0.01)]
+        assert richardson_limit(pairs) == pytest.approx(gamma, rel=1e-12)
+
 
 class TestCombinePaths:
     def test_levels_and_increments_consistent(self, unit_grid, outer, hats):
@@ -133,11 +132,11 @@ class TestCombinePaths:
         )
         np.testing.assert_allclose(np.diff(mixed.values, axis=-1), mixed.increments)
 
-
-class TestOuEvaluation:
-    def test_validation(self):
-        OuEvaluation(0.5, 10)
-        with pytest.raises(DomainError):
-            OuEvaluation(-0.1, 10)
-        with pytest.raises(DomainError):
-            OuEvaluation(0.1, 0)
+    @pytest.mark.parametrize("theta", [0.3, 1e-4, -1e-4, math.pi / 6])
+    def test_same_combination_as_rotate(self, unit_grid, outer, theta):
+        M = martingale_batch("compound", unit_grid, SEED, 0, 1).select(0)
+        mixed = combine_paths(outer, M, math.cos(theta), math.sin(theta))
+        rotated = rotate(outer, M, theta)
+        np.testing.assert_array_equal(mixed.increments, rotated.increments)
+        np.testing.assert_array_equal(mixed.values, rotated.values)
+        np.testing.assert_array_equal(mixed.jump_increments, rotated.jump_increments)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lentparticle.bessel import bessel_spectrum, default_truncation
-from lentparticle.drivers import martingale_batch, rotate, simulate_brownian
+from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.gradients import supremum_gradient
 from lentparticle.grid import RngStream, TimeGrid
 from lentparticle.stepfn import StepFunction
@@ -29,7 +29,7 @@ def test_streams_are_pure_functions_of_their_key(seed, index):
 @given(theta=angles, phi=angles)
 @settings(max_examples=40, deadline=None)
 def test_rotation_angle_addition(theta, phi):
-    B = simulate_brownian(GRID, RngStream(1, 0))
+    B = martingale_batch("brownian", GRID, 1, 0, 1).select(0)
     M = martingale_batch("poisson", GRID, 1, 0, 1).select(0)
     lhs = rotate(B, M, theta + phi).values
     base = rotate(B, M, theta).values
@@ -42,7 +42,7 @@ def test_rotation_angle_addition(theta, phi):
 @settings(max_examples=40, deadline=None)
 def test_rotation_preserves_energy_identity(theta):
     # Y^theta and Y^{theta + pi/2} reconstruct B and M exactly
-    B = simulate_brownian(GRID, RngStream(2, 0))
+    B = martingale_batch("brownian", GRID, 2, 0, 1).select(0)
     M = martingale_batch("compound", GRID, 2, 0, 1).select(0)
     y0 = rotate(B, M, theta).values
     y1 = rotate(B, M, theta + math.pi / 2).values
@@ -94,7 +94,7 @@ def test_spectrum_is_a_probability_like_mass(x):
 @given(seed=seeds, u=st.floats(0.05, 0.95), a=st.floats(1e-9, 1e-3))
 @settings(max_examples=30, deadline=None)
 def test_supremum_gradient_is_a_proportion(seed, u, a):
-    B = simulate_brownian(GRID, RngStream(seed, 0))
+    B = martingale_batch("brownian", GRID, seed, 0, 1).select(0)
     grad = supremum_gradient(None, B, u, a)
     assert 0.0 <= grad <= 1.0
 

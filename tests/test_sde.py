@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from lentparticle import experiments
-from lentparticle.drivers import martingale_batch, simulate_brownian
+from lentparticle.drivers import martingale_batch
 from lentparticle.errors import (
     ConfigurationError,
     DomainError,
@@ -80,7 +78,7 @@ class TestSolver:
         # strong Euler error is O(sqrt(dt)); on a fine grid the terminal
         # value should sit close to the exact exponential solution
         grid = TimeGrid(1.0, 20_000)
-        B = simulate_brownian(grid, RngStream(SEED, 3))
+        B = martingale_batch("brownian", grid, SEED, 3, 1).select(0)
         spec = make_sde("gbm", sigma=0.3, b=0.1)
         x = solve_sde(spec, B)
         exact = np.exp((0.1 - 0.5 * 0.3**2) * grid.times + 0.3 * B.values)
@@ -102,7 +100,7 @@ class TestSolver:
             sigma_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
             b_x=lambda t, x: 3e6 * x**2,
         )
-        B = simulate_brownian(unit_grid, RngStream(SEED, 4))
+        B = martingale_batch("brownian", unit_grid, SEED, 4, 1).select(0)
         with pytest.raises(NumericalBlowupError) as err:
             solve_sde(exploding, B)
         assert 0 < err.value.step <= unit_grid.n_steps
@@ -139,7 +137,7 @@ class TestFlowOracle:
     @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion"])
     def test_matches_jump_difference(self, name):
         grid = TimeGrid(1.0, 2000)
-        B = simulate_brownian(grid, RngStream(SEED, 5))
+        B = martingale_batch("brownian", grid, SEED, 5, 1).select(0)
         spec = make_sde(name)
         for u, t in [(0.25, 0.75), (0.5, 1.0), (0.7131, 0.9)]:
             oracle = flow_oracle(spec, B, u, t)
