@@ -106,7 +106,6 @@ def exponential_vector(
     martingale: SamplePath,
     theta: float,
     t: float,
-    return_zero_flags: bool = False,
 ):
     """Stochastic exponential of V = int h1 dY^theta + int h2 dY^{theta+pi/2} at time t.
 
@@ -116,8 +115,7 @@ def exponential_vector(
     factors, and any continuous drift of the martingale (the compensator of a
     compensated Poisson driver) rides in V through the plain increment sums.
 
-    A vanishing factor (1 + dV) = 0 is legal and yields the value 0; set
-    ``return_zero_flags`` to detect those paths.
+    A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
     grid = require_same_grid(brownian, martingale)
     m = int(round(t / grid.dt))
@@ -140,8 +138,5 @@ def exponential_vector(
     bracket = bro.integral_sq(upto=t)
     factors = 1.0 + mar_g * jumps[..., :m]
     product = np.prod(factors, axis=-1)
-    value = np.exp(v_cont - 0.5 * bracket) * product
-    if return_zero_flags:
-        return value, np.any(factors == 0.0, axis=-1)
-    return value
+    return np.exp(v_cont - 0.5 * bracket) * product
 

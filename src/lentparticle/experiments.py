@@ -62,6 +62,8 @@ class ExperimentConfig:
         if self.theta is not None and self.theta <= 0:
             raise ConfigurationError("theta must be positive")
         spec = EXPERIMENTS[self.experiment]
+        if self.theta is not None and spec.theta is None:
+            raise ConfigurationError(f"{self.experiment!r} has no difference step theta")
         unknown = set(self.params) - set(spec.param_defaults)
         if unknown:
             raise ConfigurationError(
@@ -117,6 +119,7 @@ class ExperimentSpec:
     runner: callable
     param_defaults: dict = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)  # config-field overrides
+    theta: float | None = None  # default difference step; None: the runner has none
 
 
 def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> list:
@@ -142,7 +145,14 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
         raise DomainError(f"a standard error needs at least 2 samples, got {samples.size}")
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
+    if se == 0.0:
+        raise DomainError(f"all {samples.size} samples are {mean}: the standard error is 0")
     return mean, se
+
+
+def _difference_step(cfg: ExperimentConfig) -> float:
+    """theta if set, else the step the experiment is registered with."""
+    return cfg.theta if cfg.theta is not None else EXPERIMENTS[cfg.experiment].theta
 
 
 def _check(name: str, passed: bool, **detail) -> dict:
@@ -288,7 +298,7 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
-    theta = cfg.theta if cfg.theta is not None else 1e-3
+    theta = _difference_step(cfg)
     F = make_functional(cfg.param("functional"), grid.horizon)
     target = F.gradient_energy
 
@@ -316,7 +326,7 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
-    theta = cfg.theta if cfg.theta is not None else 1e-4
+    theta = _difference_step(cfg)
     names = cfg.param("sde")
     if isinstance(names, str):
         names = [names]
@@ -368,7 +378,7 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
-    theta = cfg.theta if cfg.theta is not None else 1e-4
+    theta = _difference_step(cfg)
     name = cfg.param("sde")
     spec = make_sde(name, **cfg.param("sde_params").get(name, {}))
 
@@ -388,12 +398,14 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
 
     parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
     single = np.concatenate([p["single"] for p in parts])
+    freq = float(np.mean(single))
+    freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
+    if freq_se == 0.0:
+        raise DomainError(f"single-jump frequency {freq}: the standard error is 0")
     debiased = np.concatenate([p["debiased"] for p in parts])[single]
     oracle = np.concatenate([p["oracle"] for p in parts])[single]
     rel = np.abs(debiased - oracle) / (np.abs(oracle) + 1e-8)
     frac_ok = float(np.mean(rel <= 1e-2))
-    freq = float(np.mean(single))
-    freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
     z = (freq - math.exp(-1.0)) / freq_se
     rows = [
         {"sde": name, "u": "U1", "t": grid.horizon, "method": "jump_difference",
@@ -451,7 +463,7 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     n_inner = cfg.param("n_inner")
     t_eigen = cfg.param("t_eigen")
     t_list = cfg.param("t_bracket")
-    theta = cfg.theta if cfg.theta is not None else 1e-4
+    theta = _difference_step(cfg)
     b1 = make_b1(grid.horizon)
     f2 = make_second_chaos(grid.horizon)
     rows, checks = [], []
@@ -581,9 +593,9 @@ def _run_reproducibility(cfg: ExperimentConfig) -> ExperimentResult:
 EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
 
-def _register(name, runner, description, param_defaults=None, defaults=None):
+def _register(name, runner, description, param_defaults=None, defaults=None, theta=None):
     EXPERIMENTS[name] = ExperimentSpec(
-        description, runner, param_defaults or {}, defaults or {}
+        description, runner, param_defaults or {}, defaults or {}, theta
     )
 
 
@@ -614,6 +626,7 @@ _register(
     "chaos-energy", _run_chaos_energy,
     "E[((F^t - F^-t)/2t)^2] = sum n n! ||f_n||^2 for both jump drivers",
     {"functional": "three-term"},
+    theta=1e-3,
 )
 _register(
     "sde-lent-particle", _run_sde_lent_particle,
@@ -623,12 +636,14 @@ _register(
      "u_grid": (0.08, 0.24, 0.4, 0.56, 0.72),
      "t_grid": (0.76, 0.82, 0.88, 0.94, 1.0)},
     defaults={"n_steps": 10_000, "n_paths": 1000},
+    theta=1e-4,
 )
 _register(
     "sde-poisson", _run_sde_poisson,
     "compound-Poisson perturbation: J1 x estimate vs flow oracle at U1",
     {"sde": "gbm", "sde_params": {}},
     defaults={"n_steps": 10_000, "n_paths": 1000},
+    theta=1e-4,
 )
 _register(
     "ibp", _run_ibp,
@@ -639,6 +654,7 @@ _register(
     "Mehler semigroup: Gamma[B_1], chaos eigenvalues, bracket limit",
     {"n_outer": 400, "n_inner": 256, "n_eigen_paths": 8,
      "t_eigen": 0.3, "t_bracket": (1e-1, 1e-2, 1e-3)},
+    theta=1e-4,
 )
 _register(
     "supremum", _run_supremum,

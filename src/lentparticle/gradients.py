@@ -12,6 +12,9 @@ does not go through the jump difference:
 * SDE solutions           -- the first-variation flow (sde.flow_oracle);
 * running suprema         -- the closed-form indicator from the piecewise
                              linear structure of the max.
+
+The chain-rule value, the kernel contraction and the right-hand side of the
+integration-by-parts pair are one pairing <DF, phi> (``_derivative_pairing``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import ConfigurationError, DomainError
 from .estimates import GradientEstimate
 from .functionals import CylindricalFunctional, evaluate_functional
 from .grid import SamplePath, require_same_grid
-from .kernels import ChaosVector, SimplexKernel
+from .kernels import ChaosVector
 from .sde import SdeSpec, euler, flow_form
 from .stepfn import StepFunction
 
@@ -48,27 +51,36 @@ def gradient_cylindrical(
     minus = evaluate_functional(F, add_unit_jump(path, u, -a0))
     diff = (plus - minus) / (2.0 * a0)
 
-    args = F.arguments(path)
-    grads = F.phi_grad(*args)
-    analytic = 0.0
-    for g, h in zip(grads, F.h_list):
-        analytic = analytic + g * _argument_derivative(h, path, u_left)
+    analytic = _derivative_pairing(F, path, lambda g: g(u_left))
     return GradientEstimate(
         u=k * grid.dt, t=grid.horizon, value=diff, method="jump_difference",
         theta=a0, analytic=analytic, snapped=snapped,
     )
 
 
-def _argument_derivative(h, path: SamplePath, u_left: float):
-    """D_u of a single argument, with u taken at the snap step's left endpoint."""
-    if isinstance(h, StepFunction):
-        return h(u_left)
-    if isinstance(h, SimplexKernel):
+def _derivative_pairing(F, path: SamplePath, pair):
+    """<DF, phi> on each path, where pair(g) = <g, phi> for a step function g.
+
+    D_s I_n(g_1 ... g_n) = sum_i g_i(s) I_{n-1}(the others), the weight riding
+    on the reduced kernel; a cylindrical Phi(A_1, ...) sums dPhi_j times the
+    pairing of each argument, a kernel argument read as a one-kernel chaos.
+    """
+    if isinstance(F, CylindricalFunctional):
         total = 0.0
-        for g, reduced in h.contractions():
-            total = total + g(u_left) * iterated_integral(reduced, path)
+        for dphi, h in zip(F.phi_grad(*F.arguments(path)), F.h_list):
+            if isinstance(h, StepFunction):
+                paired = pair(h)
+            else:
+                paired = _derivative_pairing(ChaosVector(0.0, (h,)), path, pair)
+            total = total + dphi * paired
         return total
-    raise ConfigurationError(f"unsupported argument type {type(h)!r}")
+    if not isinstance(F, ChaosVector):
+        raise ConfigurationError(f"unsupported functional type {type(F)!r}")
+    total = 0.0
+    for kernel in F.kernels:
+        for g, reduced in kernel.contractions():
+            total = total + iterated_integral(reduced, path) * pair(g)
+    return total
 
 
 def gradient_chaos(
@@ -90,15 +102,7 @@ def chaos_gradient_contraction(
     integrals of the sliced factors against M.
     """
     require_same_grid(brownian, martingale)
-    total = 0.0
-    for kernel in F.kernels:
-        if kernel.order == 0:
-            continue
-        for g, reduced in kernel.contractions():
-            total = total + iterated_integral(reduced, brownian) * stochastic_integral(
-                g, martingale
-            )
-    return total
+    return _derivative_pairing(F, brownian, lambda g: stochastic_integral(g, martingale))
 
 
 def lent_particle_sde(
@@ -179,24 +183,7 @@ def lent_particle_sde_poisson(
 def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):
     """Per-path (lhs, rhs) of E[F int G dB] = E[int D_u F G_u du], G deterministic."""
     lhs = evaluate_functional(F, brownian) * stochastic_integral(G, brownian)
-    if isinstance(F, ChaosVector):
-        rhs = 0.0
-        for kernel in F.kernels:
-            if kernel.order == 0:
-                continue
-            for g, reduced in kernel.contractions():
-                rhs = rhs + iterated_integral(reduced, brownian) * g.inner(G)
-    elif isinstance(F, CylindricalFunctional):
-        args = F.arguments(brownian)
-        grads = F.phi_grad(*args)
-        rhs = 0.0
-        for dphi, h in zip(grads, F.h_list):
-            if not isinstance(h, StepFunction):
-                raise ConfigurationError("IBP pairs support step-function arguments only")
-            rhs = rhs + dphi * h.inner(G)
-    else:
-        raise ConfigurationError(f"unsupported functional type {type(F)!r}")
-    return lhs, rhs
+    return lhs, _derivative_pairing(F, brownian, G.inner)
 
 
 def supremum_decomposition(K, brownian: SamplePath, u: float):
@@ -212,8 +199,6 @@ def supremum_decomposition(K, brownian: SamplePath, u: float):
 def _k_values(K, grid) -> np.ndarray:
     if K is None:
         return np.zeros(grid.n_steps + 1)
-    if isinstance(K, StepFunction):
-        return np.asarray(K(grid.times))
     if callable(K):
         return np.asarray(K(grid.times), dtype=float)
     return np.asarray(K, dtype=float)

@@ -54,9 +54,6 @@ class TimeGrid:
         k = int(np.ceil(u / self.dt - 1e-9))
         return min(max(k, 1), self.n_steps)
 
-    def summary(self) -> dict:
-        return {"horizon": self.horizon, "n_steps": self.n_steps}
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -103,14 +100,6 @@ class SamplePath:
             if self.jump_increments.shape != self.increments.shape:
                 raise DimensionMismatchError("jump_increments shape mismatch")
 
-    @classmethod
-    def from_values(cls, grid: TimeGrid, values, jump_increments=None) -> "SamplePath":
-        """Build from levels at grid points; values[..., 0] must be 0."""
-        values = np.asarray(values, dtype=float)
-        path = cls(grid, np.diff(values, axis=-1), jump_increments)
-        path._values = values
-        return path
-
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
@@ -121,29 +110,6 @@ class SamplePath:
     @property
     def is_batch(self) -> bool:
         return self.increments.ndim > 1
-
-    @property
-    def n_paths(self) -> int:
-        return 1 if not self.is_batch else int(np.prod(self.increments.shape[:-1]))
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        """Jump times of a single path (grid points carrying a mark)."""
-        if self.is_batch:
-            raise DimensionMismatchError("jump_times is defined for single paths only")
-        if self.jump_increments is None:
-            return np.empty(0)
-        idx = np.nonzero(self.jump_increments)[0]
-        return (idx + 1) * self.grid.dt
-
-    @property
-    def jump_marks(self) -> np.ndarray:
-        if self.is_batch:
-            raise DimensionMismatchError("jump_marks is defined for single paths only")
-        if self.jump_increments is None:
-            return np.empty(0)
-        idx = np.nonzero(self.jump_increments)[0]
-        return self.jump_increments[idx]
 
     def select(self, index) -> "SamplePath":
         """Extract one path (or a sub-batch) from a batch."""

@@ -10,7 +10,6 @@ the tests is exact on the kernel side.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -97,23 +96,6 @@ class SimplexKernel:
             out.append((g, SimplexKernel(self.order - 1, rest, self.weight)))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "factors": [g.to_dict() for g in self.factors],
-            "weight": self.weight,
-            "symmetrize": self.symmetrize,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimplexKernel":
-        return cls(
-            int(d["order"]),
-            tuple(StepFunction.from_dict(f) for f in d["factors"]),
-            float(d.get("weight", 1.0)),
-            bool(d.get("symmetrize", True)),
-        )
-
 
 @dataclass(frozen=True)
 class ChaosVector:
@@ -129,10 +111,6 @@ class ChaosVector:
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(self.kernels))
 
-    @property
-    def max_order(self) -> int:
-        return max((k.order for k in self.kernels), default=0)
-
     def _order_groups(self) -> dict[int, list[SimplexKernel]]:
         groups: dict[int, list[SimplexKernel]] = {}
         for k in self.kernels:
@@ -144,9 +122,6 @@ class ChaosVector:
         """||F||^2 = f(0)^2 + sum_n n! ||f_n||^2."""
         total = self.constant**2
         for n, group in self._order_groups().items():
-            if n == 0:
-                total += math.factorial(0) * sum(a.inner(b) for a in group for b in group)
-                continue
             block = sum(a.inner(b) for a in group for b in group)
             total += math.factorial(n) * block
         return total
@@ -159,22 +134,3 @@ class ChaosVector:
             block = sum(a.inner(b) for a in group for b in group)
             total += n * math.factorial(n) * block
         return total
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"constant": self.constant, "kernels": [k.to_dict() for k in self.kernels]},
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosVector":
-        d = json.loads(text)
-        return cls(
-            float(d.get("constant", 0.0)),
-            tuple(SimplexKernel.from_dict(k) for k in d.get("kernels", ())),
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "ChaosVector":
-        with open(path) as fh:
-            return cls.from_json(fh.read())

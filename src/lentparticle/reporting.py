@@ -52,9 +52,9 @@ def render_json(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def write_result(result, out_dir: str, basename: str | None = None) -> tuple[str, str]:
+def write_result(result, out_dir: str) -> tuple[str, str]:
     """Write <name>.csv (rows) and <name>.json (summary); returns the paths."""
-    base = basename or result.config.experiment
+    base = result.config.experiment
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{base}.csv")
     json_path = os.path.join(out_dir, f"{base}.json")

@@ -70,17 +70,6 @@ class StepFunction:
         bp = np.asarray(self.breakpoints)
         return float(np.dot(np.diff(bp), np.asarray(self.values) ** 2))
 
-    def integral(self, upto: float | None = None) -> float:
-        """Exact integral of the function over [0, upto] (whole support if None)."""
-        bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
-        if upto is not None:
-            hi = np.minimum(bp[1:], upto)
-            widths = np.clip(hi - bp[:-1], 0.0, None)
-        else:
-            widths = np.diff(bp)
-        return float(np.dot(widths, vals))
-
     def integral_sq(self, upto: float | None = None) -> float:
         """Exact integral of the squared function over [0, upto]."""
         bp = np.asarray(self.breakpoints)
@@ -98,10 +87,3 @@ class StepFunction:
         left = bp[:-1]
         vals = a * np.asarray(self(left)) + b * np.asarray(other(left))
         return StepFunction(tuple(bp), tuple(vals))
-
-    def to_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepFunction":
-        return cls(tuple(d["breakpoints"]), tuple(d["values"]))

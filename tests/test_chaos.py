@@ -166,11 +166,8 @@ class TestExponentialVector:
         flatB = SamplePath(grid, np.zeros(10))
         h = StepFunction.constant(-1.0, 1.0)  # factor 1 + h * jump = 0
         zero = StepFunction.constant(0.0, 1.0)
-        value, flags = exponential_vector(
-            h, zero, flatB, mart, math.pi / 2, 1.0, return_zero_flags=True
-        )
-        assert value == 0.0
-        assert bool(flags) is True
+        # the factor at the jump vanishes, so the value is 0 on this path
+        assert exponential_vector(h, zero, flatB, mart, math.pi / 2, 1.0) == 0.0
 
     def test_off_grid_time_rejected(self, unit_grid, brownian):
         h = StepFunction.constant(1.0, 1.0)

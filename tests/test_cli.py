@@ -87,19 +87,38 @@ class TestRun:
         result = runner.invoke(main, ["run", "supremum", "--n-paths", "0"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("experiment", ["supremum", "isometry", "ibp"])
-    def test_too_few_paths_exit_2(self, runner, tmp_path, experiment):
-        # one path has no standard error: a configuration error, not a failed check
+    ONE_PATH = ["--n-paths", "1", "--grid-steps", "20"]
+
+    @pytest.mark.parametrize("experiment, flags, message", [
+        pytest.param("supremum", ONE_PATH, "at least 2 samples", id="supremum"),
+        pytest.param("isometry", ONE_PATH, "at least 2 samples", id="isometry"),
+        pytest.param("ibp", ONE_PATH, "at least 2 samples", id="ibp"),
+        # both paths give the same indicator
+        pytest.param("supremum", ["--n-paths", "2", "--grid-steps", "50", "--seed", "2"],
+                     "all 2 samples are", id="supremum-equal-samples"),
+        # one path is a single-jump frequency of 0 or 1
+        pytest.param("sde-poisson", ["--n-paths", "1", "--grid-steps", "100"],
+                     "single-jump frequency", id="sde-poisson"),
+    ])
+    def test_too_few_paths_exit_2(self, runner, tmp_path, experiment, flags, message):
+        # no standard error: a configuration error, not a failed check
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = runner.invoke(main, [
-                "run", experiment, "--n-paths", "1", "--grid-steps", "20",
-                "--output", str(tmp_path),
-            ])
+            result = runner.invoke(main, ["run", experiment, *flags, "--output", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "configuration error" in result.output
-        assert "at least 2 samples" in result.output
+        assert message in result.output
+        assert "standard error" in result.output
         assert not (tmp_path / f"{experiment}.json").exists()
+
+    def test_theta_where_unread_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "isometry", "--theta", "0.5", "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+        assert "no difference step" in result.output
+        assert not (tmp_path / "isometry.json").exists()
 
     def test_unknown_param_exit_2(self, runner):
         result = runner.invoke(main, ["run", "bessel", "--param", "wat=1"])

@@ -30,6 +30,29 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             make_config("isometry", theta=-1.0)
 
+    @pytest.mark.parametrize("name", [
+        "isometry", "covariance-decay", "bessel", "exp-vector-covariance", "ibp",
+        "supremum", "reproducibility",
+    ])
+    def test_theta_rejected_where_unread(self, name):
+        assert make_config(name).describe()["theta"] is None
+        with pytest.raises(ConfigurationError, match="no difference step"):
+            make_config(name, theta=0.5)
+
+    @pytest.mark.parametrize("name", ["chaos-energy", "sde-lent-particle", "sde-poisson",
+                                      "mehler"])
+    def test_theta_accepted_where_read(self, name):
+        assert make_config(name).describe()["theta"] is None  # unset renders as null
+        assert make_config(name, theta=0.5).describe()["theta"] == 0.5
+
+    def test_registered_difference_step(self):
+        def thetas(**overrides):
+            cfg = make_config("chaos-energy", n_paths=16, n_steps=20, **overrides)
+            return {r["theta"] for r in run_experiment(cfg).rows}
+
+        assert thetas() == {1e-3}
+        assert thetas(theta=2e-3) == {2e-3}
+
     def test_sde_defaults_applied(self):
         cfg = make_config("sde-lent-particle")
         assert cfg.n_steps == 10_000

@@ -178,6 +178,17 @@ class TestIntegrationByParts:
         with pytest.raises(ConfigurationError):
             integration_by_parts_pair(object(), G, brownian)
 
+    def test_kernel_argument_matches_chaos_vector(self, unit_grid):
+        # Phi = identity on one iterated integral is the one-kernel chaos vector
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 16)
+        k = SimplexKernel(2, (StepFunction.constant(1.0, 1.0), StepFunction.indicator(0.0, 0.5, 2.0)))
+        G = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        F = CylindricalFunctional((k,), phi=lambda x: x, phi_grad=lambda x: (1.0,))
+        lhs, rhs = integration_by_parts_pair(F, G, B)
+        chaos_lhs, chaos_rhs = integration_by_parts_pair(ChaosVector(0.0, (k,)), G, B)
+        np.testing.assert_array_equal(lhs, chaos_lhs)
+        np.testing.assert_array_equal(rhs, chaos_rhs)
+
 
 class TestSupremum:
     def test_gradient_is_exact_difference_quotient(self, unit_grid, brownian):

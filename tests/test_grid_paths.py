@@ -65,30 +65,16 @@ class TestSamplePath:
         assert path.values[0] == 0.0
         np.testing.assert_allclose(np.diff(path.values), inc)
 
-    def test_from_values_roundtrip(self, unit_grid):
-        values = np.concatenate([[0.0], np.random.default_rng(0).standard_normal(unit_grid.n_steps).cumsum()])
-        path = SamplePath.from_values(unit_grid, values)
-        np.testing.assert_array_equal(path.values, values)
-
     def test_shape_mismatch(self, unit_grid):
         with pytest.raises(DimensionMismatchError):
             SamplePath(unit_grid, np.zeros(unit_grid.n_steps - 1))
 
     def test_batch_select(self, unit_grid):
         batch = brownian_batch(unit_grid, SEED, 0, 4)
-        assert batch.is_batch and batch.n_paths == 4
+        assert batch.is_batch and batch.increments.shape == (4, unit_grid.n_steps)
         one = batch.select(2)
         assert not one.is_batch
         np.testing.assert_array_equal(one.increments, batch.increments[2])
-
-    def test_jump_times_and_marks(self):
-        grid = TimeGrid(1.0, 10)
-        jumps = np.zeros(10)
-        jumps[2] = 1.0
-        jumps[7] = -1.0
-        path = SamplePath(grid, jumps.copy(), jump_increments=jumps)
-        np.testing.assert_allclose(path.jump_times, [0.3, 0.8])
-        np.testing.assert_allclose(path.jump_marks, [1.0, -1.0])
 
     def test_require_same_grid(self, unit_grid):
         other = TimeGrid(1.0, unit_grid.n_steps + 1)
@@ -130,8 +116,8 @@ class TestDrivers:
 
     def test_compound_marks(self, unit_grid):
         path = martingale_batch("compound", unit_grid, SEED, 2, 1).select(0)
-        marks = path.jump_marks
-        assert np.all(np.abs(marks) == 1.0)
+        marks = path.jump_increments[path.jump_increments != 0.0]
+        assert marks.size > 0 and np.all(np.abs(marks) == 1.0)
         np.testing.assert_array_equal(path.increments, path.jump_increments)
 
     def test_jump_frequency(self, unit_grid):
