@@ -21,7 +21,6 @@ from collections import Counter
 import numpy as np
 
 from .drivers import rotate
-from .errors import DomainError
 from .grid import SamplePath, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
@@ -118,9 +117,7 @@ def exponential_vector(
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
     grid = require_same_grid(brownian, martingale)
-    m = int(round(t / grid.dt))
-    if not 0 <= m <= grid.n_steps or abs(m * grid.dt - t) > 1e-9 * grid.horizon:
-        raise DomainError(f"t={t} is not a grid point")
+    m = grid.index_of(t)
     c, s = np.cos(theta), np.sin(theta)
     # Brownian and martingale integrands of V.
     bro = h1.combine(h2, c, -s)

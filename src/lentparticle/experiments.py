@@ -2,8 +2,9 @@
 
 Every experiment is a pure function of its configuration (grid, path count,
 master seed, difference steps): reports are byte-identical across runs and
-across worker counts because path streams are keyed by path index and batch
-results are reassembled in index order before any reduction.
+across worker counts because path streams are keyed by path index and
+``parallel_batches`` joins the per-path results of its batches in index order
+before any reduction.
 
 Pass/fail thresholds are encoded here, not in the configuration, so they
 cannot be tuned away from the command line.
@@ -59,8 +60,8 @@ class ExperimentConfig:
             )
         if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1 or self.workers < 1:
             raise ConfigurationError("horizon, n_steps, n_paths and workers must be positive")
-        if self.theta is not None and self.theta <= 0:
-            raise ConfigurationError("theta must be positive")
+        if self.theta is not None and not 0.0 < self.theta < math.inf:
+            raise ConfigurationError(f"theta must be positive and finite, got {self.theta}")
         spec = EXPERIMENTS[self.experiment]
         if self.theta is not None and spec.theta is None:
             raise ConfigurationError(f"{self.experiment!r} has no difference step theta")
@@ -122,22 +123,22 @@ class ExperimentSpec:
     theta: float | None = None  # default difference step; None: the runner has none
 
 
-def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> list:
-    """Run fn(start, count) over index batches; results in batch order.
+def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> dict:
+    """Run fn(start, count) over index batches and join them in index order.
 
-    Aggregation stays order-insensitive because callers concatenate the
-    returned per-path arrays in index order before reducing.
+    fn returns a dict of per-path arrays, one row per path of its batch; each
+    entry comes back concatenated over the batches in path-index order, so
+    every reduction sees the same arrays whatever the worker count.
     """
-    batches = []
-    start = 0
-    while start < n_paths:
-        count = min(chunk, n_paths - start)
-        batches.append((start, count))
-        start += count
+    if n_paths < 1:
+        raise DomainError(f"need at least one path, got {n_paths}")
+    batches = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
     if workers <= 1:
-        return [fn(s, c) for s, c in batches]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda sc: fn(*sc), batches))
+        parts = [fn(s, c) for s, c in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda sc: fn(*sc), batches))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -159,6 +160,24 @@ def _check(name: str, passed: bool, **detail) -> dict:
     out = {"name": name, "passed": bool(passed)}
     out.update(detail)
     return out
+
+
+def _z_test(name: str, samples: np.ndarray, target: float, bound: float = 4.0):
+    """Sample mean against target: (mean, standard error, z, check |z| <= bound)."""
+    mean, se = _mean_se(samples)
+    z = (mean - target) / se
+    return mean, se, z, _check(name, abs(z) <= bound, z_score=z)
+
+
+def _z_result(cfg: ExperimentConfig, tests) -> ExperimentResult:
+    """One z-tested row per (check name, row labels, samples, target)."""
+    rows, checks = [], []
+    for name, labels, samples, target in tests:
+        mean, se, z, check = _z_test(name, samples, target)
+        rows.append({**labels, "empirical": mean, "exact": target,
+                     "std_error": se, "z_score": z})
+        checks.append(check)
+    return ExperimentResult(cfg, rows, checks)
 
 
 # --- 1. isometry ------------------------------------------------------------
@@ -185,21 +204,14 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
             for d in ISOMETRY_DRIVERS
         }
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    rows, checks = [], []
-    for n in orders:
-        target = kernels[n].isometry_target
-        for d in ISOMETRY_DRIVERS:
-            sq = np.concatenate([p[(n, d)] for p in parts])
-            mean, se = _mean_se(sq)
-            z = (mean - target) / se
-            theta = rotation_theta if d == "rotation" else 0.0
-            rows.append(
-                {"order": n, "driver": d, "theta": theta, "empirical": mean,
-                 "exact": target, "std_error": se, "z_score": z}
-            )
-            checks.append(_check(f"isometry_order{n}_{d}", abs(z) <= 4.0, z_score=z))
-    return ExperimentResult(cfg, rows, checks)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+    return _z_result(cfg, [
+        (f"isometry_order{n}_{d}",
+         {"order": n, "driver": d, "theta": rotation_theta if d == "rotation" else 0.0},
+         joined[n, d], kernels[n].isometry_target)
+        for n in orders
+        for d in ISOMETRY_DRIVERS
+    ])
 
 
 # --- 2. covariance decay ----------------------------------------------------
@@ -222,23 +234,13 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
                 out[(n, phi)] = iterated_integral(kernels[n], Y) * base[n]
         return out
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    rows, checks = [], []
-    for n in orders:
-        norm = kernels[n].isometry_target
-        for phi in phis:
-            prods = np.concatenate([p[(n, phi)] for p in parts]) / norm
-            mean, se = _mean_se(prods)
-            target = math.cos(phi) ** n
-            z = (mean - target) / se
-            rows.append(
-                {"order": n, "phi": phi, "empirical": mean, "exact": target,
-                 "std_error": se, "z_score": z}
-            )
-            checks.append(
-                _check(f"covariance_order{n}_phi{phi:.4f}", abs(z) <= 4.0, z_score=z)
-            )
-    return ExperimentResult(cfg, rows, checks)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+    return _z_result(cfg, [
+        (f"covariance_order{n}_phi{phi:.4f}", {"order": n, "phi": phi},
+         joined[n, phi] / kernels[n].isometry_target, math.cos(phi) ** n)
+        for n in orders
+        for phi in phis
+    ])
 
 
 # --- 3. bessel --------------------------------------------------------------
@@ -281,17 +283,12 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
         base = exponential_vector(h, zero, B, N, 0.0, T)
         return {phi: exponential_vector(h, zero, B, N, phi, T) * base for phi in phis}
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    rows, checks = [], []
-    for phi in phis:
-        prods = np.concatenate([p[phi] for p in parts])
-        mean, se = _mean_se(prods)
-        target = math.exp(h_norm_sq * math.cos(phi))
-        z = (mean - target) / se
-        rows.append({"phi": phi, "empirical": mean, "exact": target,
-                     "std_error": se, "z_score": z})
-        checks.append(_check(f"expvector_phi{phi:.4f}", abs(z) <= 4.0, z_score=z))
-    return ExperimentResult(cfg, rows, checks)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+    return _z_result(cfg, [
+        (f"expvector_phi{phi:.4f}", {"phi": phi}, joined[phi],
+         math.exp(h_norm_sq * math.cos(phi)))
+        for phi in phis
+    ])
 
 
 # --- 5. finite-chaos energy -------------------------------------------------
@@ -310,16 +307,11 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
             out[kind] = gradient_chaos(F, B, M, theta) ** 2
         return out
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    rows, checks = [], []
-    for kind in ("poisson", "compound"):
-        sq = np.concatenate([p[kind] for p in parts])
-        mean, se = _mean_se(sq)
-        z = (mean - target) / se
-        rows.append({"driver": kind, "theta": theta, "empirical": mean,
-                     "exact": target, "std_error": se, "z_score": z})
-        checks.append(_check(f"chaos_energy_{kind}", abs(z) <= 4.0, z_score=z))
-    return ExperimentResult(cfg, rows, checks)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+    return _z_result(cfg, [
+        (f"chaos_energy_{kind}", {"driver": kind, "theta": theta}, joined[kind], target)
+        for kind in ("poisson", "compound")
+    ])
 
 
 # --- 6. SDE lent particle vs flow oracle ------------------------------------
@@ -334,20 +326,25 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     t_list = cfg.param("t_grid")
     sde_params = cfg.param("sde_params")
     specs = [make_sde(name, **sde_params.get(name, {})) for name in names]
+    for t in t_list:
+        grid.index_of(t)  # an off-grid t fails before any path is drawn
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
-        return [lent_particle_sde_table(spec, B, u_list, t_list, theta) for spec in specs]
+        return {
+            (i, u, t): np.stack([g.value, g.analytic], axis=-1)
+            for i, spec in enumerate(specs)
+            for (u, t), g in lent_particle_sde_table(spec, B, u_list, t_list, theta).items()
+        }
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
     rows, checks = [], []
     excluded = 0
     for i, name in enumerate(names):
         worst_frac = 1.0
         worst_rel = 0.0
-        for u, t in sorted(parts[0][i]):
-            est = np.concatenate([p[i][u, t].value for p in parts])
-            oracle = np.concatenate([p[i][u, t].analytic for p in parts])
+        for u, t in sorted(key[1:] for key in joined if key[0] == i):
+            est, oracle = joined[i, u, t].T
             finite = np.isfinite(est) & np.isfinite(oracle)
             excluded += int(np.sum(~finite))
             rel = np.abs(est[finite] - oracle[finite]) / (np.abs(oracle[finite]) + 1e-8)
@@ -396,14 +393,14 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
             "oracle": np.where(single, grad.analytic, np.nan),
         }
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
-    single = np.concatenate([p["single"] for p in parts])
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
+    single = joined["single"]
     freq = float(np.mean(single))
     freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
     if freq_se == 0.0:
         raise DomainError(f"single-jump frequency {freq}: the standard error is 0")
-    debiased = np.concatenate([p["debiased"] for p in parts])[single]
-    oracle = np.concatenate([p["oracle"] for p in parts])[single]
+    debiased = joined["debiased"][single]
+    oracle = joined["oracle"][single]
     rel = np.abs(debiased - oracle) / (np.abs(oracle) + 1e-8)
     frac_ok = float(np.mean(rel <= 1e-2))
     z = (freq - math.exp(-1.0)) / freq_se
@@ -439,19 +436,16 @@ def _run_ibp(cfg: ExperimentConfig) -> ExperimentResult:
 
         def batch(start, count, F=F, G=G):
             B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
-            lhs, rhs = integration_by_parts_pair(F, G, B)
-            lhs = np.broadcast_to(np.asarray(lhs, dtype=float), (count,))
-            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
-            return lhs.copy(), rhs.copy()
+            sides = integration_by_parts_pair(F, G, B)
+            return {side: np.broadcast_to(np.asarray(value, dtype=float), (count,))
+                    for side, value in zip(("lhs", "rhs"), sides)}
 
-        parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-        lhs = np.concatenate([p[0] for p in parts])
-        rhs = np.concatenate([p[1] for p in parts])
-        diff_mean, pooled_se = _mean_se(lhs - rhs)
-        z = diff_mean / pooled_se
+        joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+        lhs, rhs = joined["lhs"], joined["rhs"]
+        _, pooled_se, z, check = _z_test(f"ibp_{label}", lhs - rhs, 0.0)
         rows.append({"pair": label, "lhs": float(lhs.mean()), "rhs": float(rhs.mean()),
                      "pooled_std_error": pooled_se, "z_score": z})
-        checks.append(_check(f"ibp_{label}", abs(diff_mean) <= 4.0 * pooled_se, z_score=z))
+        checks.append(check)
     return ExperimentResult(cfg, rows, checks)
 
 
@@ -476,15 +470,15 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         brackets = semigroup_limit_gamma(f2, B, t_list, hats)
         return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2
 
-    stats = parallel_batches(lambda s, c: [outer_stats(s + j) for j in range(c)],
-                             n_outer, cfg.workers, chunk=max(1, n_outer // 16))
-    flat = [x for part in stats for x in part]
-    gamma_b1 = np.array([x[0] for x in flat])
-    mean_g, se_g = _mean_se(gamma_b1)
-    z_g = (mean_g - 1.0) / se_g
+    def batch(start, count):
+        stats = np.array([outer_stats(i) for i in range(start, start + count)])
+        return {"gamma_b1": stats[:, 0], "bracket_vs_gamma": stats[:, 1]}
+
+    joined = parallel_batches(batch, n_outer, cfg.workers, chunk=max(1, n_outer // 16))
+    mean_g, se_g, _, check = _z_test("gamma_b1", joined["gamma_b1"], 1.0)
     rows.append({"quantity": "gamma_b1", "t": 0.0, "estimate": mean_g,
                  "std_error": se_g, "target": 1.0})
-    checks.append(_check("gamma_b1", abs(z_g) <= 4.0, z_score=z_g))
+    checks.append(check)
 
     # eigenvalue property P_t F = lam F on a few outer paths, inner-MC error
     # bars; lam is measured by weighted least squares over the paths
@@ -499,26 +493,21 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
                              *_mean_se(mehler_samples(F, B, t_eigen, hats))))
     for n, paths in eigen.items():
         lam = math.exp(-n * t_eigen / 2.0)
-        worst = 0.0
-        ok = True
-        for f, mean, se in paths:
-            dev = abs(mean - lam * f)
-            worst = max(worst, dev / se)
-            ok = ok and dev <= 4.0 * se
         f, mean, se = np.array(paths).T
+        dev = np.abs(mean - lam * f)
         norm = float(np.sum(f**2))
         rows.append({"quantity": f"eigenvalue_n{n}", "t": t_eigen,
                      "estimate": float(np.sum(f * mean)) / norm,
                      "std_error": math.sqrt(float(np.sum(f**2 * se**2))) / norm,
                      "target": lam})
-        checks.append(_check(f"eigenvalue_n{n}", ok, worst_z=worst))
+        checks.append(_check(f"eigenvalue_n{n}", np.all(dev <= 4.0 * se),
+                             worst_z=float(np.max(dev / se))))
 
-    diffs = np.array([x[1] for x in flat])
-    mean_d, se_d = _mean_se(diffs)
-    z_d = mean_d / se_d
+    mean_d, se_d, _, check = _z_test("bracket_vs_gamma", joined["bracket_vs_gamma"], 0.0,
+                                     bound=3.0)
     rows.append({"quantity": "bracket_vs_gamma", "t": min(t_list), "estimate": mean_d,
                  "std_error": se_d, "target": 0.0})
-    checks.append(_check("bracket_vs_gamma", abs(mean_d) <= 3.0 * se_d, z_score=z_d))
+    checks.append(check)
     return ExperimentResult(cfg, rows, checks)
 
 
@@ -535,22 +524,18 @@ def _run_supremum(cfg: ExperimentConfig) -> ExperimentResult:
         gap = after - before
         tied = (gap == 0.0) | ((gap < 0.0) & (gap > -a))
         # the library's difference quotient must be the 0/1 indicator averaged below
-        quotient = supremum_gradient(None, B, u, a)[~tied]
-        offending = int(np.sum(quotient != (gap[~tied] >= 0.0)))
-        return gap, tied, offending
+        quotient = supremum_gradient(None, B, u, a)
+        return {"gap": gap, "tied": tied, "offending": ~tied & (quotient != (gap >= 0.0))}
 
-    parts = parallel_batches(batch, cfg.n_paths, cfg.workers)
-    gap = np.concatenate([p[0] for p in parts])
-    tied = np.concatenate([p[1] for p in parts])
-    offending = sum(p[2] for p in parts)
-    indicator = (gap[~tied] >= 0.0).astype(float)
-    mean, se = _mean_se(indicator)
-    z = (mean - 0.5) / se
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
+    gap, tied = joined["gap"], joined["tied"]
+    offending = int(np.sum(joined["offending"]))
+    mean, se, _, mean_check = _z_test("supremum_mean", (gap[~tied] >= 0.0).astype(float), 0.5)
     rows = [{"u": u, "a": a, "mean_gradient": mean, "std_error": se,
              "target": 0.5, "tied_paths": int(tied.sum())}]
     checks = [
         _check("supremum_binary", offending == 0, offending_paths=offending),
-        _check("supremum_mean", abs(z) <= 4.0, z_score=z),
+        mean_check,
         _check("supremum_tie_rate", tied.mean() <= 0.001, tie_rate=float(tied.mean())),
     ]
     return ExperimentResult(cfg, rows, checks, excluded_paths=int(tied.sum()))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chaos import chaotic_extension, iterated_integral, stochastic_integral
+from .chaos import iterated_integral, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError, DomainError
 from .estimates import GradientEstimate
@@ -84,11 +84,17 @@ def _derivative_pairing(F, path: SamplePath, pair):
 
 
 def gradient_chaos(
-    F: ChaosVector, brownian: SamplePath, martingale: SamplePath, theta0: float = 1e-3
+    F, brownian: SamplePath, martingale: SamplePath, theta0: float = 1e-3
 ) -> np.ndarray:
-    """F-sharp: central difference of the chaotic extension, (F^t - F^-t)/(2t)."""
-    plus = chaotic_extension(F, brownian, martingale, theta0)
-    minus = chaotic_extension(F, brownian, martingale, -theta0)
+    """F-sharp: central difference (F^t - F^-t)/(2t) of F on Y^t = B cos(t) + M sin(t).
+
+    One theta-difference serves every rotation.  For a Poisson or compound M,
+    F^t of a chaos vector is its chaotic extension (the kernels read against
+    Y^t).  For an independent Brownian copy M = Bhat the extension composes
+    with F, so any functional works there (ou.carre_du_champ).
+    """
+    plus = evaluate_functional(F, rotate(brownian, martingale, theta0))
+    minus = evaluate_functional(F, rotate(brownian, martingale, -theta0))
     return (plus - minus) / (2.0 * theta0)
 
 
@@ -130,7 +136,7 @@ def lent_particle_sde_table(
         raise DomainError(f"theta must be > 0, got {theta}")
     grid = brownian.grid
     ks = [grid.index_at_or_after(u) for u in us]
-    ms = [int(round(t / grid.dt)) for t in ts]
+    ms = [grid.index_of(t) for t in ts]
     bumps = [(k, a) for k in ks for a in (theta, -theta)]
     xs, ys = euler(spec, grid, [brownian.increments], bumps,
                    x_steps=ms + [k - 1 for k in ks], y_steps=ms + ks)
@@ -162,8 +168,8 @@ def lent_particle_sde_poisson(
     Y^-theta are the rows of one Euler pass.
     """
     grid = require_same_grid(brownian, martingale)
-    m = int(round(t / grid.dt))
-    if not 1 <= m <= grid.n_steps:
+    m = grid.index_of(t)
+    if m == 0:
         raise DomainError(f"t={t} not a positive grid time")
     jumps = martingale.jump_increments
     jumped = np.zeros(martingale.increments.shape, bool) if jumps is None else jumps != 0.0

@@ -54,6 +54,14 @@ class TimeGrid:
         k = int(np.ceil(u / self.dt - 1e-9))
         return min(max(k, 1), self.n_steps)
 
+    def index_of(self, t: float) -> int:
+        """The step k with t_k = t; DomainError for a t that is no grid point."""
+        k = round(t / self.dt) if np.isfinite(t) else -1
+        if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > 1e-9 * self.horizon:
+            raise DomainError(f"time {t} is not a point of the {self.n_steps}-step grid of "
+                              f"[0, {self.horizon}]")
+        return int(k)
+
 
 @dataclass(frozen=True)
 class RngStream:

@@ -5,6 +5,7 @@ so everything here evaluates F directly on mixed paths:
 
     P_t F (B)  = inner average of F(e^{-t/2} B + sqrt(1 - e^{-t}) Bhat)
     F'         = d/dtheta F(B cos(theta) + Bhat sin(theta)) at 0
+                 (gradients.gradient_chaos with Bhat as the martingale)
     Gamma[F]   = inner average of (F')^2
     Gamma[F]   = lim (1/t) (P_t(F^2) - 2 F P_t F + F^2)
 
@@ -19,8 +20,9 @@ import numpy as np
 
 from .drivers import _combine, inner_hat_batch  # inner_hat_batch: part of this module's API
 from .errors import DomainError
-from .grid import SamplePath
 from .functionals import evaluate_functional
+from .gradients import gradient_chaos
+from .grid import SamplePath
 
 
 def combine_paths(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath:
@@ -52,14 +54,15 @@ def rotation_gradient_samples(
     F, outer: SamplePath, hats: SamplePath, theta: float = 1e-4
 ) -> np.ndarray:
     """Central theta-difference of F(B cos(theta) + Bhat sin(theta)) per hat path."""
-    c, s = np.cos(theta), np.sin(theta)
-    plus = evaluate_functional(F, combine_paths(outer, hats, c, s))
-    minus = evaluate_functional(F, combine_paths(outer, hats, c, -s))
-    return np.asarray((plus - minus) / (2.0 * theta), dtype=float)
+    return np.asarray(gradient_chaos(F, outer, hats, theta), dtype=float)
 
 
 def carre_du_champ(F, outer: SamplePath, hats: SamplePath, theta: float = 1e-4) -> float:
-    """Gamma[F] at the outer path: inner average of the squared theta-difference."""
+    """Gamma[F] at the outer path: inner average of the squared theta-difference.
+
+    The difference is gradients.gradient_chaos, which also serves the Poisson
+    and compound rotations; F may be a chaos vector or a cylindrical functional.
+    """
     if hats.increments.shape[0] < 2:
         raise DomainError("carre_du_champ needs at least 2 inner paths")
     return float(np.mean(rotation_gradient_samples(F, outer, hats, theta) ** 2))

@@ -219,8 +219,8 @@ def flow_oracle(spec: SdeSpec, brownian: SamplePath, u: float, t: float) -> Grad
     """D_u X_t via the first-variation transfer: sigma(u-, X_{u-}) Y_t / Y_u."""
     grid = brownian.grid
     k = grid.index_at_or_after(u)
-    m = int(round(t / grid.dt))
-    if not k <= m <= grid.n_steps:
+    m = grid.index_of(t)
+    if m < k:
         raise DomainError(f"need u <= t <= T on the grid, got u={u}, t={t}")
     (x_before,), (y_u, y_t) = euler(
         spec, grid, [brownian.increments], x_steps=(k - 1,), y_steps=(k, m)

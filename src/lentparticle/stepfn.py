@@ -70,16 +70,11 @@ class StepFunction:
         bp = np.asarray(self.breakpoints)
         return float(np.dot(np.diff(bp), np.asarray(self.values) ** 2))
 
-    def integral_sq(self, upto: float | None = None) -> float:
+    def integral_sq(self, upto: float) -> float:
         """Exact integral of the squared function over [0, upto]."""
         bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values) ** 2
-        if upto is not None:
-            hi = np.minimum(bp[1:], upto)
-            widths = np.clip(hi - bp[:-1], 0.0, None)
-        else:
-            widths = np.diff(bp)
-        return float(np.dot(widths, vals))
+        widths = np.clip(np.minimum(bp[1:], upto) - bp[:-1], 0.0, None)
+        return float(np.dot(widths, np.asarray(self.values) ** 2))
 
     def combine(self, other: "StepFunction", a: float, b: float) -> "StepFunction":
         """Pointwise a * self + b * other as a step function."""

@@ -120,6 +120,25 @@ class TestRun:
         assert "no difference step" in result.output
         assert not (tmp_path / "isometry.json").exists()
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_exit_2(self, runner, tmp_path, theta):
+        result = runner.invoke(main, [
+            "run", "chaos-energy", "--theta", theta, "--n-paths", "50", "--grid-steps", "20",
+            "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "positive and finite" in result.output
+        assert not (tmp_path / "chaos-energy.json").exists()
+
+    def test_off_grid_time_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "sde-lent-particle", "--grid-steps", "7", "--n-paths", "4",
+            "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "not a point of the 7-step grid" in result.output
+        assert not (tmp_path / "sde-lent-particle.json").exists()
+
     def test_unknown_param_exit_2(self, runner):
         result = runner.invoke(main, ["run", "bessel", "--param", "wat=1"])
         assert result.exit_code == 2

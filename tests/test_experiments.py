@@ -29,6 +29,9 @@ class TestConfig:
             make_config("isometry", n_paths=0)
         with pytest.raises(ConfigurationError):
             make_config("isometry", theta=-1.0)
+        for theta in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                make_config("chaos-energy", theta=theta)
 
     @pytest.mark.parametrize("name", [
         "isometry", "covariance-decay", "bessel", "exp-vector-covariance", "ibp",
@@ -74,16 +77,29 @@ class TestConfig:
 
 class TestParallelBatches:
     def test_partition_covers_range(self):
-        parts = parallel_batches(lambda s, c: (s, c), 10_001, 1, chunk=4096)
-        assert sum(c for _, c in parts) == 10_001
-        assert parts[0] == (0, 4096)
-        assert parts[-1] == (8192, 1809)
+        def fn(s, c):
+            return {"index": np.arange(s, s + c), "start": np.full(c, s)}
+
+        joined = parallel_batches(fn, 10_001, 1, chunk=4096)
+        np.testing.assert_array_equal(joined["index"], np.arange(10_001))
+        starts, counts = np.unique(joined["start"], return_counts=True)
+        assert starts.tolist() == [0, 4096, 8192]
+        assert counts.tolist() == [4096, 4096, 1809]
 
     def test_worker_count_does_not_change_results(self):
-        fn = lambda s, c: np.arange(s, s + c, dtype=float)
-        serial = np.concatenate(parallel_batches(fn, 1000, 1, chunk=64))
-        threaded = np.concatenate(parallel_batches(fn, 1000, 8, chunk=64))
-        np.testing.assert_array_equal(serial, threaded)
+        def fn(s, c):
+            return {"x": np.arange(s, s + c, dtype=float), "rows": np.full((c, 2), s)}
+
+        serial = parallel_batches(fn, 1000, 1, chunk=64)
+        threaded = parallel_batches(fn, 1000, 8, chunk=64)
+        assert list(threaded) == ["x", "rows"]
+        np.testing.assert_array_equal(threaded["x"], np.arange(1000.0))
+        for key in serial:
+            np.testing.assert_array_equal(serial[key], threaded[key])
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(DomainError, match="at least one path"):
+            parallel_batches(lambda s, c: {"x": np.zeros(c)}, 0, 1)
 
 
 class TestReporting:
@@ -143,12 +159,21 @@ class TestRunners:
         assert not binary["passed"]
         assert binary["offending_paths"] == round(res.rows[0]["mean_gradient"] * untied) > 0
 
-    def test_report_bytes_stable_across_workers(self):
+    # every Monte Carlo experiment, at sizes that span at least two batches
+    @pytest.mark.parametrize("name, overrides", [
+        *[pytest.param(name, {"n_paths": 4097, "n_steps": 20}, id=name) for name in (
+            "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
+            "ibp", "supremum")],
+        # 512-path batches; on 50 steps the default t_grid lies on the grid
+        *[pytest.param(name, {"n_paths": 513, "n_steps": 50}, id=name)
+          for name in ("sde-lent-particle", "sde-poisson")],
+        # batches of n_outer // 16 = 2 outer paths
+        pytest.param("mehler", {"n_steps": 20, "params": {"n_outer": 32}}, id="mehler"),
+    ])
+    def test_report_bytes_stable_across_workers(self, name, overrides):
         runs = []
         for workers in (1, 8):
-            res = run_experiment(
-                make_config("supremum", n_paths=3000, workers=workers)
-            )
+            res = run_experiment(make_config(name, workers=workers, **overrides))
             summary = res.summary()
             summary["config"]["workers"] = None
             runs.append((render_csv(res.rows), render_json(summary)))
@@ -176,13 +201,29 @@ class TestRunners:
         original = experiments.parallel_batches
 
         def reversed_when_threaded(fn, n_paths, workers, chunk=4096):
-            parts = original(fn, n_paths, workers, chunk)
-            return parts[::-1] if workers > 1 else parts
+            # the same batches, joined last batch first
+            joined = original(fn, n_paths, workers, chunk)
+            if workers <= 1:
+                return joined
+            starts = range(0, n_paths, chunk)[::-1]
+            return {key: np.concatenate([v[s:s + chunk] for s in starts])
+                    for key, v in joined.items()}
 
         # the default target_n_paths spans two batches, so their order shows
         monkeypatch.setattr(experiments, "parallel_batches", reversed_when_threaded)
         checks = {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
         assert checks == {"rerun_identical": True, "workers_identical": False}
+
+    def test_sde_off_grid_t_rejected_before_drawing(self, monkeypatch):
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        # on 7 steps no default t but 1.0 is a grid time; 0.82 and 0.88 both round to 6/7
+        cfg = make_config("sde-lent-particle", n_steps=7, n_paths=4)
+        with pytest.raises(DomainError, match="0.76 is not a point"):
+            run_experiment(cfg)
+        assert drawn == []
 
     def test_mehler_measures_the_eigenvalues(self):
         res = run_experiment(make_config("mehler", n_steps=100, params={"n_outer": 4}))

@@ -122,6 +122,13 @@ class TestPoissonSde:
         # additive SDE: d/dtheta X(Y^theta) at 0 = M_T for the additive flow
         assert est.value == pytest.approx(mart.values[-1], abs=1e-6)
 
+    def test_off_grid_t_rejected(self, unit_grid, brownian):
+        jumps = np.zeros(unit_grid.n_steps)
+        jumps[99] = 1.0
+        mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
+        with pytest.raises(DomainError, match="not a point"):
+            lent_particle_sde_poisson(make_sde("gbm"), brownian, mart, 0.5005)
+
     def test_batch_matches_single_paths(self, unit_grid):
         B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
         M = martingale_batch("compound", unit_grid, SEED, 0, 8)

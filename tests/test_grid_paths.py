@@ -37,6 +37,17 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             grid.index_at_or_after(1.5)
 
+    def test_index_of_grid_times(self):
+        grid = TimeGrid(1.0, 50)
+        assert [grid.index_of(t) for t in (0.0, 0.76, 0.82, 1.0)] == [0, 38, 41, 50]
+        assert grid.index_of(0.1 + 0.2) == 15  # representation error is not an offset
+
+    @pytest.mark.parametrize("t", [0.82, 0.88, -1.0 / 7, 8.0 / 7, float("nan"), float("inf")])
+    def test_index_of_rejects_other_times(self, t):
+        # on 7 steps 0.82 and 0.88 both round to the step at 6/7
+        with pytest.raises(DomainError, match="not a point of the 7-step grid"):
+            TimeGrid(1.0, 7).index_of(t)
+
     def test_invalid_grid(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(-1.0, 10)

@@ -6,6 +6,7 @@ import pytest
 from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.errors import DomainError
 from lentparticle.functionals import evaluate_functional, make_b1, make_second_chaos
+from lentparticle.functionals import make_square
 from lentparticle.ou import (
     carre_du_champ,
     combine_paths,
@@ -86,6 +87,12 @@ class TestRotationGradient:
         gamma = carre_du_champ(make_b1(1.0), outer, hats)
         # inner average of hat_T^2 -> 1 with SE ~ sqrt(2/800)
         assert abs(gamma - 1.0) < 5 * math.sqrt(2.0 / 800)
+
+    def test_carre_du_champ_of_a_cylindrical_functional(self, outer, hats):
+        # F = B_T^2: F' = 2 B_T Bhat_T, so Gamma[F] = 4 B_T^2 (inner mean of Bhat_T^2)
+        gamma = carre_du_champ(make_square(1.0), outer, hats)
+        expected = 4.0 * outer.values[-1] ** 2 * np.mean(hats.values[:, -1] ** 2)
+        assert gamma == pytest.approx(expected, rel=1e-6)
 
     def test_carre_needs_two_inner(self, unit_grid, outer):
         single = inner_hat_batch(unit_grid, SEED, 0, 1)

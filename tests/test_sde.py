@@ -160,6 +160,13 @@ class TestFlowOracle:
         with pytest.raises(DomainError):
             lent_particle_sde(spec, brownian, 0.8, 0.5)
 
+    def test_rejects_off_grid_t(self, unit_grid, brownian):
+        spec = make_sde("gbm")
+        with pytest.raises(DomainError, match="not a point"):
+            flow_oracle(spec, brownian, 0.3, 0.9001)
+        with pytest.raises(DomainError, match="not a point"):
+            lent_particle_sde(spec, brownian, 0.3, 0.9001)
+
     def test_singular_flow_detected(self):
         # craft an increment that drives the first variation to exactly zero:
         # with sigma_x = 1 and b_x = 0 the step factor is 1 + dW
