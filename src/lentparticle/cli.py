@@ -156,6 +156,9 @@ def list_cmd(filter_text):
 def export_paths(kind, seed, index, grid_steps, horizon, theta, output):
     """Export one (B, M, rotated) path triple as CSV for plotting."""
     try:
+        if seed < 0 or index < 0:
+            raise ConfigurationError(
+                f"--seed and --index must be non-negative, got {seed}, {index}")
         grid = TimeGrid(horizon, grid_steps)
         B = martingale_batch("brownian", grid, seed, index, 1).select(0)
         M = martingale_batch(kind, grid, seed, index, 1).select(0)

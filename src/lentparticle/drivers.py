@@ -103,13 +103,93 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
 # outer path i, regardless of batch boundaries, so any chunking or worker
 # layout produces bitwise-identical paths.  A single path is a batch of one:
 # martingale_batch(kind, grid, seed, i, 1).select(0).
+#
+# RngStream.generator() is the reference for a key's stream, but building a
+# SeedSequence and a Philox per path costs more than drawing 1000 normals.  A
+# batch therefore derives the Philox keys of all its paths in one vectorized
+# pass of the SeedSequence hash (numpy NEP 19) and builds one Philox, whose
+# full state it resets to each path's key: exactly where a fresh
+# RngStream(...).generator() starts.  Keys with a word outside [0, 2**32) do
+# not hash as four uint32 words; their batches take the per-key route.
 
-def _normal_batch(grid: TimeGrid, streams) -> SamplePath:
-    """One Brownian path of N(0, dt) increments per stream, in order."""
-    streams = list(streams)
-    inc = np.empty((len(streams), grid.n_steps))
-    for i, stream in enumerate(streams):
-        inc[i] = stream.generator().standard_normal(grid.n_steps)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy-pool hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence output hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmixer(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; each call advances the hash constant."""
+    const = init
+
+    def hashmix(h: np.ndarray) -> np.ndarray:
+        nonlocal const
+        h = h ^ np.uint32(const)
+        const = const * mult & _MASK32
+        h = h * np.uint32(const)
+        return h ^ (h >> np.uint32(16))
+
+    return hashmix
+
+
+def _philox_keys(words: list) -> np.ndarray:
+    """SeedSequence(key).generate_state(2, np.uint64) for a batch of 4-word keys.
+
+    ``words`` holds the four key words, each an int or an array with one
+    entry per key (at least one an array), all in [0, 2**32); the result has
+    shape (n_keys, 2).
+    """
+    words = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint32) for w in words))
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    output = _hashmixer(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (output(w).astype(np.uint64) for w in pool)
+    return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=-1)
+
+
+def _keyed_generators(master_seed: int, channel: int, index, subindex):
+    """Generators in the start state of RngStream(...).generator(), key by key.
+
+    One of ``index`` and ``subindex`` is a ``range(start, stop)``, the other
+    an int; key k takes the range's k-th entry.  A generator is valid until
+    the next one is requested: on the vectorized route it is one Philox,
+    reset to each key.
+    """
+    words = [master_seed, channel, index, subindex]
+    n = next(len(w) for w in words if isinstance(w, range))
+    fits = n > 0 and all(0 <= w[0] and w[-1] <= _MASK32 if isinstance(w, range)
+                         else 0 <= w <= _MASK32 for w in words)
+    if not fits:
+        keys = [[w[k] if isinstance(w, range) else w for w in words] for k in range(n)]
+        return (RngStream(seed, i, ch, sub).generator() for seed, ch, i, sub in keys)
+    keys = _philox_keys([np.arange(w.start, w.stop) if isinstance(w, range) else w
+                         for w in words])
+    return _reset_to_each(keys.tolist())
+
+
+def _reset_to_each(philox_keys: list):
+    """Yield one Generator whose Philox is reset to each key in turn."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # the full state of a fresh Philox; lists set faster than arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in philox_keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
+
+
+def _normal_batch(grid: TimeGrid, count: int, generators) -> SamplePath:
+    """One Brownian path of N(0, dt) increments for each of ``count`` generators."""
+    inc = np.empty((count, grid.n_steps))
+    for i, gen in enumerate(generators):
+        gen.standard_normal(out=inc[i])
     inc *= np.sqrt(grid.dt)
     return SamplePath(grid, inc)
 
@@ -118,8 +198,8 @@ def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
                 channel: int, signed: bool) -> np.ndarray:
     """Jump part of each path: unit marks, or fair +-1 marks when ``signed``."""
     jumps = np.zeros((count, grid.n_steps))
-    for i in range(count):
-        gen = RngStream(master_seed, start + i, channel).generator()
+    gens = _keyed_generators(master_seed, channel, range(start, start + count), 0)
+    for i, gen in enumerate(gens):
         idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
         marks = gen.integers(0, 2, size=idx.size) * 2.0 - 1.0 if signed else 1.0
         jumps[i, idx - 1] = marks
@@ -129,14 +209,14 @@ def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
 def brownian_batch(
     grid: TimeGrid, master_seed: int, start: int, count: int, channel: int = CHANNEL_BROWNIAN
 ) -> SamplePath:
-    return _normal_batch(grid, (RngStream(master_seed, start + i, channel) for i in range(count)))
+    gens = _keyed_generators(master_seed, channel, range(start, start + count), 0)
+    return _normal_batch(grid, count, gens)
 
 
 def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: int) -> SamplePath:
     """Batch of independent Brownian copies keyed (seed, outer index, inner index)."""
-    return _normal_batch(
-        grid, (RngStream(master_seed, outer_index, CHANNEL_HAT, j + 1) for j in range(count))
-    )
+    gens = _keyed_generators(master_seed, CHANNEL_HAT, outer_index, range(1, count + 1))
+    return _normal_batch(grid, count, gens)
 
 
 def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:

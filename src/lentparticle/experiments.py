@@ -60,6 +60,8 @@ class ExperimentConfig:
             )
         if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1 or self.workers < 1:
             raise ConfigurationError("horizon, n_steps, n_paths and workers must be positive")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.theta is not None and not 0.0 < self.theta < math.inf:
             raise ConfigurationError(f"theta must be positive and finite, got {self.theta}")
         spec = EXPERIMENTS[self.experiment]

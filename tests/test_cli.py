@@ -111,6 +111,15 @@ class TestRun:
         assert "standard error" in result.output
         assert not (tmp_path / f"{experiment}.json").exists()
 
+    def test_negative_seed_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "supremum", "--n-paths", "10", "--grid-steps", "10", "--seed", "-1",
+            "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "master_seed must be non-negative" in result.output
+        assert not (tmp_path / "supremum.json").exists()
+
     def test_theta_where_unread_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "run", "isometry", "--theta", "0.5", "--output", str(tmp_path),
@@ -196,3 +205,10 @@ class TestExportPaths:
     def test_bad_grid_exit_2(self, runner):
         result = runner.invoke(main, ["export-paths", "--grid-steps", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [["--seed", "-3", "--index", "-2"], ["--seed", "-3"],
+                                       ["--index", "-2"]])
+    def test_negative_seed_or_index_exit_2(self, runner, flags):
+        result = runner.invoke(main, ["export-paths", "--grid-steps", "16", *flags])
+        assert result.exit_code == 2, result.output
+        assert "must be non-negative" in result.output

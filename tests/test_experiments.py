@@ -29,6 +29,9 @@ class TestConfig:
             make_config("isometry", n_paths=0)
         with pytest.raises(ConfigurationError):
             make_config("isometry", theta=-1.0)
+        with pytest.raises(ConfigurationError, match="master_seed must be non-negative"):
+            make_config("supremum", master_seed=-1)
+        make_config("supremum", master_seed=0)
         for theta in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="positive and finite"):
                 make_config("chaos-energy", theta=theta)
@@ -170,14 +173,33 @@ class TestRunners:
         # batches of n_outer // 16 = 2 outer paths
         pytest.param("mehler", {"n_steps": 20, "params": {"n_outer": 32}}, id="mehler"),
     ])
-    def test_report_bytes_stable_across_workers(self, name, overrides):
-        runs = []
-        for workers in (1, 8):
+    def test_report_bytes_stable_across_workers(self, name, overrides, monkeypatch):
+        from lentparticle import experiments
+
+        original = experiments.parallel_batches
+        runs, joins = [], []
+
+        def recorded(*args, **kwargs):
+            joined = original(*args, **kwargs)
+            joins[-1].append(joined)
+            return joined
+
+        monkeypatch.setattr(experiments, "parallel_batches", recorded)
+        for workers in (1, 2):
+            joins.append([])
             res = run_experiment(make_config(name, workers=workers, **overrides))
             summary = res.summary()
             summary["config"]["workers"] = None
             runs.append((render_csv(res.rows), render_json(summary)))
         assert runs[0] == runs[1]
+        # the per-path arrays themselves, key by key: a report can hide a
+        # batch order through an order-free reduction
+        serial, threaded = joins
+        assert len(serial) == len(threaded) >= 1
+        for a, b in zip(serial, threaded):
+            assert a.keys() == b.keys()
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
     def test_summary_carries_version_and_config(self):
         import lentparticle

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from lentparticle import drivers
 from lentparticle.drivers import (
     add_unit_jump,
     brownian_batch,
+    inner_hat_batch,
     martingale_batch,
     rotate,
 )
@@ -12,7 +14,17 @@ from lentparticle.errors import (
     DimensionMismatchError,
     DomainError,
 )
-from lentparticle.grid import RngStream, SamplePath, TimeGrid, require_same_grid
+from lentparticle.experiments import DEFAULT_SEED
+from lentparticle.grid import (
+    CHANNEL_BROWNIAN,
+    CHANNEL_COMPOUND,
+    CHANNEL_HAT,
+    CHANNEL_POISSON,
+    RngStream,
+    SamplePath,
+    TimeGrid,
+    require_same_grid,
+)
 
 SEED = 99
 
@@ -67,6 +79,97 @@ class TestRngStream:
         c = RngStream(SEED, 3, channel=1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestKeyedGenerators:
+    """A batch's keys, hashed in one pass, against the per-key RngStream route."""
+
+    WIDE = 2**32  # needs a fifth entropy word: the per-key route
+
+    @pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**32 - 1, WIDE])
+    def test_states_match_seed_sequence(self, seed):
+        span = range(301)
+        for channel in range(CHANNEL_BROWNIAN, CHANNEL_HAT + 1):
+            for sub in (0, 1, 300):
+                self._check(seed, channel, span, sub, [(seed, channel, i, sub) for i in span])
+            for i in (0, 1, 300):
+                self._check(seed, channel, i, span, [(seed, channel, i, sub) for sub in span])
+
+    def _check(self, seed, channel, index, sub, keys):
+        gens, states = [], []
+        for gen in drivers._keyed_generators(seed, channel, index, sub):
+            gens.append(gen)
+            states.append(gen.bit_generator.state)
+        assert len(states) == len(keys)
+        for key, state in zip(keys, states):
+            expected = np.random.SeedSequence(key).generate_state(2, np.uint64)
+            assert state["state"]["key"].tolist() == expected.tolist(), key
+            # and the rest of a fresh generator's state: counter, buffer, uint32 cache
+            fresh = RngStream(key[0], key[2], key[1], key[3]).generator().bit_generator.state
+            assert _same_state(state, fresh), key
+        # one reset Philox for the whole batch, unless the key is too wide
+        assert len({id(g) for g in gens}) == (len(keys) if seed == self.WIDE else 1)
+
+    @pytest.mark.parametrize("seed, start, count", [
+        (SEED, 0, 40),
+        (SEED, 7, 1),
+        (2**32 - 1, 0, 5),
+        (SEED, 2**32 - 3, 6),  # crosses from one key width to the next
+        (2**32, 0, 3),
+    ])
+    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
+    def test_batch_rows_match_per_key_streams(self, kind, seed, start, count):
+        grid = TimeGrid(2.0, 40)
+        batch = martingale_batch(kind, grid, seed, start, count)
+        assert batch.increments.shape == (count, grid.n_steps)
+        for row, i in enumerate(range(start, start + count)):
+            increments, jumps = _reference_path(kind, grid, seed, i)
+            np.testing.assert_array_equal(batch.increments[row], increments)
+            if jumps is not None:
+                np.testing.assert_array_equal(batch.jump_increments[row], jumps)
+
+    @pytest.mark.parametrize("seed, outer, count", [
+        (SEED, 3, 40), (SEED, 3, 1), (SEED, 2**32 - 1, 4), (SEED, 2**32, 2), (2**32, 0, 2),
+    ])
+    def test_hat_rows_match_per_key_streams(self, seed, outer, count):
+        grid = TimeGrid(1.0, 30)
+        batch = inner_hat_batch(grid, seed, outer, count)
+        for j in range(count):
+            gen = RngStream(seed, outer, CHANNEL_HAT, j + 1).generator()
+            expected = gen.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
+            np.testing.assert_array_equal(batch.increments[j], expected)
+
+    def test_empty_batch(self, unit_grid):
+        for kind in ("brownian", "poisson", "compound"):
+            assert martingale_batch(kind, unit_grid, SEED, 0, 0).increments.shape == (0, 500)
+
+    def test_negative_key_word_rejected_as_before(self, unit_grid):
+        with pytest.raises(ValueError, match="non-negative"):
+            brownian_batch(unit_grid, -1, 0, 2)
+
+
+def _same_state(a: dict, b: dict) -> bool:
+    return (a["state"]["key"].tolist() == b["state"]["key"].tolist()
+            and a["state"]["counter"].tolist() == b["state"]["counter"].tolist()
+            and a["buffer"].tolist() == b["buffer"].tolist()
+            and [a[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+            == [b[k] for k in ("buffer_pos", "has_uint32", "uinteger")])
+
+
+def _reference_path(kind, grid, seed, i):
+    """(increments, jump increments) of path i, each drawn from a fresh RngStream."""
+    channel = {"brownian": CHANNEL_BROWNIAN, "poisson": CHANNEL_POISSON,
+               "compound": CHANNEL_COMPOUND}[kind]
+    gen = RngStream(seed, i, channel).generator()
+    if kind == "brownian":
+        return gen.standard_normal(grid.n_steps) * np.sqrt(grid.dt), None
+    idx = np.asarray(drivers._jump_step_indices(gen, grid), dtype=int)
+    jumps = np.zeros(grid.n_steps)
+    if kind == "poisson":
+        jumps[idx - 1] = 1.0
+        return jumps - grid.dt, jumps
+    jumps[idx - 1] = gen.integers(0, 2, size=idx.size) * 2.0 - 1.0
+    return jumps, jumps
 
 
 class TestSamplePath:

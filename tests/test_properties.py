@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lentparticle.bessel import bessel_spectrum, default_truncation
-from lentparticle.drivers import martingale_batch, rotate
+from lentparticle.drivers import _jump_step_indices, martingale_batch, rotate
 from lentparticle.gradients import supremum_gradient
-from lentparticle.grid import RngStream, TimeGrid
+from lentparticle.grid import CHANNEL_COMPOUND, CHANNEL_POISSON, RngStream, TimeGrid
 from lentparticle.stepfn import StepFunction
 
 GRID = TimeGrid(1.0, 64)
@@ -106,3 +106,33 @@ def test_snap_index_brackets_the_time(u):
     assert 1 <= k <= GRID.n_steps
     assert GRID.times[k] >= u - 1e-9
     assert GRID.times[k - 1] < u + GRID.dt
+
+
+@given(n_steps=st.integers(1, 20), horizon=st.sampled_from([0.5, 1.0, 3.0]), seed=seeds,
+       index=st.integers(0, 1000), kind=st.sampled_from(["poisson", "compound"]))
+@example(n_steps=1, horizon=3.0, seed=0, index=0, kind="poisson")  # 2 arrivals, 1 kept
+@example(n_steps=2, horizon=3.0, seed=1, index=0, kind="compound")  # 5 arrivals, 2 kept
+@settings(max_examples=60, deadline=None)
+def test_jump_snapping_on_coarse_grids(n_steps, horizon, seed, index, kind):
+    grid = TimeGrid(horizon, n_steps)
+    channel = CHANNEL_POISSON if kind == "poisson" else CHANNEL_COMPOUND
+    kept = _jump_step_indices(RngStream(seed, index, channel).generator(), grid)
+    # replay the key's exponential gaps: the arrival times in [0, T]
+    replay, arrivals, t = RngStream(seed, index, channel).generator(), [], 0.0
+    while (t := t + replay.standard_exponential()) <= horizon:
+        arrivals.append(t)
+    assert len(kept) <= len(arrivals)
+    assert all(1 <= k <= n_steps for k in kept)
+    assert all(a < b for a, b in zip(kept, kept[1:]))
+    # arrival j snaps to max(ceil(t_j / dt - 1e-9), k_{j-1} + 1) ...
+    prev = 0
+    for t, k in zip(arrivals, kept):
+        prev = max(math.ceil(t / grid.dt - 1e-9), prev + 1)
+        assert k == prev
+    # ... and the first arrival not kept is one forced past the last step
+    if len(kept) < len(arrivals):
+        forced = max(math.ceil(arrivals[len(kept)] / grid.dt - 1e-9), prev + 1)
+        assert forced > n_steps
+    # the batch route draws the same jumps
+    jumps = martingale_batch(kind, grid, seed, index, 1).jump_increments[0]
+    assert (np.flatnonzero(jumps) + 1).tolist() == kept
