@@ -1,80 +1,66 @@
 """Iterated stochastic integration and chaotic extensions.
 
-The n-fold integral of an elementary-tensor kernel over the increasing
-simplex is computed by the forward recursion
+I_n of a symmetrized elementary-tensor kernel is one forward recursion over
+factor classes (equal factors form a class), with left-endpoint (predictable)
+evaluation throughout.  For m counting the factors of each class used so far,
 
-    J_0 = 1,   J_k(t_m) = sum_{j < m} J_{k-1}(t_j) g_k(t_j) dX_{(t_j, t_{j+1}]}
+    J_0 = 1,   J_m(t_k) = sum_c sum_{j < k} J_{m - e_c}(t_j) g_c(t_j) dX_{(t_j, t_{j+1}]}
 
-with left-endpoint (predictable) evaluation throughout, then
-I_n = n! J_n(T) when the factors coincide and a sum of the ordered-simplex
-recursions over distinct factor orderings otherwise.  The chaotic extension
-of a finite chaos vector re-reads the same kernels against the rotated
-driver Y^theta = B cos(theta) + M sin(theta).
+sums the ordered-simplex integrals over the distinct orderings of those
+factors, and I_n = weight * prod_c m_c! * J_full(T).  The chaotic extension of
+a finite chaos vector re-reads the same kernels against the rotated driver
+Y^theta = B cos(theta) + M sin(theta).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
 from .drivers import rotate
+from .errors import DomainError
 from .grid import SamplePath, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
 
-def _ordered_simplex(gvals: list[np.ndarray], inc: np.ndarray) -> np.ndarray:
-    """J_n(T) for one ordering of the factors; inc has shape (..., n_steps)."""
-    shape = inc.shape[:-1]
-    J = np.ones(shape + (inc.shape[-1] + 1,))
-    zero = np.zeros(shape + (1,))
-    for g in gvals:
-        contrib = J[..., :-1] * g * inc
-        J = np.concatenate([zero, np.cumsum(contrib, axis=-1)], axis=-1)
-    return J[..., -1]
-
-
 def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
-    """I_n(f_n) against the driver path(s); returns a scalar or batch array."""
-    shape = driver.increments.shape[:-1]
-    if kernel.order == 0:
-        out = np.full(shape, kernel.weight) if shape else kernel.weight
-        return out
-    grid = driver.grid
-    gvals = [g.on_grid(grid) for g in kernel.factors]
+    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
+
+    Level |m| = k is built from level k - 1 alone and the top level keeps only
+    J_full(T). A power kernel is the plain simplex chain; n distinct factors
+    cost n 2^(n-1) cumulative sums.
+    """
     inc = driver.increments
-    distinct = len({id(g) for g in kernel.factors}) > 1 and any(
-        f != kernel.factors[0] for f in kernel.factors
-    )
-    if kernel.symmetrize and distinct:
-        # sum of ordered-simplex integrals over distinct orderings, weighted
-        # by multiplicity: I_n(sym tensor) = sum_perm Int_simplex (x) g_perm
-        labels = _factor_labels(kernel.factors)
-        counts = Counter(itertools.permutations(labels))
-        total = 0.0
-        for ordering, count in counts.items():
-            vals = [gvals[labels.index(lab)] for lab in ordering]
-            total = total + count * _ordered_simplex(vals, inc)
-        return kernel.weight * total
-    return kernel.weight * math.factorial(kernel.order) * _ordered_simplex(gvals, inc)
-
-
-def _factor_labels(factors: tuple[StepFunction, ...]) -> list[int]:
-    """Stable labels identifying equal factors."""
-    labels: list[int] = []
-    seen: list[StepFunction] = []
-    for f in factors:
-        for i, g in enumerate(seen):
-            if f == g:
-                labels.append(i)
-                break
-        else:
-            seen.append(f)
-            labels.append(len(seen) - 1)
-    return labels
+    shape = inc.shape[:-1]
+    if kernel.order == 0:
+        return np.full(shape, kernel.weight) if shape else kernel.weight
+    classes = list(dict.fromkeys(kernel.factors))
+    full = tuple(kernel.factors.count(g) for g in classes)
+    gvals = [g.on_grid(driver.grid) for g in classes]
+    level = {(0,) * len(full): np.ones(inc.shape[-1] + 1)}
+    for k in range(1, kernel.order + 1):
+        nxt: dict[tuple[int, ...], np.ndarray] = {}
+        for m in list(level):
+            J = level.pop(m)
+            for c, g in enumerate(gvals):
+                if m[c] == full[c]:
+                    continue
+                out = np.empty(shape + (inc.shape[-1] + 1,))
+                out[..., 0] = 0.0
+                np.multiply(J[..., :-1], g, out=out[..., 1:])
+                out[..., 1:] *= inc
+                np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+                if k == kernel.order:
+                    out = out[..., -1].copy()
+                target = m[:c] + (m[c] + 1,) + m[c + 1 :]
+                if target in nxt:
+                    nxt[target] += out
+                else:
+                    nxt[target] = out
+        level = nxt
+    return kernel.weight * math.prod(map(math.factorial, full)) * level[full]
 
 
 def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:
@@ -116,6 +102,8 @@ def exponential_vector(
 
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got {theta}")
     grid = require_same_grid(brownian, martingale)
     m = grid.index_of(t)
     c, s = np.cos(theta), np.sin(theta)

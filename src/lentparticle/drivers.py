@@ -46,6 +46,8 @@ def _jump_step_indices(gen: np.random.Generator, grid: TimeGrid) -> list[int]:
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
+    if not np.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got {theta}")
     # Clamp values that are zero up to the representation error of pi/2
     # multiples, so that rotate(B, M, pi/2) returns the martingale exactly.
     c, s = np.cos(theta), np.sin(theta)

@@ -53,6 +53,9 @@ class SimplexKernel:
                 f"kernel of order {self.order} needs {self.order} factors, got {len(self.factors)}"
             )
         object.__setattr__(self, "factors", tuple(self.factors))
+        if not self.symmetrize and any(f != self.factors[0] for f in self.factors):
+            # norm_sq would be the unsymmetrized product, which no integral matches
+            raise InvalidKernelError("symmetrize=False needs all factors equal")
 
     @classmethod
     def power(cls, h: StepFunction, order: int, weight: float = 1.0) -> "SimplexKernel":
@@ -111,18 +114,18 @@ class ChaosVector:
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(self.kernels))
 
-    def _order_groups(self) -> dict[int, list[SimplexKernel]]:
+    def _gram_blocks(self) -> dict[int, float]:
+        """n -> ||f_n||^2 of the order-n part: sum of <a, b> over its kernels a, b."""
         groups: dict[int, list[SimplexKernel]] = {}
         for k in self.kernels:
             groups.setdefault(k.order, []).append(k)
-        return groups
+        return {n: sum(a.inner(b) for a in g for b in g) for n, g in groups.items()}
 
     @property
     def norm_sq(self) -> float:
         """||F||^2 = f(0)^2 + sum_n n! ||f_n||^2."""
         total = self.constant**2
-        for n, group in self._order_groups().items():
-            block = sum(a.inner(b) for a in group for b in group)
+        for n, block in self._gram_blocks().items():
             total += math.factorial(n) * block
         return total
 
@@ -130,7 +133,6 @@ class ChaosVector:
     def gradient_energy(self) -> float:
         """sum_n n * n! ||f_n||^2, the Ornstein-Uhlenbeck domain norm of F."""
         total = 0.0
-        for n, group in self._order_groups().items():
-            block = sum(a.inner(b) for a in group for b in group)
+        for n, block in self._gram_blocks().items():
             total += n * math.factorial(n) * block
         return total

@@ -14,8 +14,9 @@ from lentparticle.chaos import (
 from lentparticle.drivers import martingale_batch
 from lentparticle.errors import DomainError
 from lentparticle.experiments import make_config, run_experiment
+from lentparticle.functionals import make_functional
 from lentparticle.grid import SamplePath, TimeGrid
-from lentparticle.kernels import ChaosVector, SimplexKernel
+from lentparticle.kernels import MAX_ORDER, ChaosVector, SimplexKernel
 from lentparticle.stepfn import StepFunction
 
 SEED = 31
@@ -57,11 +58,48 @@ class TestIteratedIntegral:
         g1 = StepFunction.constant(1.0, 1.0)
         g2 = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
         g3 = StepFunction.indicator(0.25, 1.0, -1.0)
-        for factors in [(g1, g2), (g1, g2, g3), (g1, g1, g2)]:
-            k = SimplexKernel(len(factors), factors)
+        # eight distinct factors: the 8-step path leaves one index tuple and
+        # all 40320 orderings
+        distinct = tuple(StepFunction((0.0, 0.5, 1.0), (1.0 + i, 0.5 - 0.3 * i)) for i in range(8))
+        for factors in [(g1, g2), (g1, g2, g3), (g1, g1, g2), (g1, g2, g1, g3),
+                        (g2, g2, g2, g3), (g1, g2, g1, g3, g2), (g3, g1, g3, g3, g1),
+                        distinct]:
+            k = SimplexKernel(len(factors), factors, weight=0.7)
             assert iterated_integral(k, tiny_path) == pytest.approx(
                 brute_force_integral(k, tiny_path), rel=1e-12
             ), factors
+
+    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
+    def test_bit_identical_to_simplex_chain(self, kind):
+        # Power kernels and the order-2 kernel of two distinct factors are the
+        # plain simplex chain (the sum of its two orderings), bit for bit.
+        def chain(gvals, inc):
+            J = np.ones(inc.shape[:-1] + (inc.shape[-1] + 1,))
+            zero = np.zeros(inc.shape[:-1] + (1,))
+            for g in gvals:
+                contrib = J[..., :-1] * g * inc
+                J = np.concatenate([zero, np.cumsum(contrib, axis=-1)], axis=-1)
+            return J[..., -1]
+
+        grid = TimeGrid(1.0, 200)
+        batch = martingale_batch(kind, grid, SEED, 0, 40)
+        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        kernels = [SimplexKernel.power(h, n, weight=0.9) for n in range(1, MAX_ORDER + 1)]
+        kernels += make_functional("three-term").kernels
+        kernels += [r for k in kernels for _, r in k.contractions() if r.order > 0]
+        for path in (batch, batch.select(7)):
+            for k in kernels:
+                gvals = [g.on_grid(grid) for g in k.factors]
+                if all(f == k.factors[0] for f in k.factors):
+                    expected = k.weight * math.factorial(k.order) * chain(gvals, path.increments)
+                else:
+                    assert k.order == 2
+                    expected = k.weight * (
+                        chain(gvals, path.increments) + chain(gvals[::-1], path.increments)
+                    )
+                got = iterated_integral(k, path)
+                assert type(got) is type(expected)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), k
 
     def test_order_zero_is_constant(self, tiny_path):
         assert iterated_integral(SimplexKernel(0, (), weight=2.5), tiny_path) == 2.5

@@ -139,6 +139,21 @@ class TestRun:
         assert "positive and finite" in result.output
         assert not (tmp_path / "chaos-energy.json").exists()
 
+    @pytest.mark.parametrize("experiment, param", [
+        ("isometry", "rotation_theta=NaN"),
+        ("covariance-decay", "phis=[NaN]"),
+        ("bessel", "angles=[NaN]"),
+        ("exp-vector-covariance", "phis=[Infinity]"),
+    ])
+    def test_non_finite_angle_exit_2(self, runner, tmp_path, experiment, param):
+        result = runner.invoke(main, [
+            "run", experiment, "--param", param, "--n-paths", "10", "--grid-steps", "10",
+            "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "angle must be finite" in result.output
+        assert not (tmp_path / f"{experiment}.json").exists()
+
     def test_off_grid_time_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "run", "sde-lent-particle", "--grid-steps", "7", "--n-paths", "4",
@@ -212,3 +227,9 @@ class TestExportPaths:
         result = runner.invoke(main, ["export-paths", "--grid-steps", "16", *flags])
         assert result.exit_code == 2, result.output
         assert "must be non-negative" in result.output
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_exit_2(self, runner, theta):
+        result = runner.invoke(main, ["export-paths", "--grid-steps", "16", "--theta", theta])
+        assert result.exit_code == 2, result.output
+        assert "rotation angle must be finite" in result.output

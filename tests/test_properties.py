@@ -7,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lentparticle.bessel import bessel_spectrum, default_truncation
+from lentparticle.chaos import iterated_integral
 from lentparticle.drivers import _jump_step_indices, martingale_batch, rotate
 from lentparticle.gradients import supremum_gradient
-from lentparticle.grid import CHANNEL_COMPOUND, CHANNEL_POISSON, RngStream, TimeGrid
+from lentparticle.grid import CHANNEL_COMPOUND, CHANNEL_POISSON, RngStream, SamplePath, TimeGrid
+from lentparticle.kernels import SimplexKernel
 from lentparticle.stepfn import StepFunction
+from test_chaos import brute_force_integral
 
 GRID = TimeGrid(1.0, 64)
 
@@ -136,3 +139,21 @@ def test_jump_snapping_on_coarse_grids(n_steps, horizon, seed, index, kind):
     # the batch route draws the same jumps
     jumps = martingale_batch(kind, grid, seed, index, 1).jump_increments[0]
     assert (np.flatnonzero(jumps) + 1).tolist() == kept
+
+
+@given(pool=st.lists(step_functions(), min_size=3, max_size=3),
+       picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+       seed=seeds, kind=st.sampled_from(["brownian", "poisson", "compound"]))
+@settings(max_examples=60, deadline=None)
+def test_iterated_integral_of_any_multiset_vs_brute_force(pool, picks, seed, kind):
+    # Factor multisets of up to 5 draws from 3 step functions (equal draws
+    # share a class) against the sum over index tuples and orderings.
+    grid = TimeGrid(1.0, 7)
+    path = martingale_batch(kind, grid, seed, 0, 1).select(0)
+    k = SimplexKernel(len(picks), tuple(pool[i] for i in picks), weight=1.3)
+    # error scale: the same sum over absolute values of every term
+    absolute = SimplexKernel(k.order, tuple(
+        StepFunction(f.breakpoints, tuple(abs(v) for v in f.values)) for f in k.factors
+    ), weight=1.3)
+    scale = brute_force_integral(absolute, SamplePath(grid, np.abs(path.increments)))
+    assert abs(iterated_integral(k, path) - brute_force_integral(k, path)) <= 1e-12 * scale

@@ -108,6 +108,11 @@ class TestSimplexKernel:
             SimplexKernel(2, (h,))
         with pytest.raises(ConfigurationError):
             SimplexKernel.power(h, MAX_ORDER + 1)
+        # an unsymmetrized norm matches no integral of unequal factors
+        g = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
+        with pytest.raises(InvalidKernelError):
+            SimplexKernel(2, (h, g), symmetrize=False)
+        assert SimplexKernel(2, (h, StepFunction.constant(1.0, 1.0)), symmetrize=False).order == 2
 
 
 class TestChaosVector:
