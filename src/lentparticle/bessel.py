@@ -54,6 +54,9 @@ class SpectrumReport:
         """sum_{n in Z} c_n^2 e^{i n phi}, real by symmetry."""
         if not math.isfinite(phi):
             raise DomainError(f"angle must be finite, got {phi}")
+        if not math.isfinite(self.truncation_n * phi):
+            raise DomainError(
+                f"angle must be finite, and so must {self.truncation_n} * angle: got {phi}")
         terms = [self.coefficients[0]]
         terms += [2.0 * c * math.cos(n * phi) for n, c in enumerate(self.coefficients) if n >= 1]
         return math.fsum(terms)

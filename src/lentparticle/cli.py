@@ -21,6 +21,7 @@ from .errors import (
     InvalidKernelError,
     NumericalBlowupError,
     SingularFlowError,
+    require_kind,
 )
 from .experiments import list_experiments, make_config, run_experiment
 from .grid import TimeGrid
@@ -80,22 +81,17 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, theta,
     """Run a named experiment and write its CSV + JSON report."""
     try:
         fields: dict = {}
-        file_params: dict = {}
         if config_path is not None:
             try:
                 with open(config_path) as fh:
-                    data = json.load(fh)
+                    fields = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigurationError(f"cannot read config {config_path}: {exc}")
-            if not isinstance(data, dict):
+            if not isinstance(fields, dict):
                 raise ConfigurationError("config file must hold a JSON object")
-            file_params = data.pop("params", {})
-            known = {"horizon", "n_steps", "n_paths", "master_seed", "theta", "workers"}
-            unknown = set(data) - known - {"experiment"}
-            if unknown:
-                raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-            data.pop("experiment", None)
-            fields.update(data)
+            named = fields.pop("experiment", experiment)
+            if named != experiment:
+                raise ConfigurationError(f"config file is for {named!r}, not {experiment!r}")
         overrides = {
             "master_seed": seed,
             "n_paths": n_paths,
@@ -105,9 +101,10 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, theta,
             "workers": workers,
         }
         fields.update({k: v for k, v in overrides.items() if v is not None})
-        merged_params = dict(file_params)
-        merged_params.update(_parse_params(params))
-        cfg = make_config(experiment, params=merged_params, **fields)
+        if params:
+            require_kind("params", fields.get("params", {}), dict)
+            fields["params"] = {**fields.get("params", {}), **_parse_params(params)}
+        cfg = make_config(experiment, **fields)
         result = run_experiment(cfg)
     except _CONFIG_ERRORS as exc:
         click.echo(f"configuration error: {exc}", err=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the kind check of configuration values."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -27,3 +29,16 @@ class NumericalBlowupError(RuntimeError):
 
 class SingularFlowError(RuntimeError):
     """First-variation process hit zero where a ratio is required."""
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def require_kind(name: str, value, kind: type) -> None:
+    """Raise ConfigurationError unless value is of kind int, float, str or dict.
+
+    An int is a float, and a bool is neither.
+    """
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if isinstance(value, bool) or not isinstance(value, abstract):
+        raise ConfigurationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")

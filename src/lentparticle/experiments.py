@@ -13,8 +13,9 @@ cannot be tuned away from the command line.
 from __future__ import annotations
 
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import __version__
 from .bessel import bessel_spectrum, default_truncation
 from .chaos import exponential_vector, iterated_integral
 from .drivers import martingale_batch, rotate
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
 from .functionals import make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
@@ -42,8 +43,26 @@ from .stepfn import StepFunction
 DEFAULT_SEED = 20240901
 
 
+def _param_value(name: str, value, default):
+    """value checked against the kind of its registered default: a tuple's entries by
+    its first entry (one value becomes a 1-tuple), a dict's (``sde_params``) as objects."""
+    if isinstance(default, tuple):
+        value = value if isinstance(value, (list, tuple)) else (value,)
+        for i, entry in enumerate(value):
+            require_kind(f"{name}[{i}]", entry, type(default[0]))
+        return value
+    require_kind(name, value, type(default))
+    if isinstance(default, dict):
+        for key, entry in value.items():
+            require_kind(f"{name}[{key!r}]", entry, dict)
+    return value
+
+
 @dataclass
 class ExperimentConfig:
+    """The configuration schema: field kinds come from the annotations, parameter
+    kinds from the registered defaults.  Parameter ranges are the runners' to check."""
+
     experiment: str
     horizon: float = 1.0
     n_steps: int = 1000
@@ -54,6 +73,10 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # theta may be unset
+                require_kind(f.name, value, _FIELD_KINDS[f.name])
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
@@ -72,27 +95,24 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown parameters for {self.experiment!r}: {sorted(unknown)}"
             )
+        # a new dict with the defaults filled in: callers reuse theirs
+        given = {k: _param_value(k, v, spec.param_defaults[k]) for k, v in self.params.items()}
+        self.params = {**spec.param_defaults, **given}
 
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.n_steps)
 
     def param(self, key: str):
-        return self.params.get(key, EXPERIMENTS[self.experiment].param_defaults[key])
+        return self.params[key]
 
     def describe(self) -> dict:
-        spec = EXPERIMENTS[self.experiment]
-        params = {k: self.param(k) for k in spec.param_defaults}
-        return {
-            "experiment": self.experiment,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "theta": self.theta,
-            "workers": self.workers,
-            "params": params,
-        }
+        return asdict(self)
+
+
+# field -> kind; ``float | None`` names a float
+_FIELD_KINDS = {name: (typing.get_args(hint) or (hint,))[0]
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 @dataclass
@@ -118,8 +138,8 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    description: str
     runner: callable
+    description: str
     param_defaults: dict = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)  # config-field overrides
     theta: float | None = None  # default difference step; None: the runner has none
@@ -249,8 +269,6 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_bessel(cfg: ExperimentConfig) -> ExperimentResult:
     values = cfg.param("h_norm_sq")
-    if isinstance(values, (int, float)):
-        values = [float(values)]
     angles = cfg.param("angles")
     rows, checks = [], []
     for x in values:
@@ -318,12 +336,16 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- 6. SDE lent particle vs flow oracle ------------------------------------
 
+def _agreement(estimate: np.ndarray, oracle: np.ndarray) -> tuple[float, float]:
+    """(largest relative error, share within 1e-2) of the estimates against the oracle."""
+    rel = np.abs(estimate - oracle) / (np.abs(oracle) + 1e-8)
+    return float(rel.max()), float(np.mean(rel <= 1e-2))
+
+
 def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     theta = _difference_step(cfg)
     names = cfg.param("sde")
-    if isinstance(names, str):
-        names = [names]
     u_list = cfg.param("u_grid")
     t_list = cfg.param("t_grid")
     sde_params = cfg.param("sde_params")
@@ -349,15 +371,14 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
             est, oracle = joined[i, u, t].T
             finite = np.isfinite(est) & np.isfinite(oracle)
             excluded += int(np.sum(~finite))
-            rel = np.abs(est[finite] - oracle[finite]) / (np.abs(oracle[finite]) + 1e-8)
-            frac_ok = float(np.mean(rel <= 1e-2))
+            max_rel, frac_ok = _agreement(est[finite], oracle[finite])
             worst_frac = min(worst_frac, frac_ok)
-            worst_rel = max(worst_rel, float(rel.max()))
+            worst_rel = max(worst_rel, max_rel)
             rows.append(
                 {"sde": name, "u": u, "t": t, "method": "jump_difference",
                  "estimate": float(est[finite].mean()),
                  "oracle": float(oracle[finite].mean()),
-                 "max_rel_err": float(rel.max()), "frac_within_1e-2": frac_ok}
+                 "max_rel_err": max_rel, "frac_within_1e-2": frac_ok}
             )
         checks.append(
             _check(f"sde_{name}_frac_ok", worst_frac >= 0.99, worst_frac=worst_frac)
@@ -403,13 +424,12 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
         raise DomainError(f"single-jump frequency {freq}: the standard error is 0")
     debiased = joined["debiased"][single]
     oracle = joined["oracle"][single]
-    rel = np.abs(debiased - oracle) / (np.abs(oracle) + 1e-8)
-    frac_ok = float(np.mean(rel <= 1e-2))
+    max_rel, frac_ok = _agreement(debiased, oracle)
     z = (freq - math.exp(-1.0)) / freq_se
     rows = [
         {"sde": name, "u": "U1", "t": grid.horizon, "method": "jump_difference",
          "estimate": float(debiased.mean()), "oracle": float(oracle.mean()),
-         "max_rel_err": float(rel.max()), "frac_within_1e-2": frac_ok,
+         "max_rel_err": max_rel, "frac_within_1e-2": frac_ok,
          "single_jump_freq": freq, "freq_z_score": z},
     ]
     checks = [
@@ -453,13 +473,24 @@ def _run_ibp(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- 9. Mehler suite --------------------------------------------------------
 
+_EIGEN_KEYS = 10_000  # path key of the first eigenvalue path
+
+
 def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     n_outer = cfg.param("n_outer")
     n_inner = cfg.param("n_inner")
     t_eigen = cfg.param("t_eigen")
     t_list = cfg.param("t_bracket")
+    n_eigen = cfg.param("n_eigen_paths")
     theta = _difference_step(cfg)
+    # eigen path i is keyed as outer path _EIGEN_KEYS + i: the outer paths must stay below
+    if n_outer > _EIGEN_KEYS:
+        raise ConfigurationError(f"n_outer must be at most {_EIGEN_KEYS}, got {n_outer}")
+    if n_eigen < 1:
+        raise ConfigurationError(f"n_eigen_paths must be >= 1, got {n_eigen}")
+    if not 0.0 < t_eigen < math.inf:
+        raise ConfigurationError(f"t_eigen must be positive and finite, got {t_eigen}")
     b1 = make_b1(grid.horizon)
     f2 = make_second_chaos(grid.horizon)
     rows, checks = [], []
@@ -484,12 +515,10 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
 
     # eigenvalue property P_t F = lam F on a few outer paths, inner-MC error
     # bars; lam is measured by weighted least squares over the paths
-    if cfg.param("n_eigen_paths") < 1:
-        raise ConfigurationError("n_eigen_paths must be >= 1")
     eigen = {1: [], 2: []}  # per order: (F, inner mean, inner SE) per path
-    for i in range(cfg.param("n_eigen_paths")):
-        B = martingale_batch("brownian", grid, cfg.master_seed, 10_000 + i, 1).select(0)
-        hats = inner_hat_batch(grid, cfg.master_seed, 10_000 + i, n_inner)
+    for i in range(_EIGEN_KEYS, _EIGEN_KEYS + n_eigen):
+        B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
+        hats = inner_hat_batch(grid, cfg.master_seed, i, n_inner)
         for n, F in ((1, b1), (2, f2)):
             eigen[n].append((float(evaluate_functional(F, B)),
                              *_mean_se(mehler_samples(F, B, t_eigen, hats))))
@@ -554,14 +583,7 @@ def _run_reproducibility(cfg: ExperimentConfig) -> ExperimentResult:
     n_paths = cfg.param("target_n_paths")
     renders = []
     for workers in (1, 1, 8):
-        sub = ExperimentConfig(
-            experiment=target,
-            horizon=cfg.horizon,
-            n_steps=cfg.n_steps,
-            n_paths=n_paths,
-            master_seed=cfg.master_seed,
-            workers=workers,
-        )
+        sub = replace(cfg, experiment=target, n_paths=n_paths, workers=workers, params={})
         res = EXPERIMENTS[target].runner(sub)
         summary = res.summary()
         summary["config"]["workers"] = None  # worker count may legally differ
@@ -577,94 +599,76 @@ def _run_reproducibility(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, rows, checks)
 
 
-EXPERIMENTS: dict[str, ExperimentSpec] = {}
-
-
-def _register(name, runner, description, param_defaults=None, defaults=None, theta=None):
-    EXPERIMENTS[name] = ExperimentSpec(
-        description, runner, param_defaults or {}, defaults or {}, theta
-    )
-
-
-_register(
-    "isometry", _run_isometry,
-    "E[I_n(f_n)^2] = n! ||f_n||^2 for orders 1-3 against all drivers",
-    {"orders": (1, 2, 3), "rotation_theta": 0.7},
-)
-_register(
-    "covariance-decay", _run_covariance_decay,
-    "E[I_n^phi I_n^0] / (n! ||f_n||^2) = cos^n(phi)",
-    {"orders": (1, 2, 3),
-     "phis": (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)},
-)
-_register(
-    "bessel", _run_bessel,
-    "Parseval and Fourier identities of the spectral coefficients",
-    {"h_norm_sq": (0.5, 1.0, 4.0, 10.0),
-     "angles": (0.0, math.pi / 4, math.pi / 2, math.pi)},
-)
-_register(
-    "exp-vector-covariance", _run_expvector_covariance,
-    "E[E^phi E^0] = exp(||h||^2 cos(phi)) for the exponential vector",
-    {"phis": (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2),
-     "h_norm_sq": 1.0},
-)
-_register(
-    "chaos-energy", _run_chaos_energy,
-    "E[((F^t - F^-t)/2t)^2] = sum n n! ||f_n||^2 for both jump drivers",
-    {"functional": "three-term"},
-    theta=1e-3,
-)
-_register(
-    "sde-lent-particle", _run_sde_lent_particle,
-    "jump-difference D_u X_t vs the first-variation flow oracle",
-    {"sde": ("gbm", "additive", "sine-diffusion"),
-     "sde_params": {},
-     "u_grid": (0.08, 0.24, 0.4, 0.56, 0.72),
-     "t_grid": (0.76, 0.82, 0.88, 0.94, 1.0)},
-    defaults={"n_steps": 10_000, "n_paths": 1000},
-    theta=1e-4,
-)
-_register(
-    "sde-poisson", _run_sde_poisson,
-    "compound-Poisson perturbation: J1 x estimate vs flow oracle at U1",
-    {"sde": "gbm", "sde_params": {}},
-    defaults={"n_steps": 10_000, "n_paths": 1000},
-    theta=1e-4,
-)
-_register(
-    "ibp", _run_ibp,
-    "E[F int G dB] = E[int D_u F G_u du] for the registered (F, G) pairs",
-)
-_register(
-    "mehler", _run_mehler,
-    "Mehler semigroup: Gamma[B_1], chaos eigenvalues, bracket limit",
-    {"n_outer": 400, "n_inner": 256, "n_eigen_paths": 8,
-     "t_eigen": 0.3, "t_bracket": (1e-1, 1e-2, 1e-3)},
-    theta=1e-4,
-)
-_register(
-    "supremum", _run_supremum,
-    "gradient of sup(B + K): 0/1 values and the arcsine mean at u = 0.5",
-    {"u": 0.5, "a": 1e-6},
-)
-_register(
-    "reproducibility", _run_reproducibility,
-    "byte-identical reports across reruns and 1-vs-8 workers",
-    {"target": "covariance-decay", "target_n_paths": 4097},
-)
+EXPERIMENTS: dict[str, ExperimentSpec] = {
+    "isometry": ExperimentSpec(
+        _run_isometry, "E[I_n(f_n)^2] = n! ||f_n||^2 for orders 1-3 against all drivers",
+        {"orders": (1, 2, 3), "rotation_theta": 0.7},
+    ),
+    "covariance-decay": ExperimentSpec(
+        _run_covariance_decay, "E[I_n^phi I_n^0] / (n! ||f_n||^2) = cos^n(phi)",
+        {"orders": (1, 2, 3),
+         "phis": (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)},
+    ),
+    "bessel": ExperimentSpec(
+        _run_bessel, "Parseval and Fourier identities of the spectral coefficients",
+        {"h_norm_sq": (0.5, 1.0, 4.0, 10.0),
+         "angles": (0.0, math.pi / 4, math.pi / 2, math.pi)},
+    ),
+    "exp-vector-covariance": ExperimentSpec(
+        _run_expvector_covariance,
+        "E[E^phi E^0] = exp(||h||^2 cos(phi)) for the exponential vector",
+        {"phis": (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2),
+         "h_norm_sq": 1.0},
+    ),
+    "chaos-energy": ExperimentSpec(
+        _run_chaos_energy, "E[((F^t - F^-t)/2t)^2] = sum n n! ||f_n||^2 for both jump drivers",
+        {"functional": "three-term"},
+        theta=1e-3,
+    ),
+    "sde-lent-particle": ExperimentSpec(
+        _run_sde_lent_particle, "jump-difference D_u X_t vs the first-variation flow oracle",
+        {"sde": ("gbm", "additive", "sine-diffusion"),
+         "sde_params": {},
+         "u_grid": (0.08, 0.24, 0.4, 0.56, 0.72),
+         "t_grid": (0.76, 0.82, 0.88, 0.94, 1.0)},
+        defaults={"n_steps": 10_000, "n_paths": 1000},
+        theta=1e-4,
+    ),
+    "sde-poisson": ExperimentSpec(
+        _run_sde_poisson, "compound-Poisson perturbation: J1 x estimate vs flow oracle at U1",
+        {"sde": "gbm", "sde_params": {}},
+        defaults={"n_steps": 10_000, "n_paths": 1000},
+        theta=1e-4,
+    ),
+    "ibp": ExperimentSpec(
+        _run_ibp, "E[F int G dB] = E[int D_u F G_u du] for the registered (F, G) pairs",
+    ),
+    "mehler": ExperimentSpec(
+        _run_mehler, "Mehler semigroup: Gamma[B_1], chaos eigenvalues, bracket limit",
+        {"n_outer": 400, "n_inner": 256, "n_eigen_paths": 8,
+         "t_eigen": 0.3, "t_bracket": (1e-1, 1e-2, 1e-3)},
+        theta=1e-4,
+    ),
+    "supremum": ExperimentSpec(
+        _run_supremum, "gradient of sup(B + K): 0/1 values and the arcsine mean at u = 0.5",
+        {"u": 0.5, "a": 1e-6},
+    ),
+    "reproducibility": ExperimentSpec(
+        _run_reproducibility, "byte-identical reports across reruns and 1-vs-8 workers",
+        {"target": "covariance-decay", "target_n_paths": 4097},
+    ),
+}
 
 
 def make_config(experiment: str, **overrides) -> ExperimentConfig:
-    spec = EXPERIMENTS.get(experiment)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENTS)}"
-        )
-    fields = dict(spec.defaults)
-    params = overrides.pop("params", {})
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(experiment=experiment, params=params, **fields)
+    """The experiment's registered field defaults, then the overrides that are not None."""
+    unknown = set(overrides) - set(_FIELD_KINDS)
+    if unknown:
+        raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+    # ExperimentConfig rejects an unknown experiment
+    defaults = EXPERIMENTS[experiment].defaults if experiment in EXPERIMENTS else {}
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return ExperimentConfig(experiment=experiment, **{**defaults, **given})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -672,10 +676,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def list_experiments(filter_text: str = "") -> list[tuple[str, str, dict]]:
-    out = []
-    for name in sorted(EXPERIMENTS):
-        if filter_text and filter_text not in name:
-            continue
-        spec = EXPERIMENTS[name]
-        out.append((name, spec.description, dict(spec.param_defaults)))
-    return out
+    return [(name, spec.description, dict(spec.param_defaults))
+            for name, spec in sorted(EXPERIMENTS.items()) if filter_text in name]

@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalBlowupError, SingularFlowError
+from .errors import require_kind
 from .estimates import GradientEstimate
 from .grid import RngStream, SamplePath, TimeGrid
 
@@ -67,54 +68,33 @@ class SdeSpec:
                 raise ConfigurationError(f"{label}_x inconsistent with finite differences")
 
 
+# name -> default parameters, each a number
+_SDE_DEFAULTS = {
+    "gbm": {"sigma": 0.3, "b": 0.1, "x0": 1.0},
+    "additive": {"sigma": 1.0, "b": 0.0, "x0": 0.0},
+    "sine-diffusion": {"x0": 1.0},
+}
+
+
 def make_sde(name: str, **params) -> SdeSpec:
     """Built-in registry: gbm, additive, sine-diffusion."""
+    if name not in _SDE_DEFAULTS:
+        raise ConfigurationError(f"unknown SDE spec {name!r}; known: {', '.join(_SDE_DEFAULTS)}")
+    unknown = set(params) - set(_SDE_DEFAULTS[name])
+    if unknown:
+        raise ConfigurationError(f"unknown parameters for {name!r}: {sorted(unknown)}")
+    for key, value in params.items():
+        require_kind(f"{name!r} parameter {key!r}", value, float)
+    p = {key: float(params.get(key, value)) for key, value in _SDE_DEFAULTS[name].items()}
+    x0, sig, mu = p["x0"], p.get("sigma"), p.get("b")
     if name == "gbm":
-        sig = float(params.pop("sigma", 0.3))
-        mu = float(params.pop("b", 0.1))
-        x0 = float(params.pop("x0", 1.0))
-        _reject_extra(name, params)
-        return SdeSpec(
-            "gbm",
-            x0,
-            sigma=lambda t, x: sig * x,
-            b=lambda t, x: mu * x,
-            sigma_x=lambda t, x: sig,
-            b_x=lambda t, x: mu,
-            params={"sigma": sig, "b": mu, "x0": x0},
-        )
+        return SdeSpec(name, x0, sigma=lambda t, x: sig * x, b=lambda t, x: mu * x,
+                       sigma_x=lambda t, x: sig, b_x=lambda t, x: mu, params=p)
     if name == "additive":
-        c = float(params.pop("sigma", 1.0))
-        mu = float(params.pop("b", 0.0))
-        x0 = float(params.pop("x0", 0.0))
-        _reject_extra(name, params)
-        return SdeSpec(
-            "additive",
-            x0,
-            sigma=lambda t, x: c,
-            b=lambda t, x: mu,
-            sigma_x=lambda t, x: 0.0,
-            b_x=lambda t, x: 0.0,
-            params={"sigma": c, "b": mu, "x0": x0},
-        )
-    if name == "sine-diffusion":
-        x0 = float(params.pop("x0", 1.0))
-        _reject_extra(name, params)
-        return SdeSpec(
-            "sine-diffusion",
-            x0,
-            sigma=lambda t, x: np.sin(x) + 2.0,
-            b=lambda t, x: 0.0,
-            sigma_x=lambda t, x: np.cos(x),
-            b_x=lambda t, x: 0.0,
-            params={"x0": x0},
-        )
-    raise ConfigurationError(f"unknown SDE spec {name!r}; known: gbm, additive, sine-diffusion")
-
-
-def _reject_extra(name: str, params: dict) -> None:
-    if params:
-        raise ConfigurationError(f"unknown parameters for {name!r}: {sorted(params)}")
+        return SdeSpec(name, x0, sigma=lambda t, x: sig, b=lambda t, x: mu,
+                       sigma_x=lambda t, x: 0.0, b_x=lambda t, x: 0.0, params=p)
+    return SdeSpec(name, x0, sigma=lambda t, x: np.sin(x) + 2.0, b=lambda t, x: 0.0,
+                   sigma_x=lambda t, x: np.cos(x), b_x=lambda t, x: 0.0, params=p)
 
 
 # Steps per time-major copy of the increments: a few MB at batch shapes,

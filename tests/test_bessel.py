@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             bessel_spectrum(1.0, 10, tol=0.0)
 
+    def test_angle_with_an_infinite_multiple(self):
+        report = bessel_spectrum(1.0, 40)
+        with pytest.raises(DomainError, match="40 \\* angle"):
+            report.fourier(1e308)
+        assert math.isfinite(report.fourier(1e306))
+
     def test_default_truncation_grows(self):
         assert default_truncation(0.5) >= 40
         assert default_truncation(50.0) > default_truncation(5.0)

@@ -144,6 +144,7 @@ class TestRun:
         ("covariance-decay", "phis=[NaN]"),
         ("bessel", "angles=[NaN]"),
         ("exp-vector-covariance", "phis=[Infinity]"),
+        ("bessel", "angles=[1e308]"),  # finite, but 40 * angle is not
     ])
     def test_non_finite_angle_exit_2(self, runner, tmp_path, experiment, param):
         result = runner.invoke(main, [
@@ -162,6 +163,75 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "not a point of the 7-step grid" in result.output
         assert not (tmp_path / "sde-lent-particle.json").exists()
+
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("covariance-decay", ['phis=["a"]'], "phis[0] must be a number, got 'a'"),
+        ("isometry", ['rotation_theta="x"'], "rotation_theta must be a number, got 'x'"),
+        ("mehler", ["n_outer=4.5"], "n_outer must be an integer, got 4.5"),
+        ("mehler", ["n_outer=10001", "n_inner=2"], "n_outer must be at most 10000"),
+        ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be >= 1"),
+        ("mehler", ["t_eigen=-1", "n_inner=2"], "t_eigen must be positive and finite"),
+    ])
+    def test_bad_param_exit_2(self, runner, tmp_path, experiment, params, message):
+        flags = [flag for param in params for flag in ("--param", param)]
+        result = runner.invoke(main, [
+            "run", experiment, *flags, "--grid-steps", "10", "--output", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_single_value_for_a_list_param(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "isometry", "--param", "orders=2", "--n-paths", "2000",
+            "--grid-steps", "50", "--output", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "isometry.json").read_text())
+        assert summary["config"]["params"]["orders"] == [2]
+        assert {c["name"] for c in summary["checks"]} == {
+            f"isometry_order2_{d}" for d in ("brownian", "poisson", "compound", "rotation")}
+
+    SMALL_SDE = {"n_paths": 4, "n_steps": 100}
+
+    @pytest.mark.parametrize("experiment, content, message", [
+        ("supremum", {"n_paths": "100"}, "n_paths must be an integer, got '100'"),
+        ("supremum", {"horizon": "1"}, "horizon must be a number, got '1'"),
+        ("supremum", {"params": [1]}, "params must be an object, got [1]"),
+        ("supremum", {"workers": 1.5, "n_paths": 100}, "workers must be an integer, got 1.5"),
+        ("supremum", {"n_steps": True}, "n_steps must be an integer, got True"),
+        ("supremum", {"experiment": "bessel"}, "config file is for 'bessel', not 'supremum'"),
+        ("supremum", [1, 2], "config file must hold a JSON object"),
+        ("sde-poisson", {**SMALL_SDE, "params": {"sde_params": {"gbm": {"sigma": "x"}}}},
+         "'gbm' parameter 'sigma' must be a number, got 'x'"),
+        ("sde-poisson", {**SMALL_SDE, "params": {"sde_params": {"gbm": 1}}},
+         "sde_params['gbm'] must be an object, got 1"),
+    ])
+    def test_bad_config_field_exit_2(self, runner, tmp_path, experiment, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        result = runner.invoke(main, [
+            "run", experiment, "--config", str(cfg), "--output", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_params_with_param_flag(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "supremum", "n_paths": 2000,
+                                   "params": [1]}))
+        args = ["run", "supremum", "--config", str(cfg), "--param", "a=1e-7",
+                "--output", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "params must be an object, got [1]" in result.output
+        # a matching "experiment" key is accepted, and --param merges into params
+        cfg.write_text(json.dumps({"experiment": "supremum", "n_paths": 2000,
+                                   "params": {"u": 0.5}}))
+        assert runner.invoke(main, args).exit_code == 0
+        summary = json.loads((tmp_path / "out" / "supremum.json").read_text())
+        assert summary["config"]["params"] == {"u": 0.5, "a": 1e-7}
 
     def test_unknown_param_exit_2(self, runner):
         result = runner.invoke(main, ["run", "bessel", "--param", "wat=1"])

@@ -59,6 +59,65 @@ class TestConfig:
         assert thetas() == {1e-3}
         assert thetas(theta=2e-3) == {2e-3}
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_paths": "100"}, "n_paths must be an integer, got '100'"),
+        ({"n_steps": 10.0}, "n_steps must be an integer"),
+        ({"n_steps": True}, "n_steps must be an integer, got True"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        ({"horizon": "1"}, "horizon must be a number"),
+        ({"horizon": True}, "horizon must be a number"),
+        ({"theta": "x"}, "theta must be a number"),
+        ({"params": [1]}, "params must be an object"),
+        ({"surprise": 1}, "unknown config fields: \\['surprise'\\]"),
+    ])
+    def test_field_kinds(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_config("chaos-energy", **fields)
+
+    def test_field_kinds_accepted(self):
+        cfg = make_config("chaos-energy", horizon=2, theta=1, n_paths=np.int64(5))
+        assert (cfg.horizon, cfg.theta, cfg.n_paths) == (2, 1, 5)
+        with pytest.raises(ConfigurationError, match="experiment must be a string"):
+            ExperimentConfig(experiment=1)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("covariance-decay", {"phis": ["a"]}, "phis\\[0\\] must be a number, got 'a'"),
+        ("covariance-decay", {"orders": [1, 2.5]}, "orders\\[1\\] must be an integer"),
+        ("covariance-decay", {"orders": [True]}, "orders\\[0\\] must be an integer"),
+        ("isometry", {"rotation_theta": "x"}, "rotation_theta must be a number, got 'x'"),
+        ("mehler", {"n_outer": 4.5}, "n_outer must be an integer, got 4.5"),
+        ("chaos-energy", {"functional": 3}, "functional must be a string"),
+        ("sde-lent-particle", {"sde": ["gbm", 1]}, "sde\\[1\\] must be a string"),
+        ("sde-poisson", {"sde_params": []}, "sde_params must be an object"),
+        ("sde-poisson", {"sde_params": {"gbm": 1}}, "sde_params\\['gbm'\\] must be an object"),
+    ])
+    def test_param_kinds(self, name, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_config(name, params=params)
+
+    def test_param_kinds_accepted(self):
+        cfg = make_config("covariance-decay", params={"orders": [2], "phis": [0, 0.5]})
+        assert cfg.param("phis") == [0, 0.5]  # an int is a number
+        assert make_config("isometry", params={"rotation_theta": 1}).param("rotation_theta") == 1
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("isometry", "orders", 2),
+        ("bessel", "h_norm_sq", 1.0),
+        ("sde-lent-particle", "sde", "gbm"),
+    ])
+    def test_single_value_for_a_tuple_param(self, name, key, value):
+        cfg = make_config(name, params={key: value})
+        assert cfg.param(key) == (value,)
+        assert cfg.describe()["params"][key] == (value,)
+
+    def test_caller_params_left_unmodified(self):
+        params = {"orders": 2, "phis": [0.0]}
+        cfg = make_config("covariance-decay", params=params)
+        assert params == {"orders": 2, "phis": [0.0]}
+        assert cfg.params is not params
+        assert cfg.param("orders") == (2,)
+
     def test_sde_defaults_applied(self):
         cfg = make_config("sde-lent-particle")
         assert cfg.n_steps == 10_000
@@ -280,6 +339,24 @@ class TestRunners:
             "n_outer": 2, "n_inner": 8, "n_eigen_paths": 1, **params})
         with pytest.raises(error):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n_eigen_paths": 0}, "n_eigen_paths must be >= 1, got 0"),
+        ({"t_eigen": -1.0}, "t_eigen must be positive and finite, got -1.0"),
+        ({"t_eigen": 0.0}, "t_eigen must be positive and finite"),
+        # outer path 10_000 would share its keys with eigen path 0
+        ({"n_outer": 10_001}, "n_outer must be at most 10000, got 10001"),
+    ])
+    def test_mehler_rejects_params_before_drawing(self, monkeypatch, params, message):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        monkeypatch.setattr(experiments, "inner_hat_batch", drawn)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(make_config("mehler", n_steps=20, params=params))
 
     def test_registry_descriptions(self):
         for name, spec in EXPERIMENTS.items():

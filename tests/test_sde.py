@@ -55,6 +55,11 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_sde("gbm", kappa=1.0)
 
+    @pytest.mark.parametrize("value", ["x", True, None])
+    def test_non_number_parameter(self, value):
+        with pytest.raises(ConfigurationError, match="'gbm' parameter 'sigma' must be a number"):
+            make_sde("gbm", sigma=value)
+
     def test_inconsistent_derivatives_detected(self):
         bad = SdeSpec(
             "bad", 1.0,
