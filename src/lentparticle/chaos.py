@@ -7,9 +7,10 @@ evaluation throughout.  For m counting the factors of each class used so far,
     J_0 = 1,   J_m(t_k) = sum_c sum_{j < k} J_{m - e_c}(t_j) g_c(t_j) dX_{(t_j, t_{j+1}]}
 
 sums the ordered-simplex integrals over the distinct orderings of those
-factors, and I_n = weight * prod_c m_c! * J_full(T).  The chaotic extension of
-a finite chaos vector re-reads the same kernels against the rotated driver
-Y^theta = B cos(theta) + M sin(theta).
+factors, and I_n = weight * prod_c m_c! * J_full(T).  For a power kernel
+h^(x)n the levels are J_k, k = 1, ..., n, so one chain gives I_k(h^(x)k) for
+every k <= n.  The chaotic extension of a finite chaos vector re-reads the
+same kernels against the rotated driver Y^theta = B cos(theta) + M sin(theta).
 """
 
 from __future__ import annotations
@@ -21,26 +22,22 @@ import numpy as np
 from .drivers import rotate
 from .errors import DomainError
 from .grid import SamplePath, require_same_grid
-from .kernels import ChaosVector, SimplexKernel
+from .kernels import MAX_ORDER, ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
 
-def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
-    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
+def _class_levels(gvals: list, full: tuple[int, ...], inc: np.ndarray):
+    """Yield levels k = 1, ..., n of the factor-class recursion, each as {m: J_m}, |m| = k.
 
-    Level |m| = k is built from level k - 1 alone and the top level keeps only
-    J_full(T). A power kernel is the plain simplex chain; n distinct factors
-    cost n 2^(n-1) cumulative sums.
+    ``gvals`` holds each class's factor on the grid and ``full`` its count.
+    J_m runs over the grid points, except at the top level, which keeps only
+    J_full(T) (a last axis of length 1).  Level k is built from level k - 1
+    alone and pops it as it goes, so read a level before resuming.
     """
-    inc = driver.increments
     shape = inc.shape[:-1]
-    if kernel.order == 0:
-        return np.full(shape, kernel.weight) if shape else kernel.weight
-    classes = list(dict.fromkeys(kernel.factors))
-    full = tuple(kernel.factors.count(g) for g in classes)
-    gvals = [g.on_grid(driver.grid) for g in classes]
+    n = sum(full)
     level = {(0,) * len(full): np.ones(inc.shape[-1] + 1)}
-    for k in range(1, kernel.order + 1):
+    for k in range(1, n + 1):
         nxt: dict[tuple[int, ...], np.ndarray] = {}
         for m in list(level):
             J = level.pop(m)
@@ -52,15 +49,51 @@ def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
                 np.multiply(J[..., :-1], g, out=out[..., 1:])
                 out[..., 1:] *= inc
                 np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
-                if k == kernel.order:
-                    out = out[..., -1].copy()
+                if k == n:
+                    out = out[..., -1:].copy()
                 target = m[:c] + (m[c] + 1,) + m[c + 1 :]
                 if target in nxt:
                     nxt[target] += out
                 else:
                     nxt[target] = out
         level = nxt
-    return kernel.weight * math.prod(map(math.factorial, full)) * level[full]
+        yield level
+
+
+def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
+    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
+
+    The top level of the factor-class recursion gives J_full(T). A power
+    kernel is the plain simplex chain; n distinct factors cost n 2^(n-1)
+    cumulative sums.
+    """
+    inc = driver.increments
+    shape = inc.shape[:-1]
+    if kernel.order == 0:
+        return np.full(shape, kernel.weight) if shape else kernel.weight
+    classes = list(dict.fromkeys(kernel.factors))
+    full = tuple(kernel.factors.count(g) for g in classes)
+    for level in _class_levels([g.on_grid(driver.grid) for g in classes], full, inc):
+        pass
+    return kernel.weight * math.prod(map(math.factorial, full)) * level[full][..., -1]
+
+
+def power_integrals(h: StepFunction, orders, driver: SamplePath) -> dict[int, np.ndarray]:
+    """{k: I_k(h^(x)k)} for each k in ``orders``, from the levels of one h^(x)max chain.
+
+    I_k = k! J_k(T) is read off level k, bit for bit what
+    iterated_integral(SimplexKernel.power(h, k), driver) returns.
+    """
+    wanted = set(orders)
+    if not wanted or not wanted <= set(range(1, MAX_ORDER + 1)):
+        raise DomainError(f"orders must be a non-empty set within 1..{MAX_ORDER}, got {orders}")
+    top = max(wanted)
+    out = {}
+    levels = _class_levels([h.on_grid(driver.grid)], (top,), driver.increments)
+    for k, level in enumerate(levels, start=1):
+        if k in wanted:
+            out[k] = math.factorial(k) * level[(k,)][..., -1]
+    return out
 
 
 def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:

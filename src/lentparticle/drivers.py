@@ -14,6 +14,8 @@ pseudo-jumps.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -38,7 +40,7 @@ def _jump_step_indices(gen: np.random.Generator, grid: TimeGrid) -> list[int]:
         t += gen.standard_exponential()
         if t > grid.horizon:
             return out
-        k = max(int(np.ceil(t / grid.dt - 1e-9)), prev + 1)
+        k = max(math.ceil(t / grid.dt - 1e-9), prev + 1)
         if k > grid.n_steps:
             return out
         out.append(k)
@@ -62,16 +64,14 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
     """c1 * p1 + c2 * p2 for a continuous p1, combined at the level of grid values.
 
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
-    bit-for-bit at every grid point because the levels are combined directly;
-    the jump part is c2 times that of p2.
+    bit-for-bit at every grid point because the levels, computed on first
+    read, are combined directly; the jump part is c2 times that of p2.
     """
     grid = require_same_grid(p1, p2)
-    values = c1 * p1.values + c2 * p2.values
     increments = c1 * p1.increments + c2 * p2.increments
     jumps = None if p2.jump_increments is None else c2 * p2.jump_increments
-    out = SamplePath(grid, increments, jump_increments=jumps)
-    out._values = values
-    return out
+    return SamplePath(grid, increments, jump_increments=jumps,
+                      _levels=lambda: c1 * p1.values + c2 * p2.values)
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
@@ -82,20 +82,22 @@ def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> Sample
 def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
     """Path perturbed by a * 1_{. >= u}, with u snapped forward to the grid.
 
-    Levels at every grid point t_k >= u are increased by exactly a; the
-    increments are unchanged except at the snap step, whose increment grows
-    by a.
+    Levels at every grid point t_k >= u are increased by exactly a (on first
+    read); the increments are unchanged except at the snap step, whose
+    increment grows by a.
     """
     grid = path.grid
     k = grid.index_at_or_after(u)
     inc = path.increments.copy()
     inc[..., k - 1] += a
-    values = path.values.copy()
-    values[..., k:] += a
     jumps = None if path.jump_increments is None else path.jump_increments.copy()
-    out = SamplePath(grid, inc, jumps)
-    out._values = values
-    return out
+
+    def levels():
+        values = path.values.copy()
+        values[..., k:] += a
+        return values
+
+    return SamplePath(grid, inc, jumps, _levels=levels)
 
 
 # --- batch simulation -------------------------------------------------------
@@ -228,7 +230,8 @@ def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, coun
 
 def compound_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
     jumps = _jump_batch(grid, master_seed, start, count, CHANNEL_COMPOUND, signed=True)
-    return SamplePath(grid, jumps.copy(), jump_increments=jumps)
+    # a pure-jump path: increments and jump part are one array, which nothing writes to
+    return SamplePath(grid, jumps, jump_increments=jumps)
 
 
 DRIVER_BATCHES = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_spectrum, default_truncation
-from .chaos import exponential_vector, iterated_integral
+from .chaos import exponential_vector, iterated_integral, power_integrals
 from .drivers import martingale_batch, rotate
 from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
@@ -248,12 +248,12 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         N = martingale_batch("poisson", grid, cfg.master_seed, start, count)
-        base = {n: iterated_integral(kernels[n], B) for n in orders}
+        base = power_integrals(h, orders, B)
         out = {}
         for phi in phis:
-            Y = rotate(B, N, phi)
+            rotated = power_integrals(h, orders, rotate(B, N, phi))
             for n in orders:
-                out[(n, phi)] = iterated_integral(kernels[n], Y) * base[n]
+                out[(n, phi)] = rotated[n] * base[n]
         return out
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
@@ -342,14 +342,24 @@ def _agreement(estimate: np.ndarray, oracle: np.ndarray) -> tuple[float, float]:
     return float(rel.max()), float(np.mean(rel <= 1e-2))
 
 
+def _make_sdes(cfg: ExperimentConfig, names) -> list:
+    """make_sde for each name with its ``sde_params`` entry; an entry for an SDE
+    that is not run is a configuration error (a misspelt name would run the defaults)."""
+    sde_params = cfg.param("sde_params")
+    unknown = set(sde_params) - set(names)
+    if unknown:
+        raise ConfigurationError(
+            f"sde_params names SDEs that are not run: {sorted(unknown)}; run: {list(names)}")
+    return [make_sde(name, **sde_params.get(name, {})) for name in names]
+
+
 def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     theta = _difference_step(cfg)
     names = cfg.param("sde")
     u_list = cfg.param("u_grid")
     t_list = cfg.param("t_grid")
-    sde_params = cfg.param("sde_params")
-    specs = [make_sde(name, **sde_params.get(name, {})) for name in names]
+    specs = _make_sdes(cfg, names)
     for t in t_list:
         grid.index_of(t)  # an off-grid t fails before any path is drawn
 
@@ -400,7 +410,7 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     theta = _difference_step(cfg)
     name = cfg.param("sde")
-    spec = make_sde(name, **cfg.param("sde_params").get(name, {}))
+    (spec,) = _make_sdes(cfg, (name,))
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)

@@ -1,9 +1,10 @@
 """Time discretization, reproducible random streams and sampled paths.
 
 All driving processes live on a shared uniform grid of [0, T].  A path is
-stored as per-step increments together with a cached array of levels at the
-grid points; jump-type drivers additionally carry the pure-jump part of each
-increment so that downstream code can separate jumps from continuous drift.
+stored as per-step increments; its levels at the grid points are computed on
+first read and cached.  Jump-type drivers additionally carry the pure-jump
+part of each increment so that downstream code can separate jumps from
+continuous drift.
 
 Arrays may carry a leading batch dimension: ``increments`` has shape
 ``(n_steps,)`` for a single path or ``(n_paths, n_steps)`` for a batch, and
@@ -12,6 +13,7 @@ every operation in this package is written against the last axis.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +90,18 @@ class SamplePath:
 
     ``increments[..., j]`` is the change over (t_j, t_{j+1}];
     ``jump_increments`` is the pure-jump part of each increment (zero array
-    for continuous drivers); ``values`` caches the levels at the grid points,
-    with value 0 at t_0.
+    for continuous drivers); ``values`` holds the levels at the grid points,
+    with value 0 at t_0.  They are computed on first read and cached: by
+    ``_levels`` when a path built from others records how (so the levels stay
+    bit-exact at every grid point), else as the cumulative sum of the
+    increments.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     jump_increments: np.ndarray | None = None
     _values: np.ndarray | None = field(default=None, repr=False)
+    _levels: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
@@ -111,8 +117,12 @@ class SamplePath:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            zero = np.zeros(self.increments.shape[:-1] + (1,))
-            self._values = np.concatenate([zero, np.cumsum(self.increments, axis=-1)], axis=-1)
+            if self._levels is not None:
+                self._values, self._levels = self._levels(), None
+            else:
+                zero = np.zeros(self.increments.shape[:-1] + (1,))
+                self._values = np.concatenate([zero, np.cumsum(self.increments, axis=-1)],
+                                              axis=-1)
         return self._values
 
     @property
@@ -125,6 +135,8 @@ class SamplePath:
         path = SamplePath(self.grid, self.increments[index], jumps)
         if self._values is not None:
             path._values = self._values[index]
+        elif self._levels is not None:  # stays lazy; one read fills this batch's cache
+            path._levels = lambda: self.values[index]
         return path
 
 

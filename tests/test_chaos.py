@@ -9,6 +9,7 @@ from lentparticle.chaos import (
     evaluate_chaos,
     exponential_vector,
     iterated_integral,
+    power_integrals,
     stochastic_integral,
 )
 from lentparticle.drivers import martingale_batch
@@ -132,6 +133,28 @@ class TestIteratedIntegral:
         sq = iterated_integral(k, batch) ** 2
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - k.isometry_target) < 5 * se
+
+
+class TestPowerIntegrals:
+    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
+    def test_bit_identical_to_iterated_integral(self, kind):
+        grid = TimeGrid(1.0, 200)
+        batch = martingale_batch(kind, grid, SEED, 0, 40)
+        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        for path in (batch, batch.select(7)):
+            for orders in (tuple(range(1, MAX_ORDER + 1)), (3, 1), (2,), (6, 2, 4)):
+                got = power_integrals(h, orders, path)
+                assert sorted(got) == sorted(orders)
+                for n in orders:
+                    expected = iterated_integral(SimplexKernel.power(h, n), path)
+                    assert type(got[n]) is type(expected)
+                    assert np.asarray(got[n]).tobytes() == np.asarray(expected).tobytes(), n
+
+    @pytest.mark.parametrize("orders", [(), (0,), (1, 0), (MAX_ORDER + 1,), (-1, 2)])
+    def test_rejects_orders_outside_the_chain(self, tiny_path, orders):
+        h = StepFunction.constant(1.0, 1.0)
+        with pytest.raises(DomainError, match="orders must be"):
+            power_integrals(h, orders, tiny_path)
 
 
 class TestChaosEvaluation:

@@ -171,6 +171,10 @@ class TestRun:
         ("mehler", ["n_outer=10001", "n_inner=2"], "n_outer must be at most 10000"),
         ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be >= 1"),
         ("mehler", ["t_eigen=-1", "n_inner=2"], "t_eigen must be positive and finite"),
+        ("sde-poisson", ['sde_params={"gmb": {"sigma": 0.5}}'],
+         "sde_params names SDEs that are not run: ['gmb']"),
+        ("sde-lent-particle", ['sde_params={"gbm": {}, "gmb": {"sigma": 0.5}}'],
+         "sde_params names SDEs that are not run: ['gmb']"),
     ])
     def test_bad_param_exit_2(self, runner, tmp_path, experiment, params, message):
         flags = [flag for param in params for flag in ("--param", param)]
@@ -303,3 +307,20 @@ class TestExportPaths:
         result = runner.invoke(main, ["export-paths", "--grid-steps", "16", "--theta", theta])
         assert result.exit_code == 2, result.output
         assert "rotation angle must be finite" in result.output
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_rotated_column_is_the_combined_levels(self, runner, kind):
+        import numpy as np
+
+        from lentparticle.drivers import martingale_batch
+        from lentparticle.grid import TimeGrid
+
+        result = runner.invoke(main, ["export-paths", "--kind", kind, "--grid-steps", "64",
+                                      "--seed", "5", "--index", "3", "--theta", "0.7"])
+        assert result.exit_code == 0, result.output
+        grid = TimeGrid(1.0, 64)
+        B = martingale_batch("brownian", grid, 5, 3, 1).select(0)
+        M = martingale_batch(kind, grid, 5, 3, 1).select(0)
+        expected = np.cos(0.7) * B.values + np.sin(0.7) * M.values
+        rotated = [line.split(",")[3] for line in result.output.strip().split("\n")[1:]]
+        assert rotated == [repr(float(y)) for y in expected]

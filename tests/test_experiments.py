@@ -306,6 +306,22 @@ class TestRunners:
             run_experiment(cfg)
         assert drawn == []
 
+    @pytest.mark.parametrize("name, params", [
+        ("sde-poisson", {"sde_params": {"gmb": {"sigma": 0.5}}}),
+        ("sde-poisson", {"sde_params": {"gbm": {}, "additive": {}}}),  # additive is not run
+        ("sde-lent-particle", {"sde": ("gbm",), "sde_params": {"sine-diffusion": {}}}),
+    ])
+    def test_sde_params_for_an_sde_not_run_rejected_before_drawing(self, monkeypatch, name,
+                                                                     params):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        with pytest.raises(ConfigurationError, match="sde_params names SDEs that are not run"):
+            run_experiment(make_config(name, n_steps=100, n_paths=4, params=params))
+
     def test_mehler_measures_the_eigenvalues(self):
         res = run_experiment(make_config("mehler", n_steps=100, params={"n_outer": 4}))
         rows = [r for r in res.rows if r["quantity"].startswith("eigenvalue")]

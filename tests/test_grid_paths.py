@@ -14,7 +14,9 @@ from lentparticle.errors import (
     DimensionMismatchError,
     DomainError,
 )
+from lentparticle.chaos import evaluate_chaos
 from lentparticle.experiments import DEFAULT_SEED
+from lentparticle.functionals import make_functional
 from lentparticle.grid import (
     CHANNEL_BROWNIAN,
     CHANNEL_COMPOUND,
@@ -25,6 +27,7 @@ from lentparticle.grid import (
     TimeGrid,
     require_same_grid,
 )
+from lentparticle.ou import combine_paths
 
 SEED = 99
 
@@ -291,3 +294,53 @@ class TestAddUnitJump:
         np.testing.assert_array_equal(
             bumped.values[:, -1], batch.values[:, -1] + 1.0
         )
+
+
+class TestLazyLevels:
+    """Built paths compute their levels on first read, bit for bit the eager expression."""
+
+    THETA, U, A = 0.7, 0.4001, 0.125
+
+    def built(self, how, B, M):
+        """(path built by ``how``, the expression that used to compute its levels)."""
+        if how == "rotate":
+            c, s = np.cos(self.THETA), np.sin(self.THETA)
+            return rotate(B, M, self.THETA), lambda: c * B.values + s * M.values
+        if how == "combine_paths":
+            return combine_paths(B, M, 0.6, -0.8), lambda: 0.6 * B.values + -0.8 * M.values
+        k = B.grid.index_at_or_after(self.U)
+
+        def shifted():
+            values = M.values.copy()
+            values[..., k:] += self.A
+            return values
+
+        return add_unit_jump(M, self.U, self.A), shifted
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    @pytest.mark.parametrize("how", ["rotate", "combine_paths", "add_unit_jump"])
+    def test_levels_equal_the_eager_expression(self, unit_grid, how, kind):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 6)
+        M = martingale_batch(kind, unit_grid, SEED, 0, 6)
+        path, eager = self.built(how, B, M)
+        assert path._values is None
+        assert path.values.tobytes() == eager().tobytes()
+        # through select on a batch whose levels were never read: the selection
+        # stays lazy, and so does the batch until the selection is read
+        path, eager = self.built(how, martingale_batch("brownian", unit_grid, SEED, 0, 6),
+                                 martingale_batch(kind, unit_grid, SEED, 0, 6))
+        one, rows = path.select(4), path.select(slice(1, 3))
+        assert one._values is None and rows._values is None and path._values is None
+        assert one.values.tobytes() == eager()[4].tobytes()
+        assert rows.values.tobytes() == eager()[1:3].tobytes()
+        # a single path built from single paths
+        single, eager = self.built(how, B.select(2), M.select(2))
+        assert single.values.tobytes() == eager().tobytes()
+
+    def test_rotated_path_read_by_chaos_keeps_no_levels(self, unit_grid):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 8)
+        Y = rotate(B, M, self.THETA)
+        evaluate_chaos(make_functional("three-term"), Y)
+        assert Y._values is None
+        assert B._values is None and M._values is None

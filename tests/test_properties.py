@@ -145,6 +145,10 @@ def test_jump_snapping_on_coarse_grids(n_steps, horizon, seed, index, kind):
        picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
        seed=seeds, kind=st.sampled_from(["brownian", "poisson", "compound"]))
 @settings(max_examples=60, deadline=None)
+@example(pool=[StepFunction((0.0, 1.0), (1.0,)),  # terms below the normal range
+               StepFunction((0.0, 1.0, 2.0), (1.2505520052218526e-157, 0.0)),
+               StepFunction((0.0, 1.0), (0.0,))],
+         picks=[0, 1, 1], seed=0, kind="brownian")
 def test_iterated_integral_of_any_multiset_vs_brute_force(pool, picks, seed, kind):
     # Factor multisets of up to 5 draws from 3 step functions (equal draws
     # share a class) against the sum over index tuples and orderings.
@@ -156,4 +160,7 @@ def test_iterated_integral_of_any_multiset_vs_brute_force(pool, picks, seed, kin
         StepFunction(f.breakpoints, tuple(abs(v) for v in f.values)) for f in k.factors
     ), weight=1.3)
     scale = brute_force_integral(absolute, SamplePath(grid, np.abs(path.increments)))
-    assert abs(iterated_integral(k, path) - brute_force_integral(k, path)) <= 1e-12 * scale
+    # below the normal range (~2.2e-308) rounding is absolute, in subnormal steps
+    # of ~4.9e-324, so the relative bound gets a floor of 1e-12 of the smallest normal
+    tol = 1e-12 * scale + 1e-12 * np.finfo(float).tiny
+    assert abs(iterated_integral(k, path) - brute_force_integral(k, path)) <= tol

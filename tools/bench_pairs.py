@@ -1,0 +1,163 @@
+"""Run the benchmark on a parent and a change checkout in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N --tag TAG
+
+Each pair runs the command that ``BENCHMARK.json`` declares (``benchmarks/run.py``
+at its ``run_seconds``, untraced) once in each checkout, the change first in
+odd pairs and the parent first in even ones.  The result goes to
+``BENCH_<TAG>.json`` at the root of the repository holding this script, under
+the key ``<workload>@<seed>``; entries for other workloads or seeds already in
+the file are kept, so one file can collect several invocations.  For each
+end-to-end metric of ``BENCHMARK.json`` the file holds every run's value, each
+side's median and quartiles (numpy linear percentiles), their ratio and the
+number of pairs the change wins (ties count for neither); it also holds the
+failed and attempted operations, the machine, and what was measured on each
+side: the git commit where the checkout is a clean git work tree, and always
+a SHA-256 digest of the files under ``src/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+METHOD = (
+    "Parent and change each run from their own checkout with identical benchmark files. "
+    "Pairs alternate which side runs first (change first in odd pairs). Each run's metric "
+    "is the benchmark's own median over its timed passes; the statistics below are the "
+    "median and quartiles (numpy linear percentiles) of those run values. change_wins "
+    "counts pairs in which the change reads better."
+)
+
+
+def src_digest(checkout: str) -> str:
+    """SHA-256 over the relative paths and contents of the files under src/."""
+    digest = hashlib.sha256()
+    src = os.path.join(checkout, "src")
+    for folder, dirs, files in sorted(os.walk(src)):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            digest.update(os.path.relpath(path, src).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+def git_commit(checkout: str) -> str | None:
+    """HEAD of a clean git work tree, else None."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "--show-toplevel", "HEAD")
+    if head.returncode != 0:
+        return None
+    toplevel, commit = head.stdout.splitlines()
+    if os.path.realpath(toplevel) != os.path.realpath(checkout):
+        return None  # a plain copy inside some other work tree
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return commit if dirty.returncode == 0 and not dirty.stdout.strip() else None
+
+
+def run_once(checkout: str, command: list, workload: str, seed: int, seconds: float) -> dict:
+    """The result object that the benchmark prints as its last line."""
+    cmd = [sys.executable if command[0] in ("python", "python3") else command[0], *command[1:],
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"benchmark failed in {checkout} with exit code {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def summarize(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4), "runs": [round(v, 4) for v in values]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--tag", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    dirs = dict(zip(SIDES, (os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir))))
+    with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
+        contract = json.load(fh)
+    seconds = contract["run_seconds"]
+    command = contract["command"]
+    measured = {side: {"commit": git_commit(dirs[side]), "src_sha256": src_digest(dirs[side])}
+                for side in SIDES}
+    path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("commits") != measured:
+            raise SystemExit(f"{path} records other checkouts: {doc.get('commits')}")
+
+    results = {side: [] for side in SIDES}
+    for pair in range(1, args.pairs + 1):
+        order = ("change", "parent") if pair % 2 else ("parent", "change")
+        for side in order:
+            res = run_once(dirs[side], command, args.workload, args.seed, seconds)
+            results[side].append(res)
+            walls = res["metrics"]["wall_s"]["value"]
+            print(f"pair {pair} {side}: wall_s {walls:.4f}, failed {res['failed']}"
+                  f"/{res['attempted']}", flush=True)
+
+    metrics = {}
+    for spec in contract["end_to_end"]:
+        name = spec["name"]
+        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
+        parent, change = summarize(runs["parent"]), summarize(runs["change"])
+        metrics[name] = {
+            "unit": spec["unit"], "bound": spec["bound"], "parent": parent, "change": change,
+            "change_over_parent": round(change["median"] / parent["median"], 4),
+            "change_wins": wins,
+        }
+    entry = {
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "failed_operations": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+        "attempted_operations": {side: sum(r["attempted"] for r in results[side])
+                                 for side in SIDES},
+        "metrics": metrics,
+    }
+    doc["change"] = args.tag
+    doc["commits"] = measured
+    doc["machine"] = {"cores": os.cpu_count(), "python": platform.python_version(),
+                      "numpy": np.__version__,
+                      "platform": f"{platform.system()} {platform.machine()}"}
+    doc["command"] = " ".join(command) + " --workload WORKLOAD --seed SEED " \
+                     f"--seconds {seconds} --trace 0"
+    doc["method"] = METHOD
+    doc.setdefault("end_to_end", {})[f"{args.workload}@{args.seed}"] = entry
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
