@@ -1,41 +1,70 @@
 """Iterated stochastic integration and chaotic extensions.
 
-I_n of a symmetrized elementary-tensor kernel is one forward recursion over
-factor classes (equal factors form a class), with left-endpoint (predictable)
-evaluation throughout.  For m counting the factors of each class used so far,
+Two routes evaluate I_n of a symmetrized elementary-tensor kernel weight *
+sym(g_1 (x) ... (x) g_n), both with left-endpoint (predictable) evaluation.
+
+``iterated_integral`` runs one forward recursion over factor classes (equal
+factors form a class).  For m counting the factors of each class used so far,
 
     J_0 = 1,   J_m(t_k) = sum_c sum_{j < k} J_{m - e_c}(t_j) g_c(t_j) dX_{(t_j, t_{j+1}]}
 
 sums the ordered-simplex integrals over the distinct orderings of those
-factors, and I_n = weight * prod_c m_c! * J_full(T).  For a power kernel
-h^(x)n the levels are J_k, k = 1, ..., n, so one chain gives I_k(h^(x)k) for
-every k <= n.  The chaotic extension of a finite chaos vector re-reads the
-same kernels against the rotated driver Y^theta = B cos(theta) + M sin(theta).
+factors, and I_n = weight * prod_c m_c! * J_full(T).  It serves every
+evaluation on a given path: isometry, contractions, cylindrical arguments,
+Mehler averages and ``chaotic_extension``.
+
+``RotatedChaos`` reads a chaos vector against Y^theta = B cos(theta) +
+M sin(theta) at any number of angles.  I_n is weight times the sum of
+prod_i g_i(t_{j_i}) dX_{j_i} over injective maps from factors to steps;
+Moebius inversion on the lattice of set partitions (Peccati and Taqqu, *Wiener
+Chaos: Moments, Cumulants and Diagrams*, 2011, ch. 2) turns it into
+
+    I_n = weight * sum_pi mu(pi) prod_{B in pi} p_B,   p_B = sum_j prod_{i in B} g_i(t_j) dX_j^|B|,
+
+with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!.  On Y^theta each p_B is a
+polynomial in (cos theta, sin theta) whose coefficients are the mixed sums
+sum_j w_B(t_j) b_j^a m_j^(|B|-a), so one set of row reductions per batch gives
+every angle.  The alternating sum cancels more as the order grows: on an
+8-step path with 8 distinct factors it is off by 7.7e-11 relative, against
+4.3e-14 for the recursion, which is why every other evaluation keeps the
+recursion.  At a generic angle the two routes agree to a few 1e-13 of the
+batch's largest value at every order up to MAX_ORDER.  Near pi/2 a jump path
+with fewer jumps than the order has values small next to its power sums, and
+the error stays at the rounding of those sums: at order 8, ~1e-9 against
+values of ~1e-4.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 
-from .drivers import rotate
+from .drivers import _cos_sin, rotate
 from .errors import DomainError
 from .grid import SamplePath, require_same_grid
-from .kernels import MAX_ORDER, ChaosVector, SimplexKernel
+from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
 
-def _class_levels(gvals: list, full: tuple[int, ...], inc: np.ndarray):
-    """Yield levels k = 1, ..., n of the factor-class recursion, each as {m: J_m}, |m| = k.
+def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
+    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
 
-    ``gvals`` holds each class's factor on the grid and ``full`` its count.
-    J_m runs over the grid points, except at the top level, which keeps only
-    J_full(T) (a last axis of length 1).  Level k is built from level k - 1
-    alone and pops it as it goes, so read a level before resuming.
+    Level k of the factor-class recursion holds J_m for |m| = k and is built
+    from level k - 1 alone, which it pops as it goes; the top level keeps
+    only J_full(T).  A power kernel is the plain simplex chain; n distinct
+    factors cost n 2^(n-1) cumulative sums.
     """
+    inc = driver.increments
     shape = inc.shape[:-1]
-    n = sum(full)
+    n = kernel.order
+    if n == 0:
+        return np.full(shape, kernel.weight) if shape else kernel.weight
+    classes = list(dict.fromkeys(kernel.factors))
+    full = tuple(kernel.factors.count(g) for g in classes)
+    gvals = [g.on_grid(driver.grid) for g in classes]
     level = {(0,) * len(full): np.ones(inc.shape[-1] + 1)}
     for k in range(1, n + 1):
         nxt: dict[tuple[int, ...], np.ndarray] = {}
@@ -57,43 +86,131 @@ def _class_levels(gvals: list, full: tuple[int, ...], inc: np.ndarray):
                 else:
                     nxt[target] = out
         level = nxt
-        yield level
-
-
-def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
-    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
-
-    The top level of the factor-class recursion gives J_full(T). A power
-    kernel is the plain simplex chain; n distinct factors cost n 2^(n-1)
-    cumulative sums.
-    """
-    inc = driver.increments
-    shape = inc.shape[:-1]
-    if kernel.order == 0:
-        return np.full(shape, kernel.weight) if shape else kernel.weight
-    classes = list(dict.fromkeys(kernel.factors))
-    full = tuple(kernel.factors.count(g) for g in classes)
-    for level in _class_levels([g.on_grid(driver.grid) for g in classes], full, inc):
-        pass
     return kernel.weight * math.prod(map(math.factorial, full)) * level[full][..., -1]
 
 
-def power_integrals(h: StepFunction, orders, driver: SamplePath) -> dict[int, np.ndarray]:
-    """{k: I_k(h^(x)k)} for each k in ``orders``, from the levels of one h^(x)max chain.
+def _set_partitions(n: int):
+    """Every set partition of range(n), as a list of blocks."""
+    if n == 0:
+        yield []
+        return
+    for partition in _set_partitions(n - 1):
+        for i in range(len(partition)):
+            yield partition[:i] + [partition[i] + [n - 1]] + partition[i + 1 :]
+        yield partition + [[n - 1]]
 
-    I_k = k! J_k(T) is read off level k, bit for bit what
-    iterated_integral(SimplexKernel.power(h, k), driver) returns.
+
+@functools.lru_cache(maxsize=None)
+def _partition_table(full: tuple[int, ...]) -> tuple:
+    """(coefficient, block types) per set partition of a kernel's factors, merged by type.
+
+    ``full`` counts the factors of each class; a block type counts the
+    factors of each class in one block, and p_B depends on nothing else.
+    Partitions with the same sorted block types share one entry, whose
+    coefficient sums their mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!.
     """
-    wanted = set(orders)
-    if not wanted or not wanted <= set(range(1, MAX_ORDER + 1)):
-        raise DomainError(f"orders must be a non-empty set within 1..{MAX_ORDER}, got {orders}")
-    top = max(wanted)
+    labels = [c for c, count in enumerate(full) for _ in range(count)]
+    coefficients: Counter = Counter()
+    for partition in _set_partitions(len(labels)):
+        types = []
+        mu = 1
+        for block in partition:
+            counts = [0] * len(full)
+            for i in block:
+                counts[labels[i]] += 1
+            types.append(tuple(counts))
+            mu *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+        coefficients[tuple(sorted(types))] += mu
+    return tuple((coef, types) for types, coef in sorted(coefficients.items()) if coef)
+
+
+def _mixed_sums(weights: dict, b: np.ndarray, m: np.ndarray) -> dict:
+    """{key: [sum_j w(t_j) b_j^a m_j^(k-a) for a = 0..k]} for each key: (k, w) of ``weights``.
+
+    Every sum is one fixed-order row reduction (einsum of at most three
+    operands, never BLAS), so each row is bit for bit that of the path alone
+    whatever the batch.  Powers up to the largest block size less one come
+    from repeated multiplication; the last factor rides in the reduction.
+    """
+    top = max(k for k, _ in weights.values())
+    bpow, mpow = [None, b], [None, m]
+    for _ in range(2, top):
+        bpow.append(bpow[-1] * b)
+        mpow.append(mpow[-1] * m)
     out = {}
-    levels = _class_levels([h.on_grid(driver.grid)], (top,), driver.increments)
-    for k, level in enumerate(levels, start=1):
-        if k in wanted:
-            out[k] = math.factorial(k) * level[(k,)][..., -1]
+    for key, (k, w) in weights.items():
+        if k == 1:
+            out[key] = [np.einsum("...j,j->...", m, w), np.einsum("...j,j->...", b, w)]
+            continue
+        pairs = [(mpow[k - 1], m)] + [(bpow[a], mpow[k - a]) for a in range(1, k)]
+        pairs.append((bpow[k - 1], b))
+        out[key] = [np.einsum("...j,...j,j->...", x, y, w) for x, y in pairs]
     return out
+
+
+class RotatedChaos:
+    """F(Y^theta), Y^theta = B cos(theta) + M sin(theta), at any theta from one set of sums.
+
+    The mixed sums of every block of every kernel of F are reduced once, at
+    construction; each angle then costs a polynomial in (cos, sin) per block
+    and the partition terms per kernel.  (cos, sin) are those of
+    drivers.rotate, clamped at multiples of pi/2.
+    """
+
+    def __init__(self, F: ChaosVector, brownian: SamplePath, martingale: SamplePath):
+        require_same_grid(brownian, martingale)
+        b, m = brownian.increments, martingale.increments
+        self.constant = float(F.constant)
+        self.shape = np.broadcast_shapes(b.shape, m.shape)[:-1]
+        self._terms = []  # per kernel: (weight, [(coefficient, block keys)])
+        weights = {}  # block key -> (block size, block weight on the grid)
+        for kernel in F.kernels:
+            classes = list(dict.fromkeys(kernel.factors))
+            full = tuple(kernel.factors.count(g) for g in classes)
+            gvals = [g.on_grid(brownian.grid) for g in classes]
+            terms = []
+            for coef, types in _partition_table(full):
+                keys = []
+                for counts in types:
+                    key = frozenset((classes[c], k) for c, k in enumerate(counts) if k)
+                    if key not in weights:
+                        w = np.ones(b.shape[-1])
+                        for g, k in zip(gvals, counts):
+                            for _ in range(k):
+                                w = w * g
+                        weights[key] = (sum(counts), w)
+                    keys.append(key)
+                terms.append((coef, keys))
+            self._terms.append((kernel.weight, terms))
+        self._sums = _mixed_sums(weights, b, m) if weights else {}
+
+    def integrals(self, theta: float) -> list:
+        """I_n(f_n) against Y^theta for each kernel of F, in order."""
+        c, s = _cos_sin(theta)
+        p = {}
+        for key, sums in self._sums.items():
+            k = len(sums) - 1
+            p[key] = sum(math.comb(k, a) * c**a * s ** (k - a) * S
+                         for a, S in enumerate(sums) if (c or a == 0) and (s or a == k))
+        out = []
+        for weight, terms in self._terms:
+            total = 0.0
+            for coef, keys in terms:
+                term = float(coef)
+                for key in keys:
+                    term = term * p[key]
+                total = total + term
+            value = weight * total
+            # an order-0 kernel, or an angle that reads only the lower-rank operand
+            out.append(value if np.shape(value) == self.shape else np.full(self.shape, value))
+        return out
+
+    def __call__(self, theta: float) -> np.ndarray:
+        """f(0) + sum_n I_n(f_n) against Y^theta."""
+        total = np.full(self.shape, self.constant) if self.shape else self.constant
+        for value in self.integrals(theta):
+            total = total + value
+        return total
 
 
 def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_spectrum, default_truncation
-from .chaos import exponential_vector, iterated_integral, power_integrals
+from .chaos import RotatedChaos, exponential_vector, iterated_integral
 from .drivers import martingale_batch, rotate
 from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
@@ -29,7 +29,7 @@ from .functionals import make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
 from .gradients import lent_particle_sde_table, supremum_decomposition, supremum_gradient
 from .grid import TimeGrid
-from .kernels import SimplexKernel
+from .kernels import ChaosVector, SimplexKernel
 from .ou import (
     carre_du_champ,
     inner_hat_batch,
@@ -244,16 +244,17 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
     phis = cfg.param("phis")
     h = StepFunction.constant(1.0 / math.sqrt(grid.horizon), grid.horizon)
     kernels = {n: SimplexKernel.power(h, n) for n in orders}
+    F = ChaosVector(0.0, tuple(kernels.values()))
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         N = martingale_batch("poisson", grid, cfg.master_seed, start, count)
-        base = power_integrals(h, orders, B)
+        rotated = RotatedChaos(F, B, N)
+        base = rotated.integrals(0.0)
         out = {}
         for phi in phis:
-            rotated = power_integrals(h, orders, rotate(B, N, phi))
-            for n in orders:
-                out[(n, phi)] = rotated[n] * base[n]
+            for n, value, b in zip(kernels, rotated.integrals(phi), base):
+                out[(n, phi)] = value * b
         return out
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)

@@ -19,9 +19,11 @@ integration-by-parts pair are one pairing <DF, phi> (``_derivative_pairing``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .chaos import iterated_integral, stochastic_integral
+from .chaos import RotatedChaos, iterated_integral, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError, DomainError
 from .estimates import GradientEstimate
@@ -91,10 +93,18 @@ def gradient_chaos(
     One theta-difference serves every rotation.  For a Poisson or compound M,
     F^t of a chaos vector is its chaotic extension (the kernels read against
     Y^t).  For an independent Brownian copy M = Bhat the extension composes
-    with F, so any functional works there (ou.carre_du_champ).
+    with F, so any functional works there (ou.carre_du_champ).  A chaos
+    vector takes both angles from one set of mixed sums (chaos.RotatedChaos);
+    a cylindrical functional is evaluated on the two rotated paths.
     """
-    plus = evaluate_functional(F, rotate(brownian, martingale, theta0))
-    minus = evaluate_functional(F, rotate(brownian, martingale, -theta0))
+    if not 0.0 < theta0 < math.inf:
+        raise DomainError(f"theta0 must be positive and finite, got {theta0}")
+    if isinstance(F, ChaosVector):
+        rotated = RotatedChaos(F, brownian, martingale)
+        plus, minus = rotated(theta0), rotated(-theta0)
+    else:
+        plus = evaluate_functional(F, rotate(brownian, martingale, theta0))
+        minus = evaluate_functional(F, rotate(brownian, martingale, -theta0))
     return (plus - minus) / (2.0 * theta0)
 
 

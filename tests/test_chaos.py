@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from lentparticle.chaos import (
+    RotatedChaos,
     chaotic_extension,
     evaluate_chaos,
     exponential_vector,
     iterated_integral,
-    power_integrals,
     stochastic_integral,
 )
-from lentparticle.drivers import martingale_batch
-from lentparticle.errors import DomainError
+from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
+from lentparticle.errors import DimensionMismatchError, DomainError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import make_functional
 from lentparticle.grid import SamplePath, TimeGrid
@@ -135,26 +135,121 @@ class TestIteratedIntegral:
         assert abs(sq.mean() - k.isometry_target) < 5 * se
 
 
-class TestPowerIntegrals:
-    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
-    def test_bit_identical_to_iterated_integral(self, kind):
-        grid = TimeGrid(1.0, 200)
-        batch = martingale_batch(kind, grid, SEED, 0, 40)
-        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
-        for path in (batch, batch.select(7)):
-            for orders in (tuple(range(1, MAX_ORDER + 1)), (3, 1), (2,), (6, 2, 4)):
-                got = power_integrals(h, orders, path)
-                assert sorted(got) == sorted(orders)
-                for n in orders:
-                    expected = iterated_integral(SimplexKernel.power(h, n), path)
-                    assert type(got[n]) is type(expected)
-                    assert np.asarray(got[n]).tobytes() == np.asarray(expected).tobytes(), n
+class TestRotatedChaos:
+    # The power-sum route against the recursion and the brute-force oracle.
+    # Its partition sum cancels more as the order grows, and most where the
+    # values are small next to the power sums: near pi/2 a Poisson path with
+    # fewer jumps than the order.  So the recursion test bounds each error by
+    # the largest value on the batch over every tested kernel and angle, and
+    # by each kernel's own values only at a generic angle: at pi/2, order 8
+    # on jump paths reaches ~1e-6 of that angle's largest value.
+    ANGLES = (1e-3, 0.7, math.pi / 2)
 
-    @pytest.mark.parametrize("orders", [(), (0,), (1, 0), (MAX_ORDER + 1,), (-1, 2)])
-    def test_rejects_orders_outside_the_chain(self, tiny_path, orders):
-        h = StepFunction.constant(1.0, 1.0)
-        with pytest.raises(DomainError, match="orders must be"):
-            power_integrals(h, orders, tiny_path)
+    @staticmethod
+    def _drivers(kind, grid, count):
+        B = martingale_batch("brownian", grid, SEED, 0, count)
+        if kind == "brownian-copy":
+            return B, inner_hat_batch(grid, SEED, 0, count)
+        return B, martingale_batch(kind, grid, SEED, 0, count)
+
+    @staticmethod
+    def _kernels(order):
+        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        distinct = tuple(StepFunction((0.0, 0.5, 1.0), (1.0 + i, 0.5 - 0.3 * i))
+                         for i in range(order))
+        return [SimplexKernel.power(h, order, weight=0.9),
+                SimplexKernel(order, distinct, weight=0.9)]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_vs_brute_force_on_rotated_increments(self, tiny_path, order):
+        g1 = StepFunction.constant(1.0, 1.0)
+        g2 = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
+        g3 = StepFunction.indicator(0.25, 1.0, -1.0)
+        jumps = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0])
+        mart = SamplePath(tiny_path.grid, jumps, jump_increments=jumps)
+        factor_sets = [(g1,) * order, (g1, g2, g3, g2, g1)[:order], (g2, g3, g3, g1, g3)[:order]]
+        for factors in factor_sets:
+            F = ChaosVector(0.0, (SimplexKernel(order, factors, weight=0.7),))
+            rotated = RotatedChaos(F, tiny_path, mart)
+            for theta in (0.3, -1e-3, 2.0):
+                (got,) = rotated.integrals(theta)
+                expected = brute_force_integral(F.kernels[0], rotate(tiny_path, mart, theta))
+                assert got == pytest.approx(expected, rel=1e-12), (factors, theta)
+
+    @pytest.mark.parametrize("kind", ["brownian-copy", "poisson", "compound"])
+    def test_matches_the_recursion_on_rotated_paths(self, kind):
+        grid = TimeGrid(1.0, 200)
+        B, M = self._drivers(kind, grid, 40)
+        pairs = []
+        for order in range(1, MAX_ORDER + 1):
+            for kernel in self._kernels(order):
+                F = ChaosVector(0.25, (kernel,))
+                rotated = RotatedChaos(F, B, M)
+                for theta in self.ANGLES:
+                    pairs.append(((order, theta), rotated(theta),
+                                  evaluate_chaos(F, rotate(B, M, theta))))
+        scale = max(np.max(np.abs(e)) for _, _, e in pairs)
+        for label, got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-11 * scale, label
+            if label[1] == 0.7:  # away from the axes, each kernel against its own values
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_several_kernels_share_the_sums(self):
+        grid = TimeGrid(1.0, 200)
+        B, M = self._drivers("poisson", grid, 40)
+        F = make_functional("three-term")
+        rotated = RotatedChaos(F, B, M)
+        for theta in self.ANGLES:
+            values = rotated.integrals(theta)
+            Y = rotate(B, M, theta)
+            for value, kernel in zip(values, F.kernels):
+                np.testing.assert_allclose(value, iterated_integral(kernel, Y),
+                                           rtol=0, atol=1e-12)
+            assert np.array_equal(rotated(theta), F.constant + sum(values))
+
+    @pytest.mark.parametrize("kind", ["brownian-copy", "poisson", "compound"])
+    def test_each_row_is_its_path_alone(self, kind):
+        grid = TimeGrid(1.0, 200)
+        B, M = self._drivers(kind, grid, 12)
+        F = ChaosVector(0.5, tuple(make_functional("three-term").kernels) + tuple(
+            k for n in (4, 6) for k in self._kernels(n)))
+        batch = RotatedChaos(F, B, M)
+        for i in (0, 5, 11):
+            single = RotatedChaos(F, B.select(i), M.select(i))
+            outer = RotatedChaos(F, B.select(i), M)  # one Brownian path, a batch of M
+            for theta in self.ANGLES + (-0.7,):
+                assert batch(theta)[i].tobytes() == single(theta).tobytes()
+                assert outer(theta)[i].tobytes() == single(theta).tobytes()
+            for got, alone in zip(batch.integrals(0.7), single.integrals(0.7)):
+                assert got[i].tobytes() == alone.tobytes()
+
+    def test_angle_zero_reads_the_brownian_path(self, unit_grid):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 6)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 6)
+        F = make_functional("three-term")
+        rotated = RotatedChaos(F, B, M)
+        np.testing.assert_allclose(rotated(0.0), evaluate_chaos(F, B), rtol=1e-12)
+        np.testing.assert_allclose(rotated(math.pi / 2), evaluate_chaos(F, M),
+                                   rtol=0, atol=1e-12)
+
+    def test_order_zero_and_constant(self, unit_grid):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 3)
+        M = martingale_batch("poisson", unit_grid, SEED, 0, 3)
+        F = ChaosVector(1.5, (SimplexKernel(0, (), weight=2.0),))
+        rotated = RotatedChaos(F, B, M)
+        assert [v.tolist() for v in rotated.integrals(0.4)] == [[2.0] * 3]
+        assert rotated(0.4).tolist() == [3.5] * 3
+        assert RotatedChaos(F, B.select(0), M.select(0))(0.4) == 3.5
+
+    def test_rejects_a_grid_mismatch_and_a_bad_angle(self, unit_grid):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 3)
+        other = martingale_batch("poisson", TimeGrid(1.0, 7), SEED, 0, 3)
+        F = make_functional("second-chaos")
+        with pytest.raises(DimensionMismatchError):
+            RotatedChaos(F, B, other)
+        with pytest.raises(DomainError, match="finite"):
+            RotatedChaos(F, B, B)(math.nan)
 
 
 class TestChaosEvaluation:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lentparticle.drivers import martingale_batch
+from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.errors import ConfigurationError, DomainError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import (
     CylindricalFunctional,
+    evaluate_functional,
     make_functional,
     make_square,
     make_three_term,
@@ -103,6 +104,25 @@ class TestChaosGradient:
         F = ChaosVector(5.0, ())
         np.testing.assert_allclose(gradient_chaos(F, B, M), 0.0, atol=1e-12)
         np.testing.assert_allclose(chaos_gradient_contraction(F, B, M), 0.0)
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_chaos_vector_matches_the_rotated_paths(self, unit_grid, kind):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 16)
+        M = martingale_batch(kind, unit_grid, SEED, 0, 16)
+        F = make_three_term(1.0)
+        theta = 1e-3
+        on_paths = (evaluate_functional(F, rotate(B, M, theta))
+                    - evaluate_functional(F, rotate(B, M, -theta))) / (2.0 * theta)
+        np.testing.assert_allclose(gradient_chaos(F, B, M, theta), on_paths,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("theta0", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["three-term", "square"])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, unit_grid, name, theta0):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
+        M = martingale_batch("poisson", unit_grid, SEED, 0, 4)
+        with pytest.raises(DomainError, match="theta0 must be positive and finite"):
+            gradient_chaos(make_functional(name), B, M, theta0)
 
 
 class TestPoissonSde:

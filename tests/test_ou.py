@@ -99,6 +99,13 @@ class TestRotationGradient:
         with pytest.raises(DomainError):
             carre_du_champ(make_b1(1.0), outer, single)
 
+    @pytest.mark.parametrize("theta", [0.0, -1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("make", [make_second_chaos, make_square])
+    def test_carre_rejects_a_step_that_is_not_positive_and_finite(self, outer, hats, make,
+                                                                   theta):
+        with pytest.raises(DomainError, match="theta0 must be positive and finite"):
+            carre_du_champ(make(1.0), outer, hats, theta)
+
 
 class TestBracket:
     def test_bracket_limits_to_carre(self, unit_grid, outer):
