@@ -12,11 +12,21 @@ sum c_n^2 e^(i n phi) equals exp(x cos(phi)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+
+MAX_EXPONENT = math.log(sys.float_info.max)  # the largest x with e^x finite
+
+
+def require_exponent(h_norm_sq: float) -> None:
+    """Raise DomainError unless h_norm_sq is finite, >= 0 and e^h_norm_sq is finite."""
+    if not 0.0 <= h_norm_sq <= MAX_EXPONENT:
+        raise DomainError(f"h_norm_sq must be in [0, {MAX_EXPONENT:.2f}] so that "
+                          f"e^h_norm_sq is finite, got {h_norm_sq}")
 
 
 def _coefficient_sq(n: int, x: float, tol: float, max_terms: int = 2000) -> float:
@@ -68,8 +78,7 @@ class SpectrumReport:
 def bessel_spectrum(h_norm_sq: float, n_max: int, tol: float = 1e-16) -> SpectrumReport:
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if h_norm_sq < 0.0:
-        raise DomainError(f"h_norm_sq must be >= 0, got {h_norm_sq}")
+    require_exponent(h_norm_sq)
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     coeffs = np.array([_coefficient_sq(n, h_norm_sq, tol) for n in range(n_max + 1)])

@@ -10,28 +10,30 @@ factors form a class).  For m counting the factors of each class used so far,
 
 sums the ordered-simplex integrals over the distinct orderings of those
 factors, and I_n = weight * prod_c m_c! * J_full(T).  It serves every
-evaluation on a given path: isometry, contractions, cylindrical arguments,
-Mehler averages and ``chaotic_extension``.
+evaluation on a given path: isometry (its rotated driver too), contractions,
+cylindrical arguments and ``chaotic_extension``.
 
 ``RotatedChaos`` reads a chaos vector against Y^theta = B cos(theta) +
-M sin(theta) at any number of angles.  I_n is weight times the sum of
-prod_i g_i(t_{j_i}) dX_{j_i} over injective maps from factors to steps;
-Moebius inversion on the lattice of set partitions (Peccati and Taqqu, *Wiener
-Chaos: Moments, Cumulants and Diagrams*, 2011, ch. 2) turns it into
+M sin(theta) at any number of angles.  It serves covariance-decay, and
+gradients.rotated_values, where the route is chosen, sends it gradient_chaos
+and the Mehler averages (P_t is the rotation of (B, Bhat) by theta_t,
+cos(theta_t) = e^{-t/2}).  I_n is weight times the sum of prod_i g_i(t_{j_i})
+dX_{j_i} over injective maps from factors to steps; Moebius inversion on the
+lattice of set partitions (Peccati and Taqqu, *Wiener Chaos: Moments,
+Cumulants and Diagrams*, 2011, ch. 2) turns it into
 
     I_n = weight * sum_pi mu(pi) prod_{B in pi} p_B,   p_B = sum_j prod_{i in B} g_i(t_j) dX_j^|B|,
 
 with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!.  On Y^theta each p_B is a
 polynomial in (cos theta, sin theta) whose coefficients are the mixed sums
 sum_j w_B(t_j) b_j^a m_j^(|B|-a), so one set of row reductions per batch gives
-every angle.  The alternating sum cancels more as the order grows: on an
-8-step path with 8 distinct factors it is off by 7.7e-11 relative, against
-4.3e-14 for the recursion, which is why every other evaluation keeps the
-recursion.  At a generic angle the two routes agree to a few 1e-13 of the
-batch's largest value at every order up to MAX_ORDER.  Near pi/2 a jump path
-with fewer jumps than the order has values small next to its power sums, and
-the error stays at the rounding of those sums: at order 8, ~1e-9 against
-values of ~1e-4.
+every angle.  The alternating sum cancels more as the order grows (8 distinct
+factors on an 8-step path: 7.7e-11 relative, against 4.3e-14 for the
+recursion), which is why every other evaluation keeps the recursion.  At a
+generic angle the two routes agree to a few 1e-13 of the batch's largest
+value at every order up to MAX_ORDER; near pi/2, a jump path with fewer jumps
+than the order stays at the rounding of its power sums (order 8: ~1e-9
+against values of ~1e-4).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .bessel import bessel_spectrum, default_truncation
+from .bessel import bessel_spectrum, default_truncation, require_exponent
 from .chaos import RotatedChaos, exponential_vector, iterated_integral
 from .drivers import martingale_batch, rotate
 from .errors import ConfigurationError, DomainError, require_kind
@@ -271,6 +271,8 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_bessel(cfg: ExperimentConfig) -> ExperimentResult:
     values = cfg.param("h_norm_sq")
     angles = cfg.param("angles")
+    for x in values:
+        require_exponent(x)
     rows, checks = [], []
     for x in values:
         report = bessel_spectrum(x, default_truncation(x))
@@ -294,6 +296,8 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     phis = cfg.param("phis")
     h_norm_sq = cfg.param("h_norm_sq")
+    if not 0.0 < h_norm_sq < math.inf:
+        raise ConfigurationError(f"h_norm_sq must be positive and finite, got {h_norm_sq}")
     h = StepFunction.constant(math.sqrt(h_norm_sq / grid.horizon), grid.horizon)
     zero = StepFunction.constant(0.0, grid.horizon)
     T = grid.horizon
@@ -502,6 +506,11 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigurationError(f"n_eigen_paths must be >= 1, got {n_eigen}")
     if not 0.0 < t_eigen < math.inf:
         raise ConfigurationError(f"t_eigen must be positive and finite, got {t_eigen}")
+    # DomainError, as ou.semigroup_bracket_samples and richardson_limit raise on the paths
+    if not all(0.0 < t < math.inf for t in t_list):
+        raise DomainError(f"t_bracket entries must be positive and finite, got {t_list}")
+    if len(set(t_list)) < 2:
+        raise DomainError(f"t_bracket needs at least two distinct times, got {t_list}")
     b1 = make_b1(grid.horizon)
     f2 = make_second_chaos(grid.horizon)
     rows, checks = [], []

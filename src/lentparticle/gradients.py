@@ -85,6 +85,17 @@ def _derivative_pairing(F, path: SamplePath, pair):
     return total
 
 
+def rotated_values(F, brownian: SamplePath, martingale: SamplePath, thetas) -> list:
+    """F on Y^theta = B cos(theta) + M sin(theta) for each theta: the one choice of route.
+
+    A chaos vector takes every angle from one set of mixed sums (chaos.RotatedChaos);
+    any other functional is evaluated on each rotated path.
+    """
+    if isinstance(F, ChaosVector):
+        return list(map(RotatedChaos(F, brownian, martingale), thetas))
+    return [evaluate_functional(F, rotate(brownian, martingale, theta)) for theta in thetas]
+
+
 def gradient_chaos(
     F, brownian: SamplePath, martingale: SamplePath, theta0: float = 1e-3
 ) -> np.ndarray:
@@ -93,18 +104,11 @@ def gradient_chaos(
     One theta-difference serves every rotation.  For a Poisson or compound M,
     F^t of a chaos vector is its chaotic extension (the kernels read against
     Y^t).  For an independent Brownian copy M = Bhat the extension composes
-    with F, so any functional works there (ou.carre_du_champ).  A chaos
-    vector takes both angles from one set of mixed sums (chaos.RotatedChaos);
-    a cylindrical functional is evaluated on the two rotated paths.
+    with F, so any functional works there (ou.carre_du_champ).
     """
     if not 0.0 < theta0 < math.inf:
         raise DomainError(f"theta0 must be positive and finite, got {theta0}")
-    if isinstance(F, ChaosVector):
-        rotated = RotatedChaos(F, brownian, martingale)
-        plus, minus = rotated(theta0), rotated(-theta0)
-    else:
-        plus = evaluate_functional(F, rotate(brownian, martingale, theta0))
-        minus = evaluate_functional(F, rotate(brownian, martingale, -theta0))
+    plus, minus = rotated_values(F, brownian, martingale, (theta0, -theta0))
     return (plus - minus) / (2.0 * theta0)
 
 

@@ -41,7 +41,7 @@ class SimplexKernel:
     order: int
     factors: tuple[StepFunction, ...]
     weight: float = 1.0
-    symmetrize: bool = True
+    symmetrize: bool = field(init=False)  # False when the factors are all equal
 
     def __post_init__(self):
         if self.order < 0:
@@ -53,14 +53,12 @@ class SimplexKernel:
                 f"kernel of order {self.order} needs {self.order} factors, got {len(self.factors)}"
             )
         object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.symmetrize and any(f != self.factors[0] for f in self.factors):
-            # norm_sq would be the unsymmetrized product, which no integral matches
-            raise InvalidKernelError("symmetrize=False needs all factors equal")
+        object.__setattr__(self, "symmetrize", any(f != self.factors[0] for f in self.factors))
 
     @classmethod
     def power(cls, h: StepFunction, order: int, weight: float = 1.0) -> "SimplexKernel":
         """h^{(x) order}: the common symmetric special case."""
-        return cls(order, (h,) * order, weight, symmetrize=False)
+        return cls(order, (h,) * order, weight)
 
     def gram(self, other: "SimplexKernel") -> np.ndarray:
         return np.array([[f.inner(g) for g in other.factors] for f in self.factors])
@@ -78,7 +76,6 @@ class SimplexKernel:
         if self.order == 0:
             return self.weight**2
         if not self.symmetrize:
-            # factors declared symmetric as given (h tensor powers)
             return self.weight**2 * math.prod(g.norm_sq for g in self.factors)
         return self.inner(self)
 

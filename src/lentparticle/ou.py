@@ -1,10 +1,11 @@
-"""Ornstein-Uhlenbeck semigroup by Mehler averaging over an independent copy.
+"""Ornstein-Uhlenbeck semigroup as a rotation against an independent copy.
 
 For a Brownian rotation the chaotic extension composes with the functional,
-so everything here evaluates F directly on mixed paths:
+so everything here reads F on Y^theta = B cos(theta) + Bhat sin(theta)
+through gradients.rotated_values, which picks the route:
 
-    P_t F (B)  = inner average of F(e^{-t/2} B + sqrt(1 - e^{-t}) Bhat)
-    F'         = d/dtheta F(B cos(theta) + Bhat sin(theta)) at 0
+    P_t F (B)  = inner average of F(Y^theta_t),  cos(theta_t) = e^{-t/2}
+    F'         = d/dtheta F(Y^theta) at 0
                  (gradients.gradient_chaos with Bhat as the martingale)
     Gamma[F]   = inner average of (F')^2
     Gamma[F]   = lim (1/t) (P_t(F^2) - 2 F P_t F + F^2)
@@ -16,29 +17,29 @@ copy are reproducible at fixed outer path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .drivers import _combine, inner_hat_batch  # inner_hat_batch: part of this module's API
 from .errors import DomainError
 from .functionals import evaluate_functional
-from .gradients import gradient_chaos
+from .gradients import gradient_chaos, rotated_values
 from .grid import SamplePath
 
 
 def combine_paths(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath:
-    """c1 * p1 + c2 * p2 with levels and increments combined consistently.
-
-    The same combination as drivers.rotate, without its clamping of cos/sin.
-    """
+    """c1 * p1 + c2 * p2: the combination of drivers.rotate, without its clamping of cos/sin."""
     return _combine(p1, p2, c1, c2)
 
 
 def mehler_samples(F, outer: SamplePath, t: float, hats: SamplePath) -> np.ndarray:
-    """Per-inner-sample values of F on the Mehler-mixed path."""
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    mixed = combine_paths(outer, hats, np.exp(-t / 2.0), np.sqrt(-np.expm1(-t)))
-    return np.asarray(evaluate_functional(F, mixed), dtype=float)
+    """Per-inner-sample values of F on Y^theta_t; atan2 keeps sin(theta_t) exact as t -> 0."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be >= 0 and finite, got {t}")
+    theta = math.atan2(math.sqrt(-math.expm1(-t)), math.exp(-t / 2.0))
+    (values,) = rotated_values(F, outer, hats, (theta,))
+    return np.asarray(values, dtype=float)
 
 
 def mehler_semigroup(F, outer: SamplePath, t: float, hats: SamplePath | None) -> float:
@@ -58,11 +59,7 @@ def rotation_gradient_samples(
 
 
 def carre_du_champ(F, outer: SamplePath, hats: SamplePath, theta: float = 1e-4) -> float:
-    """Gamma[F] at the outer path: inner average of the squared theta-difference.
-
-    The difference is gradients.gradient_chaos, which also serves the Poisson
-    and compound rotations; F may be a chaos vector or a cylindrical functional.
-    """
+    """Gamma[F] at the outer path: inner average of the squared theta-difference."""
     if hats.increments.shape[0] < 2:
         raise DomainError("carre_du_champ needs at least 2 inner paths")
     return float(np.mean(rotation_gradient_samples(F, outer, hats, theta) ** 2))
@@ -72,11 +69,11 @@ def semigroup_bracket_samples(F, outer: SamplePath, t: float, hats: SamplePath) 
     """Per-inner samples of (1/t)(P_t(F^2) - 2 F P_t F + F^2).
 
     With the inner streams shared between P_t(F^2) and P_t F the bracket
-    collapses to the inner average of (F(mixed) - F)^2 / t, which keeps the
+    collapses to the inner average of (F(Y^theta_t) - F)^2 / t, which keeps the
     1/t amplification from blowing up the inner-MC variance.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     f0 = float(evaluate_functional(F, outer))
     fm = mehler_samples(F, outer, t, hats)
     return (fm - f0) ** 2 / t

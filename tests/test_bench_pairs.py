@@ -1,0 +1,113 @@
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+CONTRACT = {
+    "command": ["python3", "benchmarks/run.py"],
+    "run_seconds": 3,
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.1},
+    ],
+}
+# per side, one value per pair; pair 2 is a tie
+RUNS = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.0, 3.5, 3.0]}
+FAILED = {"parent": [0, 1, 0, 2], "change": [0, 0, 0, 0]}
+
+
+@pytest.fixture
+def bench(tmp_path, monkeypatch):
+    """Two checkouts, an output root and a scripted run_once; returns (dirs, calls, out)."""
+    dirs = {}
+    for side in bench_pairs.SIDES:
+        src = tmp_path / side / "src"
+        src.mkdir(parents=True)
+        (src / "module.py").write_text(f"SIDE = {side!r}\n")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+        dirs[side] = str(tmp_path / side)
+    out = tmp_path / "out"
+    out.mkdir()
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds):
+        side = "parent" if checkout == dirs["parent"] else "change"
+        i = sum(s == side for s, _ in calls)
+        calls.append((side, (tuple(command), workload, seed, seconds)))
+        value = RUNS[side][i]
+        return {"metrics": {"wall_s": {"value": value}, "ops_per_s": {"value": value}},
+                "failed": FAILED[side][i], "attempted": 10}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(out))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "git_commit", lambda checkout: None)
+    return dirs, calls, out
+
+
+def _run(dirs, workload="w", pairs=4):
+    return bench_pairs.main([dirs["parent"], dirs["change"], "--workload", workload,
+                             "--seed", "5", "--pairs", str(pairs), "--tag", "t"])
+
+
+def _entry(out, key="w@5"):
+    return json.loads((out / "BENCH_t.json").read_text())["end_to_end"][key]
+
+
+def test_pairs_alternate_change_first_in_odd_pairs(bench):
+    dirs, calls, _ = bench
+    assert _run(dirs) == 0
+    assert [side for side, _ in calls] == ["change", "parent", "parent", "change",
+                                           "change", "parent", "parent", "change"]
+    assert {args for _, args in calls} == {(tuple(CONTRACT["command"]), "w", 5, 3)}
+
+
+def test_wins_count_strict_improvements_in_the_metric_direction(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    metrics = _entry(out)["metrics"]
+    # lower is better: pair 1 and 4 won, pair 2 tied, pair 3 lost
+    assert metrics["wall_s"]["change_wins"] == 2
+    # higher is better: only pair 3 won, the tie still counts for neither
+    assert metrics["ops_per_s"]["change_wins"] == 1
+
+
+def test_medians_and_quartiles_are_linear_percentiles(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    wall = _entry(out)["metrics"]["wall_s"]
+    assert wall["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "runs": RUNS["parent"]}
+    assert wall["change"] == {"median": 2.5, "q1": 1.625, "q3": 3.125, "runs": RUNS["change"]}
+    assert wall["change_over_parent"] == 1.0
+    assert (wall["unit"], wall["bound"]) == ("s", 0.24)
+
+
+def test_failed_and_attempted_operations_are_summed(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    entry = _entry(out)
+    assert entry["failed_operations"] == {"parent": 3, "change": 0}
+    assert entry["attempted_operations"] == {"parent": 40, "change": 40}
+    assert entry["pairs"] == 4 and entry["seed"] == 5
+
+
+def test_extends_a_file_of_the_same_checkouts_only(bench):
+    dirs, calls, out = bench
+    _run(dirs, workload="a", pairs=1)
+    calls.clear()
+    _run(dirs, workload="b", pairs=1)
+    assert set(json.loads((out / "BENCH_t.json").read_text())["end_to_end"]) == {"a@5", "b@5"}
+
+    with open(os.path.join(dirs["change"], "src", "module.py"), "a") as fh:
+        fh.write("EDITED = True\n")
+    calls.clear()
+    with pytest.raises(SystemExit, match="records other checkouts"):
+        _run(dirs, workload="c", pairs=1)
+    assert calls == []
+    assert set(json.loads((out / "BENCH_t.json").read_text())["end_to_end"]) == {"a@5", "b@5"}

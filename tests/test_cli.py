@@ -171,6 +171,20 @@ class TestRun:
         ("mehler", ["n_outer=10001", "n_inner=2"], "n_outer must be at most 10000"),
         ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be >= 1"),
         ("mehler", ["t_eigen=-1", "n_inner=2"], "t_eigen must be positive and finite"),
+        ("mehler", ["t_bracket=[NaN, 0.01]"], "t_bracket entries must be positive and finite"),
+        ("mehler", ["t_bracket=[Infinity, 0.01]"],
+         "t_bracket entries must be positive and finite"),
+        ("mehler", ["t_bracket=[0, 0.01]"], "t_bracket entries must be positive and finite"),
+        ("mehler", ["t_bracket=[0.01, 0.01]"], "t_bracket needs at least two distinct times"),
+        ("exp-vector-covariance", ["h_norm_sq=-1"], "h_norm_sq must be positive and finite"),
+        ("exp-vector-covariance", ["h_norm_sq=0"], "h_norm_sq must be positive and finite"),
+        ("exp-vector-covariance", ["h_norm_sq=NaN"], "h_norm_sq must be positive and finite"),
+        ("exp-vector-covariance", ["h_norm_sq=Infinity"],
+         "h_norm_sq must be positive and finite"),
+        ("bessel", ["h_norm_sq=[NaN]"], "h_norm_sq must be in [0, 709.78]"),
+        ("bessel", ["h_norm_sq=[Infinity]"], "h_norm_sq must be in [0, 709.78]"),
+        ("bessel", ["h_norm_sq=[1e300]"], "h_norm_sq must be in [0, 709.78]"),
+        ("bessel", ["h_norm_sq=[1.0, -2]"], "h_norm_sq must be in [0, 709.78]"),
         ("sde-poisson", ['sde_params={"gmb": {"sigma": 0.5}}'],
          "sde_params names SDEs that are not run: ['gmb']"),
         ("sde-lent-particle", ['sde_params={"gbm": {}, "gmb": {"sigma": 0.5}}'],

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lentparticle.chaos import RotatedChaos, evaluate_chaos
 from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.errors import DomainError
 from lentparticle.functionals import evaluate_functional, make_b1, make_second_chaos
-from lentparticle.functionals import make_square
+from lentparticle.functionals import make_functional, make_square
 from lentparticle.ou import (
     carre_du_champ,
     combine_paths,
@@ -76,6 +77,47 @@ class TestMehler:
         with pytest.raises(DomainError):
             mehler_samples(make_b1(1.0), outer, -0.1, hats)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_rejected(self, outer, hats, t):
+        with pytest.raises(DomainError, match="t must be >= 0 and finite"):
+            mehler_samples(make_b1(1.0), outer, t, hats)
+
+
+class TestMehlerIsARotation:
+    # P_t reads F on the rotation of (B, Bhat) by theta_t, cos(theta_t) = e^{-t/2}
+    FUNCTIONALS = ("b1", "second-chaos", "three-term")
+    TIMES = (1e-3, 0.3, 5.0)
+
+    @staticmethod
+    def _theta(t):
+        return math.atan2(math.sqrt(-math.expm1(-t)), math.exp(-t / 2.0))
+
+    @staticmethod
+    def _mixed(outer, hats, t):
+        return combine_paths(outer, hats, math.exp(-t / 2.0), math.sqrt(-math.expm1(-t)))
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("name", FUNCTIONALS)
+    def test_chaos_vector_reads_the_rotated_sums(self, outer, hats, name, t):
+        F = make_functional(name, 1.0)
+        expected = RotatedChaos(F, outer, hats)(self._theta(t))
+        np.testing.assert_array_equal(mehler_samples(F, outer, t, hats), expected)
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("name", FUNCTIONALS)
+    def test_chaos_vector_matches_the_recursion_on_the_mixed_path(self, outer, hats, name, t):
+        F = make_functional(name, 1.0)
+        expected = evaluate_chaos(F, self._mixed(outer, hats, t))
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(mehler_samples(F, outer, t, hats), expected,
+                                   rtol=0, atol=1e-11 * scale)
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_cylindrical_functional_on_the_mixed_path(self, outer, hats, t):
+        F = make_square(1.0)
+        expected = evaluate_functional(F, self._mixed(outer, hats, t))
+        np.testing.assert_allclose(mehler_samples(F, outer, t, hats), expected, rtol=1e-12)
+
 
 class TestRotationGradient:
     def test_linear_gradient_is_hat_level(self, outer, hats):
@@ -120,6 +162,11 @@ class TestBracket:
     def test_bracket_rejects_nonpositive_t(self, outer, hats):
         with pytest.raises(DomainError):
             semigroup_bracket_samples(make_b1(1.0), outer, 0.0, hats)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_bracket_rejects_non_finite_t(self, outer, hats, t):
+        with pytest.raises(DomainError, match="t must be positive and finite"):
+            semigroup_bracket_samples(make_b1(1.0), outer, t, hats)
 
     def test_richardson_is_exact_on_affine_data(self):
         gamma, slope = 2.5, -0.7

@@ -81,9 +81,9 @@ class TestSimplexKernel:
 
     def test_power_matches_symmetrized(self):
         h = StepFunction((0.0, 0.5, 1.0), (1.0, 3.0))
-        fast = SimplexKernel.power(h, 3)
-        slow = SimplexKernel(3, (h, h, h), symmetrize=True)
-        assert fast.norm_sq == pytest.approx(slow.norm_sq, rel=1e-12)
+        k = SimplexKernel.power(h, 3)
+        assert not k.symmetrize
+        assert k.norm_sq == pytest.approx(permanent(k.gram(k)) / math.factorial(3), rel=1e-12)
 
     def test_inner_orthogonal_orders(self):
         h = StepFunction.constant(1.0, 1.0)
@@ -108,11 +108,10 @@ class TestSimplexKernel:
             SimplexKernel(2, (h,))
         with pytest.raises(ConfigurationError):
             SimplexKernel.power(h, MAX_ORDER + 1)
-        # an unsymmetrized norm matches no integral of unequal factors
-        g = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
-        with pytest.raises(InvalidKernelError):
-            SimplexKernel(2, (h, g), symmetrize=False)
-        assert SimplexKernel(2, (h, StepFunction.constant(1.0, 1.0)), symmetrize=False).order == 2
+        # symmetrize is read off the factors, never set
+        with pytest.raises(TypeError):
+            SimplexKernel(2, (h, h), symmetrize=False)
+        assert SimplexKernel(2, (h, StepFunction((0.0, 0.5, 1.0), (2.0, 0.5)))).symmetrize
 
 
 class TestChaosVector:
