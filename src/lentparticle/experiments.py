@@ -305,8 +305,8 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         N = martingale_batch("poisson", grid, cfg.master_seed, start, count)
-        base = exponential_vector(h, zero, B, N, 0.0, T)
-        return {phi: exponential_vector(h, zero, B, N, phi, T) * base for phi in phis}
+        base, *rotated = exponential_vector(h, zero, B, N, (0.0, *phis), T)
+        return {phi: value * base for phi, value in zip(phis, rotated)}
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
     return _z_result(cfg, [

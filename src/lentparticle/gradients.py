@@ -210,18 +210,12 @@ def supremum_decomposition(K, brownian: SamplePath, u: float):
     """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward."""
     grid = brownian.grid
     k = grid.index_at_or_after(u)
-    levels = brownian.values + _k_values(K, grid)
+    levels = brownian.values
+    if K is not None:
+        levels = levels + np.asarray(K(grid.times) if callable(K) else K, dtype=float)
     before = np.max(levels[..., :k], axis=-1)
     after = np.max(levels[..., k:], axis=-1)
     return before, after
-
-
-def _k_values(K, grid) -> np.ndarray:
-    if K is None:
-        return np.zeros(grid.n_steps + 1)
-    if callable(K):
-        return np.asarray(K(grid.times), dtype=float)
-    return np.asarray(K, dtype=float)
 
 
 def supremum_gradient(K, brownian: SamplePath, u: float, a: float) -> np.ndarray:

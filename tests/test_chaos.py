@@ -39,6 +39,14 @@ def brute_force_integral(kernel: SimplexKernel, path: SamplePath) -> float:
     return kernel.weight * total
 
 
+def _drivers(kind, grid, count):
+    """A Brownian batch and a martingale batch of the given kind on the same keys."""
+    B = martingale_batch("brownian", grid, SEED, 0, count)
+    if kind == "brownian-copy":
+        return B, inner_hat_batch(grid, SEED, 0, count)
+    return B, martingale_batch(kind, grid, SEED, 0, count)
+
+
 @pytest.fixture
 def tiny_path():
     grid = TimeGrid(1.0, 8)
@@ -146,13 +154,6 @@ class TestRotatedChaos:
     ANGLES = (1e-3, 0.7, math.pi / 2)
 
     @staticmethod
-    def _drivers(kind, grid, count):
-        B = martingale_batch("brownian", grid, SEED, 0, count)
-        if kind == "brownian-copy":
-            return B, inner_hat_batch(grid, SEED, 0, count)
-        return B, martingale_batch(kind, grid, SEED, 0, count)
-
-    @staticmethod
     def _kernels(order):
         h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
         distinct = tuple(StepFunction((0.0, 0.5, 1.0), (1.0 + i, 0.5 - 0.3 * i))
@@ -179,7 +180,7 @@ class TestRotatedChaos:
     @pytest.mark.parametrize("kind", ["brownian-copy", "poisson", "compound"])
     def test_matches_the_recursion_on_rotated_paths(self, kind):
         grid = TimeGrid(1.0, 200)
-        B, M = self._drivers(kind, grid, 40)
+        B, M = _drivers(kind, grid, 40)
         pairs = []
         for order in range(1, MAX_ORDER + 1):
             for kernel in self._kernels(order):
@@ -197,7 +198,7 @@ class TestRotatedChaos:
 
     def test_several_kernels_share_the_sums(self):
         grid = TimeGrid(1.0, 200)
-        B, M = self._drivers("poisson", grid, 40)
+        B, M = _drivers("poisson", grid, 40)
         F = make_functional("three-term")
         rotated = RotatedChaos(F, B, M)
         for theta in self.ANGLES:
@@ -211,7 +212,7 @@ class TestRotatedChaos:
     @pytest.mark.parametrize("kind", ["brownian-copy", "poisson", "compound"])
     def test_each_row_is_its_path_alone(self, kind):
         grid = TimeGrid(1.0, 200)
-        B, M = self._drivers(kind, grid, 12)
+        B, M = _drivers(kind, grid, 12)
         F = ChaosVector(0.5, tuple(make_functional("three-term").kernels) + tuple(
             k for n in (4, 6) for k in self._kernels(n)))
         batch = RotatedChaos(F, B, M)
@@ -292,7 +293,7 @@ class TestExponentialVector:
         zero = StepFunction.constant(0.0, 1.0)
         flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
                           jump_increments=np.zeros(unit_grid.n_steps))
-        value = exponential_vector(h, zero, brownian, flat, 0.0, 1.0)
+        (value,) = exponential_vector(h, zero, brownian, flat, [0.0], 1.0)
         manual = math.exp(
             stochastic_integral(h, brownian) - 0.5 * h.integral_sq(upto=1.0)
         )
@@ -311,7 +312,7 @@ class TestExponentialVector:
         zero = StepFunction.constant(0.0, 1.0)
         # theta = pi/2 reads the integrand against the martingale alone:
         # E_t = exp(-c t) (1 + c)^{N_t}
-        value = exponential_vector(h, zero, flatB, mart, math.pi / 2, 1.0)
+        (value,) = exponential_vector(h, zero, flatB, mart, [math.pi / 2], 1.0)
         assert value == pytest.approx(math.exp(-c) * (1 + c) ** 2, rel=1e-12)
 
     def test_zero_factor_flags(self):
@@ -323,14 +324,114 @@ class TestExponentialVector:
         h = StepFunction.constant(-1.0, 1.0)  # factor 1 + h * jump = 0
         zero = StepFunction.constant(0.0, 1.0)
         # the factor at the jump vanishes, so the value is 0 on this path
-        assert exponential_vector(h, zero, flatB, mart, math.pi / 2, 1.0) == 0.0
+        assert exponential_vector(h, zero, flatB, mart, [math.pi / 2], 1.0) == [0.0]
 
     def test_off_grid_time_rejected(self, unit_grid, brownian):
         h = StepFunction.constant(1.0, 1.0)
         flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
                           jump_increments=np.zeros(unit_grid.n_steps))
         with pytest.raises(DomainError):
-            exponential_vector(h, h, brownian, flat, 0.0, 0.1234567)
+            exponential_vector(h, h, brownian, flat, [0.0], 0.1234567)
+
+
+def dense_exponential_vector(h1, h2, brownian, martingale, theta, t):
+    """Reference: the per-angle closed product form, every step of every array."""
+    grid = brownian.grid
+    m = grid.index_of(t)
+    c, s = np.cos(theta), np.sin(theta)
+    bro = h1.combine(h2, c, -s)
+    mar = h1.combine(h2, s, c)
+    bro_g = bro.on_grid(grid)[:m]
+    mar_g = mar.on_grid(grid)[:m]
+    jumps = martingale.jump_increments
+    if jumps is None:
+        jumps = np.zeros_like(martingale.increments)
+    cont = martingale.increments - jumps
+    v_cont = np.sum(bro_g * brownian.increments[..., :m], axis=-1)
+    v_cont = v_cont + np.sum(mar_g * cont[..., :m], axis=-1)
+    product = np.prod(1.0 + mar_g * jumps[..., :m], axis=-1)
+    return np.exp(v_cont - 0.5 * bro.integral_sq(upto=t)) * product
+
+
+class TestExponentialVectorAngles:
+    # Every angle from four row reductions and the list of jumps before t,
+    # against the dense per-angle formula above.
+    ANGLES = (0.0, 0.4, -1.1, math.pi / 3, math.pi / 2, 2.5)
+    H1 = StepFunction((0.0, 0.3, 1.0), (0.9, -0.6))
+    H2 = StepFunction((0.0, 0.55, 1.0), (-0.4, 0.7))
+
+    @staticmethod
+    def _hand_drivers():
+        # three paths on 10 steps, with three jumps, none and two jumps
+        grid = TimeGrid(1.0, 10)
+        jumps = np.zeros((3, 10))
+        jumps[0, [1, 4, 8]] = (0.7, -1.3, 2.1)
+        jumps[2, [7, 8]] = (-0.45, 1.9)
+        M = SamplePath(grid, jumps, jump_increments=jumps)
+        return SamplePath(grid, np.zeros((3, 10))), M
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_matches_the_dense_formula(self, kind, t):
+        grid = TimeGrid(1.0, 200)
+        B, M = _drivers(kind, grid, 64)
+        if M.jump_increments is not None and t < 1.0:
+            assert np.any(M.jump_increments[:, grid.index_of(t):])  # jumps that must not enter
+        values = exponential_vector(self.H1, self.H2, B, M, self.ANGLES, t)
+        assert len(values) == len(self.ANGLES)
+        for theta, value in zip(self.ANGLES, values):
+            dense = dense_exponential_vector(self.H1, self.H2, B, M, theta, t)
+            np.testing.assert_allclose(value, dense, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
+    def test_each_row_is_its_path_alone(self, kind):
+        grid = TimeGrid(1.0, 200)
+        B, M = _drivers(kind, grid, 12)
+        batch = exponential_vector(self.H1, self.H2, B, M, self.ANGLES, 0.6)
+        for i in (0, 5, 11):
+            single = exponential_vector(self.H1, self.H2, B.select(i), M.select(i),
+                                        self.ANGLES, 0.6)
+            outer = exponential_vector(self.H1, self.H2, B.select(i), M, self.ANGLES, 0.6)
+            for got, across, alone in zip(batch, outer, single):
+                assert np.shape(alone) == ()
+                assert got[i].tobytes() == alone.tobytes()
+                assert across[i].tobytes() == alone.tobytes()
+
+    def test_sparse_product_is_the_dense_product(self):
+        # At pi/2 with h2 = 0, zero Brownian increments and a pure-jump M, the
+        # exponential part is exp(0) = 1, so the value is the product alone.
+        B, M = self._hand_drivers()
+        h1 = StepFunction((0.0, 0.25, 0.65, 1.0), (0.37, -0.81, 0.23))
+        zero = StepFunction.constant(0.0, 1.0)
+        (value,) = exponential_vector(h1, zero, B, M, [math.pi / 2], 1.0)
+        dense = np.prod(1.0 + h1.on_grid(M.grid) * M.jump_increments, axis=-1)
+        assert value.tobytes() == dense.tobytes()
+        assert value[1] == 1.0
+
+    def test_vanishing_factor_is_exactly_zero(self):
+        B, M = self._hand_drivers()
+        h1 = StepFunction((0.0, 0.5, 1.0), (1.0 / 1.3, 0.2))  # 1 + h1 * (-1.3) = 0 at step 4
+        zero = StepFunction.constant(0.0, 1.0)
+        (value,) = exponential_vector(h1, zero, B, M, [math.pi / 2], 1.0)
+        assert 1.0 + h1.on_grid(M.grid)[4] * -1.3 == 0.0
+        assert value[0] == 0.0
+        assert value[1] != 0.0 and value[2] != 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected_before_any_reduction(self, unit_grid, monkeypatch, bad):
+        B, M = _drivers("poisson", unit_grid, 4)
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("reduced the batch before checking the angles")
+
+        monkeypatch.setattr(np, "einsum", no_reduction)
+        with pytest.raises(DomainError, match="finite"):
+            exponential_vector(self.H1, self.H2, B, M, [0.0, 0.3, bad], 1.0)
+
+    def test_no_angles_give_no_values(self, unit_grid):
+        B, M = _drivers("compound", unit_grid, 4)
+        assert exponential_vector(self.H1, self.H2, B, M, [], 1.0) == []
 
 
 class TestCovarianceCurve:
