@@ -27,7 +27,8 @@ from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
 from .functionals import make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
-from .gradients import lent_particle_sde_table, supremum_decomposition, supremum_gradient
+from .gradients import lent_particle_sde_table, require_step, supremum_decomposition
+from .gradients import supremum_gradient
 from .grid import TimeGrid
 from .kernels import ChaosVector, SimplexKernel
 from .ou import (
@@ -148,9 +149,10 @@ class ExperimentSpec:
 def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> dict:
     """Run fn(start, count) over index batches and join them in index order.
 
-    fn returns a dict of per-path arrays, one row per path of its batch; each
+    fn returns a dict of arrays with the same keys for every batch, each with
+    rows from the paths of its batch, one per path or fewer (a selection); each
     entry comes back concatenated over the batches in path-index order, so
-    every reduction sees the same arrays whatever the worker count.
+    every reduction sees the same arrays whatever the worker count or chunk.
     """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got {n_paths}")
@@ -341,10 +343,13 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- 6. SDE lent particle vs flow oracle ------------------------------------
 
-def _agreement(estimate: np.ndarray, oracle: np.ndarray) -> tuple[float, float]:
-    """(largest relative error, share within 1e-2) of the estimates against the oracle."""
+def _agreement_row(name: str, u, t: float, estimate: np.ndarray, oracle: np.ndarray) -> dict:
+    """One SDE report row: the means, the largest relative error of the estimates
+    against the oracle and the share of them within 1e-2."""
     rel = np.abs(estimate - oracle) / (np.abs(oracle) + 1e-8)
-    return float(rel.max()), float(np.mean(rel <= 1e-2))
+    return {"sde": name, "u": u, "t": t, "method": "jump_difference",
+            "estimate": float(estimate.mean()), "oracle": float(oracle.mean()),
+            "max_rel_err": float(rel.max()), "frac_within_1e-2": float(np.mean(rel <= 1e-2))}
 
 
 def _make_sdes(cfg: ExperimentConfig, names) -> list:
@@ -386,15 +391,9 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
             est, oracle = joined[i, u, t].T
             finite = np.isfinite(est) & np.isfinite(oracle)
             excluded += int(np.sum(~finite))
-            max_rel, frac_ok = _agreement(est[finite], oracle[finite])
-            worst_frac = min(worst_frac, frac_ok)
-            worst_rel = max(worst_rel, max_rel)
-            rows.append(
-                {"sde": name, "u": u, "t": t, "method": "jump_difference",
-                 "estimate": float(est[finite].mean()),
-                 "oracle": float(oracle[finite].mean()),
-                 "max_rel_err": max_rel, "frac_within_1e-2": frac_ok}
-            )
+            rows.append(_agreement_row(name, u, t, est[finite], oracle[finite]))
+            worst_frac = min(worst_frac, rows[-1]["frac_within_1e-2"])
+            worst_rel = max(worst_rel, rows[-1]["max_rel_err"])
         checks.append(
             _check(f"sde_{name}_frac_ok", worst_frac >= 0.99, worst_frac=worst_frac)
         )
@@ -421,15 +420,15 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         M = martingale_batch("compound", grid, cfg.master_seed, start, count)
         jumps = M.jump_increments
-        n_jumps = np.count_nonzero(jumps, axis=-1)
-        single = (n_jumps == 1) & (np.abs(jumps).max(axis=-1) == 1.0)
-        # on single-jump paths the sum is the mark J_1; the flow oracle at U_1 is `analytic`
+        single = (np.count_nonzero(jumps, axis=-1) == 1) & (np.abs(jumps).max(axis=-1) == 1.0)
+        if not single.any():
+            return {"single": single, "debiased": np.empty(0), "oracle": np.empty(0)}
+        # the estimator runs on the single-jump paths alone: there the sum is the mark
+        # J_1, and the flow oracle at U_1 is `analytic`
+        B, M = B.select(single), M.select(single)
         grad = lent_particle_sde_poisson(spec, B, M, grid.horizon, theta)
-        return {
-            "single": single,
-            "debiased": np.where(single, jumps.sum(axis=-1) * grad.value, np.nan),
-            "oracle": np.where(single, grad.analytic, np.nan),
-        }
+        return {"single": single, "debiased": M.jump_increments.sum(axis=-1) * grad.value,
+                "oracle": grad.analytic}
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=512)
     single = joined["single"]
@@ -437,21 +436,15 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
     if freq_se == 0.0:
         raise DomainError(f"single-jump frequency {freq}: the standard error is 0")
-    debiased = joined["debiased"][single]
-    oracle = joined["oracle"][single]
-    max_rel, frac_ok = _agreement(debiased, oracle)
     z = (freq - math.exp(-1.0)) / freq_se
-    rows = [
-        {"sde": name, "u": "U1", "t": grid.horizon, "method": "jump_difference",
-         "estimate": float(debiased.mean()), "oracle": float(oracle.mean()),
-         "max_rel_err": max_rel, "frac_within_1e-2": frac_ok,
-         "single_jump_freq": freq, "freq_z_score": z},
-    ]
+    row = {**_agreement_row(name, "U1", grid.horizon, joined["debiased"], joined["oracle"]),
+           "single_jump_freq": freq, "freq_z_score": z}
+    frac_ok = row["frac_within_1e-2"]
     checks = [
         _check("poisson_frac_ok", frac_ok >= 0.99, frac_ok=frac_ok),
         _check("single_jump_freq", abs(z) <= 4.0, freq=freq, z_score=z),
     ]
-    return ExperimentResult(cfg, rows, checks)
+    return ExperimentResult(cfg, [row], checks)
 
 
 # --- 8. integration by parts ------------------------------------------------
@@ -568,6 +561,8 @@ def _run_supremum(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     u = cfg.param("u")
     a = cfg.param("a")
+    require_step("a", a)  # a and u fail before any path is drawn
+    grid.index_at_or_after(u)
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)

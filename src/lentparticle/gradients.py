@@ -1,10 +1,11 @@
 """Malliavin gradients by jump insertion and their independent cross-checks.
 
 The central move: perturb the driving path by a * 1_{. >= u} ("lend" a jump of
-size a at time u), re-evaluate the functional, and difference in a.  Central
-differences with a default step of 1e-4 are used throughout, so the bias is
-O(step^2) for smooth functionals.  Each estimator is paired with a route that
-does not go through the jump difference:
+size a at time u), re-evaluate the functional, and difference in a.  Every
+estimator takes a central difference, so the bias is O(step^2) for smooth
+functionals; the default step is 1e-4, and 1e-3 for the rotation angle of
+``gradient_chaos``.  Each estimator is paired with a route that does not go
+through the jump difference:
 
 * cylindrical functionals -- the chain-rule value sum_i dPhi_i * h_i(u-);
 * chaos vectors           -- the order-lowering kernel contraction integrated
@@ -36,6 +37,12 @@ from .stepfn import StepFunction
 DEFAULT_STEP = 1e-4
 
 
+def require_step(name: str, step: float) -> None:
+    """DomainError unless the difference step is positive and finite."""
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {step}")
+
+
 def gradient_cylindrical(
     F: CylindricalFunctional, path: SamplePath, u: float, a0: float = DEFAULT_STEP
 ) -> GradientEstimate:
@@ -44,6 +51,7 @@ def gradient_cylindrical(
     The perturbation lands in the increment of the snap step, so the analytic
     value evaluates each h_i at the left endpoint of that step.
     """
+    require_step("a0", a0)
     grid = path.grid
     k = grid.index_at_or_after(u)
     snapped = abs(k * grid.dt - u) > 1e-12 * grid.horizon
@@ -106,8 +114,7 @@ def gradient_chaos(
     Y^t).  For an independent Brownian copy M = Bhat the extension composes
     with F, so any functional works there (ou.carre_du_champ).
     """
-    if not 0.0 < theta0 < math.inf:
-        raise DomainError(f"theta0 must be positive and finite, got {theta0}")
+    require_step("theta0", theta0)
     plus, minus = rotated_values(F, brownian, martingale, (theta0, -theta0))
     return (plus - minus) / (2.0 * theta0)
 
@@ -146,8 +153,7 @@ def lent_particle_sde_table(
     One stacked Euler pass serves them all: each +-theta perturbation is a
     bumped row, and the flow form reads the base row's first variation.
     """
-    if theta <= 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
+    require_step("theta", theta)
     grid = brownian.grid
     ks = [grid.index_at_or_after(u) for u in us]
     ms = [grid.index_of(t) for t in ts]
@@ -171,33 +177,31 @@ def lent_particle_sde_table(
 def lent_particle_sde_poisson(
     spec: SdeSpec, brownian: SamplePath, martingale: SamplePath, t: float,
     theta: float = DEFAULT_STEP,
-) -> GradientEstimate | None:
+) -> GradientEstimate:
     """The Poisson-driver variant: solve against Y^theta and difference at 0.
 
     With the symmetric compound driver on a single-jump path the limit is
     J_1 * D_{U_1} X_t; multiplying by the mark recovers D_{U_1} X_t.  u is
-    the first jump time U_1 and ``analytic`` the flow form of D_{U_1} X_t;
-    on a batch both are per path and NaN on paths without a jump, and a
-    single path without a jump returns None (skip).  B, Y^theta and
+    the first jump time U_1 and ``analytic`` the flow form of D_{U_1} X_t,
+    per path on a batch, so every path of M needs a jump.  B, Y^theta and
     Y^-theta are the rows of one Euler pass.
     """
+    require_step("theta", theta)
     grid = require_same_grid(brownian, martingale)
     m = grid.index_of(t)
     if m == 0:
         raise DomainError(f"t={t} not a positive grid time")
     jumps = martingale.jump_increments
-    jumped = np.zeros(martingale.increments.shape, bool) if jumps is None else jumps != 0.0
-    has_jump = jumped.any(axis=-1)
-    if not martingale.is_batch and not has_jump:
-        return None
-    k = np.where(has_jump, np.argmax(jumped, axis=-1) + 1, 1)
+    jumped = np.zeros(1, bool) if jumps is None else jumps != 0.0
+    if not jumped.any(axis=-1).all():
+        raise DomainError("every martingale path needs a jump")
+    k = np.argmax(jumped, axis=-1) + 1
     rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
             rotate(brownian, martingale, -theta).increments]
     (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))
-    flow = flow_form(spec, grid, k, x_before[0], y_k, y_m)
-    return GradientEstimate(u=np.where(has_jump, k * grid.dt, np.nan)[()], t=m * grid.dt,
-                            value=(x[1] - x[2]) / (2.0 * theta), method="jump_difference",
-                            theta=theta, analytic=np.where(has_jump, flow, np.nan)[()])
+    return GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=(x[1] - x[2]) / (2.0 * theta),
+                            method="jump_difference", theta=theta,
+                            analytic=flow_form(spec, grid, k, x_before[0], y_k, y_m))
 
 
 def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):
@@ -225,8 +229,7 @@ def supremum_gradient(K, brownian: SamplePath, u: float, a: float) -> np.ndarray
     exactly: the quotient is 1 where the post-u supremum dominates, 0 where it
     trails by more than a, and the transitional value in between.
     """
-    if a <= 0.0:
-        raise DomainError(f"a must be > 0, got {a}")
+    require_step("a", a)
     before, after = supremum_decomposition(K, brownian, u)
     gap = after - before
     return np.clip(gap / a + 1.0, 0.0, 1.0)

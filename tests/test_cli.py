@@ -185,6 +185,9 @@ class TestRun:
         ("bessel", ["h_norm_sq=[Infinity]"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[1e300]"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[1.0, -2]"], "h_norm_sq must be in [0, 709.78]"),
+        ("supremum", ["a=NaN"], "a must be positive and finite, got nan"),
+        ("supremum", ["a=Infinity"], "a must be positive and finite, got inf"),
+        ("supremum", ["a=-1"], "a must be positive and finite, got -1"),
         ("sde-poisson", ['sde_params={"gmb": {"sigma": 0.5}}'],
          "sde_params names SDEs that are not run: ['gmb']"),
         ("sde-lent-particle", ['sde_params={"gbm": {}, "gmb": {"sigma": 0.5}}'],

@@ -260,6 +260,36 @@ class TestRunners:
             for key in a:
                 np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
+    # every experiment that calls parallel_batches, at small sizes
+    @pytest.mark.parametrize("name, overrides", [
+        *[pytest.param(name, {"n_paths": 700, "n_steps": 60}, id=name) for name in (
+            "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
+            "ibp", "supremum")],
+        pytest.param("sde-lent-particle", {"n_paths": 40, "n_steps": 400},
+                     id="sde-lent-particle"),
+        # at a chunk of 1 most batches hold no single-jump path
+        pytest.param("sde-poisson", {"n_paths": 300, "n_steps": 400}, id="sde-poisson"),
+        pytest.param("mehler", {"n_steps": 60, "params": {
+            "n_outer": 8, "n_inner": 16, "n_eigen_paths": 2}}, id="mehler"),
+    ])
+    def test_report_bytes_independent_of_batch_boundaries(self, name, overrides,
+                                                          monkeypatch):
+        from lentparticle import experiments
+
+        original = experiments.parallel_batches
+
+        def render():
+            res = run_experiment(make_config(name, **overrides))
+            return render_csv(res.rows), render_json(res.summary())
+
+        default = render()
+        for size in (1, 7):
+            def rechunked(fn, n_paths, workers, chunk=None, size=size):
+                return original(fn, n_paths, workers, chunk=size)
+
+            monkeypatch.setattr(experiments, "parallel_batches", rechunked)
+            assert render() == default, f"chunk {size}"
+
     def test_summary_carries_version_and_config(self):
         import lentparticle
 

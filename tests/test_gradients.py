@@ -17,6 +17,7 @@ from lentparticle.gradients import (
     gradient_cylindrical,
     integration_by_parts_pair,
     lent_particle_sde_poisson,
+    lent_particle_sde_table,
     supremum_decomposition,
     supremum_gradient,
 )
@@ -126,11 +127,16 @@ class TestChaosGradient:
 
 
 class TestPoissonSde:
-    def test_no_jump_path_skipped(self, unit_grid, brownian):
+    def test_no_jump_path_refused(self, unit_grid, brownian):
         flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
                           jump_increments=np.zeros(unit_grid.n_steps))
+        no_jump_part = SamplePath(unit_grid, np.zeros(unit_grid.n_steps))
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 8)
         spec = make_sde("gbm")
-        assert lent_particle_sde_poisson(spec, brownian, flat, 1.0) is None
+        for b, m in ((brownian, flat), (brownian, no_jump_part), (B, M)):
+            with pytest.raises(DomainError, match="every martingale path needs a jump"):
+                lent_particle_sde_poisson(spec, b, m, 1.0)
 
     def test_records_first_jump_time(self, unit_grid, brownian):
         jumps = np.zeros(unit_grid.n_steps)
@@ -152,20 +158,41 @@ class TestPoissonSde:
     def test_batch_matches_single_paths(self, unit_grid):
         B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
         M = martingale_batch("compound", unit_grid, SEED, 0, 8)
+        jumped = np.flatnonzero((M.jump_increments != 0.0).any(axis=-1))
+        assert 0 < len(jumped) < 8  # the case the selection serves
         spec = make_sde("gbm")
-        batch = lent_particle_sde_poisson(spec, B, M, 1.0)
-        skipped = 0
-        for i in range(8):
+        batch = lent_particle_sde_poisson(spec, B.select(jumped), M.select(jumped), 1.0)
+        for row, i in enumerate(jumped):
             single = lent_particle_sde_poisson(spec, B.select(i), M.select(i), 1.0)
-            if single is None:
-                skipped += 1
-                assert np.isnan(batch.u[i]) and np.isnan(batch.analytic[i])
-                continue
-            assert batch.u[i] == single.u
-            assert batch.value[i] == single.value
+            assert batch.u[row] == single.u
+            assert batch.value[row] == single.value
             oracle = flow_oracle(spec, B.select(i), single.u, 1.0)
-            assert batch.analytic[i] == single.analytic == oracle.value
-        assert 0 < skipped < 8
+            assert batch.analytic[row] == single.analytic == oracle.value
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("estimator", [
+    "gradient_cylindrical", "gradient_chaos", "lent_particle_sde_table",
+    "lent_particle_sde_poisson", "supremum_gradient"])
+def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step):
+    B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
+    M = martingale_batch("compound", unit_grid, SEED, 0, 4)
+    jumped = (M.jump_increments != 0.0).any(axis=-1)
+    B, M = B.select(jumped), M.select(jumped)  # the Poisson estimator needs a jump
+    spec = make_sde("gbm")
+    calls = {
+        "gradient_cylindrical": ("a0", lambda: gradient_cylindrical(make_square(1.0), B, 0.5,
+                                                                    step)),
+        "gradient_chaos": ("theta0", lambda: gradient_chaos(make_square(1.0), B, M, step)),
+        "lent_particle_sde_table": ("theta", lambda: lent_particle_sde_table(
+            spec, B, (0.5,), (1.0,), step)),
+        "lent_particle_sde_poisson": ("theta", lambda: lent_particle_sde_poisson(
+            spec, B, M, 1.0, step)),
+        "supremum_gradient": ("a", lambda: supremum_gradient(None, B, 0.5, step)),
+    }
+    name, call = calls[estimator]
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got "):
+        call()
 
 
 class TestIntegrationByParts:
