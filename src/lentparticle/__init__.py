@@ -40,7 +40,7 @@ from .gradients import (
 )
 from .grid import RngStream, SamplePath, TimeGrid
 from .kernels import ChaosVector, SimplexKernel
-from .ou import carre_du_champ, mehler_semigroup, richardson_limit, semigroup_limit_gamma
+from .ou import carre_du_champ, richardson_limit, semigroup_limit_gamma
 from .sde import SdeSpec, first_variation, flow_oracle, make_sde, solve_sde
 from .stepfn import StepFunction
 
@@ -58,7 +58,7 @@ __all__ = [
     "lent_particle_sde", "lent_particle_sde_poisson", "supremum_gradient",
     "RngStream", "SamplePath", "TimeGrid",
     "ChaosVector", "SimplexKernel",
-    "carre_du_champ", "mehler_semigroup", "richardson_limit", "semigroup_limit_gamma",
+    "carre_du_champ", "richardson_limit", "semigroup_limit_gamma",
     "SdeSpec", "first_variation", "flow_oracle", "make_sde", "solve_sde",
     "StepFunction",
 ]

@@ -50,9 +50,15 @@ from collections import Counter
 import numpy as np
 
 from .drivers import _cos_sin, rotate
-from .grid import SamplePath, require_same_grid
+from .grid import SamplePath, TimeGrid, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
+
+
+def _factor_classes(kernel: SimplexKernel, grid: TimeGrid) -> tuple[list, tuple, list]:
+    """The distinct factors in order of first use, the count of each, and each on the grid."""
+    classes = list(dict.fromkeys(kernel.factors))
+    return classes, tuple(map(kernel.factors.count, classes)), [g.on_grid(grid) for g in classes]
 
 
 def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
@@ -68,9 +74,7 @@ def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
     n = kernel.order
     if n == 0:
         return np.full(shape, kernel.weight) if shape else kernel.weight
-    classes = list(dict.fromkeys(kernel.factors))
-    full = tuple(kernel.factors.count(g) for g in classes)
-    gvals = [g.on_grid(driver.grid) for g in classes]
+    _, full, gvals = _factor_classes(kernel, driver.grid)
     level = {(0,) * len(full): np.ones(inc.shape[-1] + 1)}
     for k in range(1, n + 1):
         nxt: dict[tuple[int, ...], np.ndarray] = {}
@@ -171,9 +175,7 @@ class RotatedChaos:
         self._terms = []  # per kernel: (weight, [(coefficient, block keys)])
         weights = {}  # block key -> (block size, block weight on the grid)
         for kernel in F.kernels:
-            classes = list(dict.fromkeys(kernel.factors))
-            full = tuple(kernel.factors.count(g) for g in classes)
-            gvals = [g.on_grid(brownian.grid) for g in classes]
+            classes, full, gvals = _factor_classes(kernel, brownian.grid)
             terms = []
             for coef, types in _partition_table(full):
                 keys = []

@@ -280,13 +280,17 @@ def _run_bessel(cfg: ExperimentConfig) -> ExperimentResult:
         report = bessel_spectrum(x, default_truncation(x))
         for row in report.rows():
             rows.append({"h_norm_sq": x, **row})
+        # roundings of n_max + 1 terms of size e^x (and of n phi): correct code stays below
+        # 0.09 (n_max + 1) eps e^x max(1, |phi|); the bound is a quarter, 9.9e-11 at x = 10
+        rounding = (report.truncation_n + 1) * math.ulp(1.0) / 4.0 * math.exp(x)
         defect = report.parseval_defect()
         checks.append(
-            _check(f"parseval_x{x}", defect <= 1e-10, defect=defect, target=math.exp(x))
+            _check(f"parseval_x{x}", defect <= rounding, defect=defect, target=math.exp(x))
         )
         for phi in angles:
             err = abs(report.fourier(phi) - math.exp(x * math.cos(phi)))
-            checks.append(_check(f"fourier_x{x}_phi{phi:.4f}", err <= 1e-8, error=err))
+            checks.append(_check(f"fourier_x{x}_phi{phi:.4f}",
+                                 err <= rounding * max(1.0, abs(phi)), error=err))
         nonneg = bool(np.all(report.coefficients >= 0.0))
         checks.append(_check(f"nonnegative_x{x}", nonneg))
     return ExperimentResult(cfg, rows, checks)
@@ -372,6 +376,8 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     specs = _make_sdes(cfg, names)
     for t in t_list:
         grid.index_of(t)  # an off-grid t fails before any path is drawn
+    for u in u_list:
+        grid.index_at_or_after(u)  # and so does a u outside (0, T]
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
@@ -481,9 +487,6 @@ def _run_ibp(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- 9. Mehler suite --------------------------------------------------------
 
-_EIGEN_KEYS = 10_000  # path key of the first eigenvalue path
-
-
 def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     n_outer = cfg.param("n_outer")
@@ -492,11 +495,9 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     t_list = cfg.param("t_bracket")
     n_eigen = cfg.param("n_eigen_paths")
     theta = _difference_step(cfg)
-    # eigen path i is keyed as outer path _EIGEN_KEYS + i: the outer paths must stay below
-    if n_outer > _EIGEN_KEYS:
-        raise ConfigurationError(f"n_outer must be at most {_EIGEN_KEYS}, got {n_outer}")
-    if n_eigen < 1:
-        raise ConfigurationError(f"n_eigen_paths must be >= 1, got {n_eigen}")
+    if not 1 <= n_eigen <= n_outer:
+        raise ConfigurationError(
+            f"n_eigen_paths must be in 1..n_outer = {n_outer}, got {n_eigen}")
     if not 0.0 < t_eigen < math.inf:
         raise ConfigurationError(f"t_eigen must be positive and finite, got {t_eigen}")
     # DomainError, as ou.semigroup_bracket_samples and richardson_limit raise on the paths
@@ -506,7 +507,6 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         raise DomainError(f"t_bracket needs at least two distinct times, got {t_list}")
     b1 = make_b1(grid.horizon)
     f2 = make_second_chaos(grid.horizon)
-    rows, checks = [], []
 
     def outer_stats(i):
         B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
@@ -514,30 +514,29 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         gamma_b1 = carre_du_champ(b1, B, hats, theta)
         gamma_f2 = carre_du_champ(f2, B, hats, theta)
         brackets = semigroup_limit_gamma(f2, B, t_list, hats)
-        return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2
+        # the first n_eigen outer paths also give (F, inner mean, inner SE) of P_t F per order
+        eigen = [(float(evaluate_functional(F, B)),
+                  *_mean_se(mehler_samples(F, B, (t_eigen,), hats)[0]))
+                 for F in (b1, f2)] if i < n_eigen else []
+        return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2, eigen
 
     def batch(start, count):
-        stats = np.array([outer_stats(i) for i in range(start, start + count)])
-        return {"gamma_b1": stats[:, 0], "bracket_vs_gamma": stats[:, 1]}
+        gamma_b1, bracket_vs_gamma, eigen = zip(*map(outer_stats, range(start, start + count)))
+        return {"gamma_b1": np.array(gamma_b1), "bracket_vs_gamma": np.array(bracket_vs_gamma),
+                "eigen": np.reshape([order for path in eigen for order in path], (-1, 2, 3))}
 
     joined = parallel_batches(batch, n_outer, cfg.workers, chunk=max(1, n_outer // 16))
+    rows, checks = [], []
     mean_g, se_g, _, check = _z_test("gamma_b1", joined["gamma_b1"], 1.0)
     rows.append({"quantity": "gamma_b1", "t": 0.0, "estimate": mean_g,
                  "std_error": se_g, "target": 1.0})
     checks.append(check)
 
-    # eigenvalue property P_t F = lam F on a few outer paths, inner-MC error
+    # eigenvalue property P_t F = lam F on the first outer paths, inner-MC error
     # bars; lam is measured by weighted least squares over the paths
-    eigen = {1: [], 2: []}  # per order: (F, inner mean, inner SE) per path
-    for i in range(_EIGEN_KEYS, _EIGEN_KEYS + n_eigen):
-        B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
-        hats = inner_hat_batch(grid, cfg.master_seed, i, n_inner)
-        for n, F in ((1, b1), (2, f2)):
-            eigen[n].append((float(evaluate_functional(F, B)),
-                             *_mean_se(mehler_samples(F, B, t_eigen, hats))))
-    for n, paths in eigen.items():
+    for n in (1, 2):
         lam = math.exp(-n * t_eigen / 2.0)
-        f, mean, se = np.array(paths).T
+        f, mean, se = joined["eigen"][:, n - 1].T
         dev = np.abs(mean - lam * f)
         norm = float(np.sum(f**2))
         rows.append({"quantity": f"eigenvalue_n{n}", "t": t_eigen,

@@ -10,6 +10,10 @@ through gradients.rotated_values, which picks the route:
     Gamma[F]   = inner average of (F')^2
     Gamma[F]   = lim (1/t) (P_t(F^2) - 2 F P_t F + F^2)
 
+mehler_samples and semigroup_bracket_samples read every t of a sequence off
+one rotation of F.  The mehler experiment draws each outer path and its hats
+once; the first n_eigen_paths (<= n_outer) also check P_t I_n = e^{-nt/2} I_n.
+
 Inner and outer Monte Carlo levels use disjoint stream families keyed on
 (seed, outer index, inner index), so conditional expectations over the hat
 copy are reproducible at fixed outer path.
@@ -33,22 +37,15 @@ def combine_paths(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> Sampl
     return _combine(p1, p2, c1, c2)
 
 
-def mehler_samples(F, outer: SamplePath, t: float, hats: SamplePath) -> np.ndarray:
-    """Per-inner-sample values of F on Y^theta_t; atan2 keeps sin(theta_t) exact as t -> 0."""
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"t must be >= 0 and finite, got {t}")
-    theta = math.atan2(math.sqrt(-math.expm1(-t)), math.exp(-t / 2.0))
-    (values,) = rotated_values(F, outer, hats, (theta,))
-    return np.asarray(values, dtype=float)
+def mehler_samples(F, outer: SamplePath, ts, hats: SamplePath) -> list:
+    """Per-inner-sample values of F on Y^theta_t for each t of ts, from one rotation of F.
 
-
-def mehler_semigroup(F, outer: SamplePath, t: float, hats: SamplePath | None) -> float:
-    """P_t F at the outer path; t = 0 needs no inner sampling."""
-    if t == 0.0:
-        return float(evaluate_functional(F, outer))
-    if hats is None:
-        raise DomainError("t > 0 requires inner hat paths")
-    return float(np.mean(mehler_samples(F, outer, t, hats)))
+    atan2 keeps sin(theta_t) exact as t -> 0; t = 0 reads F at the outer path, to rounding.
+    """
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise DomainError(f"t must be >= 0 and finite, got {ts}")
+    thetas = [math.atan2(math.sqrt(-math.expm1(-t)), math.exp(-t / 2.0)) for t in ts]
+    return [np.asarray(values, dtype=float) for values in rotated_values(F, outer, hats, thetas)]
 
 
 def rotation_gradient_samples(
@@ -65,23 +62,22 @@ def carre_du_champ(F, outer: SamplePath, hats: SamplePath, theta: float = 1e-4) 
     return float(np.mean(rotation_gradient_samples(F, outer, hats, theta) ** 2))
 
 
-def semigroup_bracket_samples(F, outer: SamplePath, t: float, hats: SamplePath) -> np.ndarray:
-    """Per-inner samples of (1/t)(P_t(F^2) - 2 F P_t F + F^2).
+def semigroup_bracket_samples(F, outer: SamplePath, ts, hats: SamplePath) -> list:
+    """Per-inner samples of (1/t)(P_t(F^2) - 2 F P_t F + F^2) for each t of ts.
 
     With the inner streams shared between P_t(F^2) and P_t F the bracket
     collapses to the inner average of (F(Y^theta_t) - F)^2 / t, which keeps the
     1/t amplification from blowing up the inner-MC variance.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    if not all(0.0 < t < math.inf for t in ts):
+        raise DomainError(f"t must be positive and finite, got {ts}")
     f0 = float(evaluate_functional(F, outer))
-    fm = mehler_samples(F, outer, t, hats)
-    return (fm - f0) ** 2 / t
+    return [(fm - f0) ** 2 / t for t, fm in zip(ts, mehler_samples(F, outer, ts, hats))]
 
 
-def semigroup_limit_gamma(F, outer: SamplePath, t_list, hats: SamplePath) -> list[float]:
+def semigroup_limit_gamma(F, outer: SamplePath, ts, hats: SamplePath) -> list[float]:
     """Bracket value per t; converges to carre_du_champ as t -> 0."""
-    return [float(np.mean(semigroup_bracket_samples(F, outer, t, hats))) for t in t_list]
+    return [float(np.mean(samples)) for samples in semigroup_bracket_samples(F, outer, ts, hats)]
 
 
 def richardson_limit(t_pairs: list[tuple[float, float]]) -> float:

@@ -111,3 +111,32 @@ def test_extends_a_file_of_the_same_checkouts_only(bench):
         _run(dirs, workload="c", pairs=1)
     assert calls == []
     assert set(json.loads((out / "BENCH_t.json").read_text())["end_to_end"]) == {"a@5", "b@5"}
+
+
+def test_verdict_is_written_per_metric(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    metrics = _entry(out)["metrics"]
+    # the parent's quartiles span 1.5 around a median of 2.5, wider than either bound
+    assert {name: m["verdict"] for name, m in metrics.items()} == {
+        "wall_s": "unresolved", "ops_per_s": "unresolved"}
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # every change run beats every parent run, however wide the parent's spread
+    ([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], "lower", "better"),
+    ([10.0, 10.5, 11.0], [11.5, 12.0, 12.5], "higher", "better"),
+    # a spread of 1.5 over a median of 2.5: the pairs cannot tell
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], "lower", "unresolved"),
+    ([1.0, 2.0, 3.0, 4.0], [9.0, 9.0, 9.0, 9.0], "lower", "unresolved"),
+    # worse by 50% and by 30% against a bound of 24%
+    ([1.0, 1.0, 1.01, 0.99], [1.5, 1.5, 1.5, 1.5], "lower", "regressed"),
+    ([10.0, 10.0, 10.1, 9.9], [7.0, 7.0, 7.0, 7.0], "higher", "regressed"),
+    # worse by 10%, or equal: ties never read as better
+    ([1.0, 1.01, 1.0, 0.99], [1.1, 1.1, 1.1, 1.1], "lower", "within_bound"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "lower", "within_bound"),
+    ([1.0, 1.0, 1.0], [0.9, 1.0, 0.9], "lower", "within_bound"),
+])
+def test_verdict(parent, change, better, expected):
+    runs = {"parent": parent, "change": change}
+    assert bench_pairs.verdict(runs, better, 0.24) == expected

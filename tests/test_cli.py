@@ -168,8 +168,9 @@ class TestRun:
         ("covariance-decay", ['phis=["a"]'], "phis[0] must be a number, got 'a'"),
         ("isometry", ['rotation_theta="x"'], "rotation_theta must be a number, got 'x'"),
         ("mehler", ["n_outer=4.5"], "n_outer must be an integer, got 4.5"),
-        ("mehler", ["n_outer=10001", "n_inner=2"], "n_outer must be at most 10000"),
-        ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be >= 1"),
+        ("mehler", ["n_outer=4", "n_eigen_paths=5", "n_inner=2"],
+         "n_eigen_paths must be in 1..n_outer = 4, got 5"),
+        ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be in 1..n_outer"),
         ("mehler", ["t_eigen=-1", "n_inner=2"], "t_eigen must be positive and finite"),
         ("mehler", ["t_bracket=[NaN, 0.01]"], "t_bracket entries must be positive and finite"),
         ("mehler", ["t_bracket=[Infinity, 0.01]"],
@@ -192,6 +193,8 @@ class TestRun:
          "sde_params names SDEs that are not run: ['gmb']"),
         ("sde-lent-particle", ['sde_params={"gbm": {}, "gmb": {"sigma": 0.5}}'],
          "sde_params names SDEs that are not run: ['gmb']"),
+        ("sde-lent-particle", ["u_grid=[NaN]", "t_grid=[1.0]"], "time nan outside (0, 1.0]"),
+        ("sde-lent-particle", ["u_grid=[0.0]", "t_grid=[1.0]"], "time 0.0 outside (0, 1.0]"),
     ])
     def test_bad_param_exit_2(self, runner, tmp_path, experiment, params, message):
         flags = [flag for param in params for flag in ("--param", param)]

@@ -187,6 +187,32 @@ class TestReporting:
 
 
 class TestRunners:
+    def test_bessel_checks_pass_where_e_to_the_x_is_large(self):
+        res = run_experiment(make_config("bessel", params={
+            "h_norm_sq": (14.0, 20.0, 40.0, 100.0, 700.0)}))
+        assert res.passed, [c for c in res.checks if not c["passed"]]
+
+    @pytest.mark.parametrize("x", [10.0, 14.0, 100.0, 700.0])
+    def test_bessel_checks_fail_on_a_scaled_coefficient(self, monkeypatch, x):
+        from dataclasses import replace
+
+        from lentparticle import experiments
+
+        original = experiments.bessel_spectrum
+
+        def scaled(h_norm_sq, n_max):
+            report = original(h_norm_sq, n_max)
+            coefficients = report.coefficients.copy()
+            coefficients[1] *= 1.0 + 1e-9
+            return replace(report, coefficients=coefficients)
+
+        monkeypatch.setattr(experiments, "bessel_spectrum", scaled)
+        checks = {c["name"]: c["passed"]
+                  for c in run_experiment(make_config("bessel", params={
+                      "h_norm_sq": (x,)})).checks}
+        assert not checks[f"parseval_x{x}"]
+        assert not checks[f"fourier_x{x}_phi0.0000"]
+
     def test_small_isometry(self):
         # structural check at a small path count; the statistical pass/fail
         # at the full 1e5 paths lives in the acceptance suite (higher-order
@@ -336,6 +362,18 @@ class TestRunners:
             run_experiment(cfg)
         assert drawn == []
 
+    @pytest.mark.parametrize("u", [np.nan, 0.0])
+    def test_sde_u_outside_the_horizon_rejected_before_drawing(self, monkeypatch, u):
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        cfg = make_config("sde-lent-particle", n_steps=100, n_paths=600,
+                          params={"u_grid": (u,)})
+        with pytest.raises(DomainError, match=f"time {u} outside"):
+            run_experiment(cfg)
+        assert drawn == []
+
     @pytest.mark.parametrize("name, params", [
         ("sde-poisson", {"sde_params": {"gmb": {"sigma": 0.5}}}),
         ("sde-poisson", {"sde_params": {"gbm": {}, "additive": {}}}),  # additive is not run
@@ -353,7 +391,8 @@ class TestRunners:
             run_experiment(make_config(name, n_steps=100, n_paths=4, params=params))
 
     def test_mehler_measures_the_eigenvalues(self):
-        res = run_experiment(make_config("mehler", n_steps=100, params={"n_outer": 4}))
+        res = run_experiment(make_config("mehler", n_steps=100, params={
+            "n_outer": 4, "n_eigen_paths": 4}))
         rows = [r for r in res.rows if r["quantity"].startswith("eigenvalue")]
         assert [r["target"] for r in rows] == pytest.approx([np.exp(-0.15), np.exp(-0.3)])
         for r in rows:
@@ -361,24 +400,41 @@ class TestRunners:
             assert abs(r["estimate"] - r["target"]) <= 4.0 * r["std_error"]
 
     def test_mehler_draws_each_outer_path_once(self, monkeypatch):
-        from lentparticle import experiments
+        # the eigenvalue rows read the first outer paths: no path is drawn twice, and
+        # second-chaos builds two rotations per outer path and a third per eigen path
+        from lentparticle import experiments, gradients
 
-        keys = []
-        original = experiments.inner_hat_batch
+        keys, outer, orders = [], [], []
+        original_hats = experiments.inner_hat_batch
+        original_batch = experiments.martingale_batch
+        original_rotated = gradients.RotatedChaos
 
-        def recording(grid, master_seed, outer_index, count):
+        def recording_hats(grid, master_seed, outer_index, count):
             keys.append(outer_index)
-            return original(grid, master_seed, outer_index, count)
+            return original_hats(grid, master_seed, outer_index, count)
 
-        monkeypatch.setattr(experiments, "inner_hat_batch", recording)
+        def recording_batch(kind, grid, master_seed, start, count):
+            outer.append((kind, start, count))
+            return original_batch(kind, grid, master_seed, start, count)
+
+        def recording_rotated(F, brownian, martingale):
+            orders.append(max(kernel.order for kernel in F.kernels))
+            return original_rotated(F, brownian, martingale)
+
+        monkeypatch.setattr(experiments, "inner_hat_batch", recording_hats)
+        monkeypatch.setattr(experiments, "martingale_batch", recording_batch)
+        monkeypatch.setattr(gradients, "RotatedChaos", recording_rotated)
         run_experiment(make_config(
             "mehler", n_steps=20, params={"n_outer": 3, "n_inner": 8, "n_eigen_paths": 2}
         ))
-        assert sorted(keys) == [0, 1, 2, 10_000, 10_001]
+        assert sorted(keys) == list(range(3))
+        assert sorted(outer) == [("brownian", i, 1) for i in range(3)]
+        assert orders.count(2) == 2 * 3 + 2
 
     @pytest.mark.parametrize("params, error", [
         ({"t_bracket": (0.1, 0.1)}, DomainError),  # one distinct bracket time
         ({"n_eigen_paths": 0}, ConfigurationError),
+        ({"n_eigen_paths": 3}, ConfigurationError),  # more than n_outer
     ])
     def test_mehler_rejects_unusable_params(self, params, error):
         cfg = make_config("mehler", n_steps=20, params={
@@ -387,11 +443,11 @@ class TestRunners:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("params, message", [
-        ({"n_eigen_paths": 0}, "n_eigen_paths must be >= 1, got 0"),
+        ({"n_eigen_paths": 0}, "n_eigen_paths must be in 1..n_outer = 400, got 0"),
         ({"t_eigen": -1.0}, "t_eigen must be positive and finite, got -1.0"),
         ({"t_eigen": 0.0}, "t_eigen must be positive and finite"),
-        # outer path 10_000 would share its keys with eigen path 0
-        ({"n_outer": 10_001}, "n_outer must be at most 10000, got 10001"),
+        # the eigenvalue rows read the first n_eigen_paths outer paths
+        ({"n_outer": 4, "n_eigen_paths": 5}, "n_eigen_paths must be in 1..n_outer = 4, got 5"),
     ])
     def test_mehler_rejects_params_before_drawing(self, monkeypatch, params, message):
         from lentparticle import experiments

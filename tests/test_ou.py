@@ -13,7 +13,6 @@ from lentparticle.ou import (
     combine_paths,
     inner_hat_batch,
     mehler_samples,
-    mehler_semigroup,
     richardson_limit,
     rotation_gradient_samples,
     semigroup_bracket_samples,
@@ -46,18 +45,15 @@ class TestInnerStreams:
 
 
 class TestMehler:
-    def test_t_zero_is_identity(self, outer):
+    def test_t_zero_is_identity(self, outer, hats):
         F = make_second_chaos(1.0)
-        assert mehler_semigroup(F, outer, 0.0, None) == evaluate_functional(F, outer)
-
-    def test_t_positive_needs_hats(self, outer):
-        with pytest.raises(DomainError):
-            mehler_semigroup(make_b1(1.0), outer, 0.5, None)
+        (samples,) = mehler_samples(F, outer, (0.0,), hats)
+        np.testing.assert_allclose(samples, evaluate_functional(F, outer), rtol=0, atol=1e-12)
 
     def test_linear_functional_mixes_exactly(self, outer, hats):
         # B_T is linear, so each Mehler sample is the mixed terminal level
         t = 0.4
-        samples = mehler_samples(make_b1(1.0), outer, t, hats)
+        (samples,) = mehler_samples(make_b1(1.0), outer, (t,), hats)
         expected = (
             math.exp(-t / 2.0) * outer.values[-1]
             + math.sqrt(-math.expm1(-t)) * hats.values[:, -1]
@@ -68,19 +64,19 @@ class TestMehler:
         # P_t I_2 = e^{-t} I_2 holds conditionally; check within inner-MC error
         t = 0.3
         F = make_second_chaos(1.0)
-        samples = mehler_samples(F, outer, t, hats)
+        (samples,) = mehler_samples(F, outer, (t,), hats)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         target = math.exp(-t) * evaluate_functional(F, outer)
         assert abs(samples.mean() - target) < 5 * se
 
     def test_negative_t_rejected(self, outer, hats):
         with pytest.raises(DomainError):
-            mehler_samples(make_b1(1.0), outer, -0.1, hats)
+            mehler_samples(make_b1(1.0), outer, (0.3, -0.1), hats)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_t_rejected(self, outer, hats, t):
         with pytest.raises(DomainError, match="t must be >= 0 and finite"):
-            mehler_samples(make_b1(1.0), outer, t, hats)
+            mehler_samples(make_b1(1.0), outer, (t,), hats)
 
 
 class TestMehlerIsARotation:
@@ -101,7 +97,7 @@ class TestMehlerIsARotation:
     def test_chaos_vector_reads_the_rotated_sums(self, outer, hats, name, t):
         F = make_functional(name, 1.0)
         expected = RotatedChaos(F, outer, hats)(self._theta(t))
-        np.testing.assert_array_equal(mehler_samples(F, outer, t, hats), expected)
+        np.testing.assert_array_equal(mehler_samples(F, outer, (t,), hats)[0], expected)
 
     @pytest.mark.parametrize("t", TIMES)
     @pytest.mark.parametrize("name", FUNCTIONALS)
@@ -109,14 +105,45 @@ class TestMehlerIsARotation:
         F = make_functional(name, 1.0)
         expected = evaluate_chaos(F, self._mixed(outer, hats, t))
         scale = np.max(np.abs(expected))
-        np.testing.assert_allclose(mehler_samples(F, outer, t, hats), expected,
+        np.testing.assert_allclose(mehler_samples(F, outer, (t,), hats)[0], expected,
                                    rtol=0, atol=1e-11 * scale)
 
     @pytest.mark.parametrize("t", TIMES)
     def test_cylindrical_functional_on_the_mixed_path(self, outer, hats, t):
         F = make_square(1.0)
         expected = evaluate_functional(F, self._mixed(outer, hats, t))
-        np.testing.assert_allclose(mehler_samples(F, outer, t, hats), expected, rtol=1e-12)
+        np.testing.assert_allclose(mehler_samples(F, outer, (t,), hats)[0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", FUNCTIONALS + ("square",))
+    def test_several_times_read_one_rotation(self, monkeypatch, outer, hats, name):
+        # a call with every time is bit for bit the one-time calls, from one RotatedChaos
+        # and one evaluation of F at the outer path
+        from lentparticle import gradients, ou
+
+        F = make_functional(name, 1.0)
+        samples = [mehler_samples(F, outer, (t,), hats)[0] for t in self.TIMES]
+        brackets = [semigroup_bracket_samples(F, outer, (t,), hats)[0] for t in self.TIMES]
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(gradients, "RotatedChaos",
+                            counting("RotatedChaos", gradients.RotatedChaos))
+        monkeypatch.setattr(ou, "evaluate_functional",
+                            counting("evaluate_functional", ou.evaluate_functional))
+        rotations = ["RotatedChaos"] if name != "square" else []
+        for got, want in zip(mehler_samples(F, outer, self.TIMES, hats), samples, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert calls == rotations
+        calls.clear()
+        for got, want in zip(semigroup_bracket_samples(F, outer, self.TIMES, hats), brackets,
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert calls == ["evaluate_functional", *rotations]
 
 
 class TestRotationGradient:
@@ -161,12 +188,12 @@ class TestBracket:
 
     def test_bracket_rejects_nonpositive_t(self, outer, hats):
         with pytest.raises(DomainError):
-            semigroup_bracket_samples(make_b1(1.0), outer, 0.0, hats)
+            semigroup_bracket_samples(make_b1(1.0), outer, (0.1, 0.0), hats)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_bracket_rejects_non_finite_t(self, outer, hats, t):
         with pytest.raises(DomainError, match="t must be positive and finite"):
-            semigroup_bracket_samples(make_b1(1.0), outer, t, hats)
+            semigroup_bracket_samples(make_b1(1.0), outer, (t,), hats)
 
     def test_richardson_is_exact_on_affine_data(self):
         gamma, slope = 2.5, -0.7

@@ -10,10 +10,10 @@ the key ``<workload>@<seed>``; entries for other workloads or seeds already in
 the file are kept, so one file can collect several invocations.  For each
 end-to-end metric of ``BENCHMARK.json`` the file holds every run's value, each
 side's median and quartiles (numpy linear percentiles), their ratio and the
-number of pairs the change wins (ties count for neither); it also holds the
-failed and attempted operations, the machine, and what was measured on each
-side: the git commit where the checkout is a clean git work tree, and always
-a SHA-256 digest of the files under ``src/``.
+number of pairs the change wins (ties count for neither) and a verdict (see
+``verdict``); it also holds the failed and attempted operations, the machine,
+and what was measured on each side: the git commit where the checkout is a
+clean git work tree, and always a SHA-256 digest of the files under ``src/``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ METHOD = (
     "Pairs alternate which side runs first (change first in odd pairs). Each run's metric "
     "is the benchmark's own median over its timed passes; the statistics below are the "
     "median and quartiles (numpy linear percentiles) of those run values. change_wins "
-    "counts pairs in which the change reads better."
+    "counts pairs in which the change reads better; verdict is better (every change run "
+    "beats every parent run), else unresolved (parent quartile spread over its median "
+    "above the bound), else regressed (change median worse than the parent's by more than "
+    "the bound), else within_bound."
 )
 
 
@@ -87,6 +90,26 @@ def summarize(values: list) -> dict:
             "q3": round(float(q3), 4), "runs": [round(v, 4) for v in values]}
 
 
+def verdict(runs: dict, better: str, bound: float) -> str:
+    """One metric's reading of the pairs, with the bound as a fraction of the parent's median.
+
+    ``better`` when every change run beats every parent run; else ``unresolved`` when
+    the parent's quartile spread over its median exceeds the bound, since then its own
+    runs differ by more than the bound; else ``regressed`` when the change's median is
+    worse than the parent's by more than the bound; else ``within_bound``.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = (sign * np.asarray(runs[side], dtype=float) for side in SIDES)
+    if change.max() < parent.min():
+        return "better"
+    q1, median, q3 = np.percentile(runs["parent"], [25, 50, 75])
+    if (q3 - q1) > bound * abs(median):
+        return "unresolved"
+    if sign * (np.median(runs["change"]) - median) > bound * abs(median):
+        return "regressed"
+    return "within_bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
@@ -134,6 +157,7 @@ def main(argv=None) -> int:
             "unit": spec["unit"], "bound": spec["bound"], "parent": parent, "change": change,
             "change_over_parent": round(change["median"] / parent["median"], 4),
             "change_wins": wins,
+            "verdict": verdict(runs, spec["better"], spec["bound"]),
         }
     entry = {
         "seed": args.seed,
@@ -155,6 +179,7 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    print(", ".join(f"{name}: {m['verdict']}" for name, m in metrics.items()))
     print(f"wrote {path}")
     return 0
 
