@@ -10,17 +10,17 @@ factors form a class).  For m counting the factors of each class used so far,
 
 sums the ordered-simplex integrals over the distinct orderings of those
 factors, and I_n = weight * prod_c m_c! * J_full(T).  It serves every
-evaluation on a given path: isometry (its rotated driver too), contractions,
-cylindrical arguments and ``chaotic_extension``.
+evaluation on a given path: isometry (its rotated driver too), contractions
+and cylindrical arguments.
 
-``RotatedChaos`` reads a chaos vector against Y^theta = B cos(theta) +
-M sin(theta) at any number of angles.  It serves covariance-decay, and
-gradients.rotated_values, where the route is chosen, sends it gradient_chaos
-and the Mehler averages (P_t is the rotation of (B, Bhat) by theta_t,
-cos(theta_t) = e^{-t/2}).  I_n is weight times the sum of prod_i g_i(t_{j_i})
-dX_{j_i} over injective maps from factors to steps; Moebius inversion on the
-lattice of set partitions (Peccati and Taqqu, *Wiener Chaos: Moments,
-Cumulants and Diagrams*, 2011, ch. 2) turns it into
+``chaotic_extension(F, B, M)`` is the rotation theta -> F^theta on Y^theta =
+B cos(theta) + M sin(theta) as one object.  F-sharp is its derivative at 0
+(gradients.gradient_chaos), P_t its value at theta_t, cos(theta_t) = e^{-t/2}
+(the ou module), and covariance-decay reads its integrals.  For a chaos
+vector it is a ``RotatedChaos``: I_n is weight times the sum of prod_i
+g_i(t_{j_i}) dX_{j_i} over injective maps from factors to steps; Moebius
+inversion on the lattice of set partitions (Peccati and Taqqu, *Wiener
+Chaos: Moments, Cumulants and Diagrams*, 2011, ch. 2) turns it into
 
     I_n = weight * sum_pi mu(pi) prod_{B in pi} p_B,   p_B = sum_j prod_{i in B} g_i(t_j) dX_j^|B|,
 
@@ -230,11 +230,12 @@ def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:
     return total
 
 
-def chaotic_extension(
-    F: ChaosVector, brownian: SamplePath, martingale: SamplePath, theta: float
-) -> np.ndarray:
-    """F^theta: the kernels of F read against Y^theta = B cos(theta) + M sin(theta)."""
-    return evaluate_chaos(F, rotate(brownian, martingale, theta))
+def chaotic_extension(F, brownian: SamplePath, martingale: SamplePath):
+    """theta -> F^theta on Y^theta = B cos(theta) + M sin(theta): the RotatedChaos of a
+    chaos vector, or any other functional (a callable on a path) on each rotated path."""
+    if isinstance(F, ChaosVector):
+        return RotatedChaos(F, brownian, martingale)
+    return lambda theta: F(rotate(brownian, martingale, theta))
 
 
 def stochastic_integral(g: StepFunction, driver: SamplePath) -> np.ndarray:

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_spectrum, default_truncation, require_exponent
-from .chaos import RotatedChaos, exponential_vector, iterated_integral
-from .drivers import martingale_batch, rotate
+from .chaos import chaotic_extension, exponential_vector, iterated_integral
+from .drivers import _cos_sin, martingale_batch, rotate
 from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
 from .functionals import make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
 from .gradients import lent_particle_sde_table, require_step, supremum_decomposition
-from .gradients import supremum_gradient
+from .gradients import supremum_quotient
 from .grid import TimeGrid
 from .kernels import ChaosVector, SimplexKernel
 from .ou import (
@@ -209,12 +209,20 @@ def _z_result(cfg: ExperimentConfig, tests) -> ExperimentResult:
 ISOMETRY_DRIVERS = ("brownian", "poisson", "compound", "rotation")
 
 
+def _power_kernels(cfg: ExperimentConfig) -> tuple:
+    """``orders`` and {n: h^(x)n} for its entries, h = 1/sqrt(T), before any path is drawn."""
+    orders = cfg.param("orders")
+    if min(orders, default=0) < 1:  # I_0 is a constant: its standard error is 0
+        raise ConfigurationError(f"orders must be a non-empty list of orders >= 1, got {orders}")
+    h = StepFunction.constant(1.0 / math.sqrt(cfg.horizon), cfg.horizon)
+    return orders, {n: SimplexKernel.power(h, n) for n in orders}
+
+
 def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
-    orders = cfg.param("orders")
+    orders, kernels = _power_kernels(cfg)
     rotation_theta = cfg.param("rotation_theta")
-    h = StepFunction.constant(1.0 / math.sqrt(grid.horizon), grid.horizon)
-    kernels = {n: SimplexKernel.power(h, n) for n in orders}
+    _cos_sin(rotation_theta)  # a non-finite angle fails before any path is drawn
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
@@ -242,16 +250,16 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
-    orders = cfg.param("orders")
+    orders, kernels = _power_kernels(cfg)
     phis = cfg.param("phis")
-    h = StepFunction.constant(1.0 / math.sqrt(grid.horizon), grid.horizon)
-    kernels = {n: SimplexKernel.power(h, n) for n in orders}
+    for phi in phis:
+        _cos_sin(phi)  # a non-finite angle fails before any path is drawn
     F = ChaosVector(0.0, tuple(kernels.values()))
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         N = martingale_batch("poisson", grid, cfg.master_seed, start, count)
-        rotated = RotatedChaos(F, B, N)
+        rotated = chaotic_extension(F, B, N)
         base = rotated.integrals(0.0)
         out = {}
         for phi in phis:
@@ -304,6 +312,8 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
     h_norm_sq = cfg.param("h_norm_sq")
     if not 0.0 < h_norm_sq < math.inf:
         raise ConfigurationError(f"h_norm_sq must be positive and finite, got {h_norm_sq}")
+    for phi in phis:
+        _cos_sin(phi)  # a non-finite angle fails before any path is drawn
     h = StepFunction.constant(math.sqrt(h_norm_sq / grid.horizon), grid.horizon)
     zero = StepFunction.constant(0.0, grid.horizon)
     T = grid.horizon
@@ -335,7 +345,7 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
         out = {}
         for kind in ("poisson", "compound"):
             M = martingale_batch(kind, grid, cfg.master_seed, start, count)
-            out[kind] = gradient_chaos(F, B, M, theta) ** 2
+            out[kind] = gradient_chaos(chaotic_extension(F, B, M), theta) ** 2
         return out
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
@@ -374,10 +384,10 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
     u_list = cfg.param("u_grid")
     t_list = cfg.param("t_grid")
     specs = _make_sdes(cfg, names)
-    for t in t_list:
-        grid.index_of(t)  # an off-grid t fails before any path is drawn
-    for u in u_list:
-        grid.index_at_or_after(u)  # and so does a u outside (0, T]
+    ms = [grid.index_of(t) for t in t_list]  # an off-grid t fails before any path is drawn
+    ks = [grid.index_at_or_after(u) for u in u_list]  # and so does a u outside (0, T]
+    if not any(k <= m for k in ks for m in ms):  # and a report without a row
+        raise ConfigurationError(f"no pair of u_grid {u_list} and t_grid {t_list} has u <= t")
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
@@ -505,19 +515,19 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         raise DomainError(f"t_bracket entries must be positive and finite, got {t_list}")
     if len(set(t_list)) < 2:
         raise DomainError(f"t_bracket needs at least two distinct times, got {t_list}")
-    b1 = make_b1(grid.horizon)
-    f2 = make_second_chaos(grid.horizon)
+    b1, f2 = make_b1(grid.horizon), make_second_chaos(grid.horizon)
 
     def outer_stats(i):
         B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
         hats = inner_hat_batch(grid, cfg.master_seed, i, n_inner)
-        gamma_b1 = carre_du_champ(b1, B, hats, theta)
-        gamma_f2 = carre_du_champ(f2, B, hats, theta)
-        brackets = semigroup_limit_gamma(f2, B, t_list, hats)
+        ext_b1, ext_f2 = (chaotic_extension(F, B, hats) for F in (b1, f2))
+        f2_at_b = float(evaluate_functional(f2, B))
+        gamma_b1, gamma_f2 = carre_du_champ(ext_b1, theta), carre_du_champ(ext_f2, theta)
+        brackets = semigroup_limit_gamma(ext_f2, f2_at_b, t_list)
         # the first n_eigen outer paths also give (F, inner mean, inner SE) of P_t F per order
-        eigen = [(float(evaluate_functional(F, B)),
-                  *_mean_se(mehler_samples(F, B, (t_eigen,), hats)[0]))
-                 for F in (b1, f2)] if i < n_eigen else []
+        eigen = [(f0, *_mean_se(mehler_samples(ext, (t_eigen,))[0]))
+                 for f0, ext in ((float(evaluate_functional(b1, B)), ext_b1), (f2_at_b, ext_f2))
+                 ] if i < n_eigen else []
         return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2, eigen
 
     def batch(start, count):
@@ -569,7 +579,7 @@ def _run_supremum(cfg: ExperimentConfig) -> ExperimentResult:
         gap = after - before
         tied = (gap == 0.0) | ((gap < 0.0) & (gap > -a))
         # the library's difference quotient must be the 0/1 indicator averaged below
-        quotient = supremum_gradient(None, B, u, a)
+        quotient = supremum_quotient(gap, a)
         return {"gap": gap, "tied": tied, "offending": ~tied & (quotient != (gap >= 0.0))}
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)

@@ -4,8 +4,8 @@ The central move: perturb the driving path by a * 1_{. >= u} ("lend" a jump of
 size a at time u), re-evaluate the functional, and difference in a.  Every
 estimator takes a central difference, so the bias is O(step^2) for smooth
 functionals; the default step is 1e-4, and 1e-3 for the rotation angle of
-``gradient_chaos``.  Each estimator is paired with a route that does not go
-through the jump difference:
+``gradient_chaos`` (on the rotation chaos.chaotic_extension returns).  Each
+estimator is paired with a route that does not go through the jump difference:
 
 * cylindrical functionals -- the chain-rule value sum_i dPhi_i * h_i(u-);
 * chaos vectors           -- the order-lowering kernel contraction integrated
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .chaos import RotatedChaos, iterated_integral, stochastic_integral
+from .chaos import iterated_integral, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError, DomainError
 from .estimates import GradientEstimate
@@ -93,30 +93,15 @@ def _derivative_pairing(F, path: SamplePath, pair):
     return total
 
 
-def rotated_values(F, brownian: SamplePath, martingale: SamplePath, thetas) -> list:
-    """F on Y^theta = B cos(theta) + M sin(theta) for each theta: the one choice of route.
+def gradient_chaos(extension, theta0: float = 1e-3) -> np.ndarray:
+    """F-sharp: central difference (F^t - F^-t)/(2t) of t -> F^t = chaotic_extension(F, B, M).
 
-    A chaos vector takes every angle from one set of mixed sums (chaos.RotatedChaos);
-    any other functional is evaluated on each rotated path.
-    """
-    if isinstance(F, ChaosVector):
-        return list(map(RotatedChaos(F, brownian, martingale), thetas))
-    return [evaluate_functional(F, rotate(brownian, martingale, theta)) for theta in thetas]
-
-
-def gradient_chaos(
-    F, brownian: SamplePath, martingale: SamplePath, theta0: float = 1e-3
-) -> np.ndarray:
-    """F-sharp: central difference (F^t - F^-t)/(2t) of F on Y^t = B cos(t) + M sin(t).
-
-    One theta-difference serves every rotation.  For a Poisson or compound M,
-    F^t of a chaos vector is its chaotic extension (the kernels read against
-    Y^t).  For an independent Brownian copy M = Bhat the extension composes
-    with F, so any functional works there (ou.carre_du_champ).
+    One theta-difference serves every rotation: for a Poisson or compound M,
+    a chaos vector; for an independent Brownian copy M = Bhat, any functional
+    (ou.carre_du_champ).
     """
     require_step("theta0", theta0)
-    plus, minus = rotated_values(F, brownian, martingale, (theta0, -theta0))
-    return (plus - minus) / (2.0 * theta0)
+    return (extension(theta0) - extension(-theta0)) / (2.0 * theta0)
 
 
 def chaos_gradient_contraction(
@@ -222,14 +207,19 @@ def supremum_decomposition(K, brownian: SamplePath, u: float):
     return before, after
 
 
-def supremum_gradient(K, brownian: SamplePath, u: float, a: float) -> np.ndarray:
-    """(M(B + a 1_{. >= u}) - M(B)) / a for M(B) = sup_{s <= T} (B_s + K_s).
+def supremum_quotient(gap, a: float) -> np.ndarray:
+    """(M(B + a 1_{. >= u}) - M(B)) / a from gap = sup_{s >= u} - sup_{s < u} of B + K.
 
-    Uses the max decomposition, so the piecewise-linear structure is evaluated
-    exactly: the quotient is 1 where the post-u supremum dominates, 0 where it
-    trails by more than a, and the transitional value in between.
+    The piecewise-linear structure of the max, exactly: the quotient is 1
+    where the post-u supremum dominates, 0 where it trails by more than a,
+    and the transitional value in between.
     """
     require_step("a", a)
-    before, after = supremum_decomposition(K, brownian, u)
-    gap = after - before
     return np.clip(gap / a + 1.0, 0.0, 1.0)
+
+
+def supremum_gradient(K, brownian: SamplePath, u: float, a: float) -> np.ndarray:
+    """(M(B + a 1_{. >= u}) - M(B)) / a for M(B) = sup_{s <= T} (B_s + K_s), by the
+    max decomposition (supremum_quotient)."""
+    before, after = supremum_decomposition(K, brownian, u)
+    return supremum_quotient(after - before, a)

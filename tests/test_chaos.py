@@ -15,7 +15,7 @@ from lentparticle.chaos import (
 from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
 from lentparticle.errors import DimensionMismatchError, DomainError
 from lentparticle.experiments import make_config, run_experiment
-from lentparticle.functionals import make_functional
+from lentparticle.functionals import evaluate_functional, make_functional, make_square
 from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.kernels import MAX_ORDER, ChaosVector, SimplexKernel
 from lentparticle.stepfn import StepFunction
@@ -267,10 +267,12 @@ class TestChaosEvaluation:
         )
 
     def test_extension_at_zero_matches_brownian(self, unit_grid, brownian):
+        # at TestRotatedChaos's bound: the extension reads power sums, not the recursion
         mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
         h = StepFunction.constant(1.0, 1.0)
         F = ChaosVector(0.0, (SimplexKernel.power(h, 2),))
-        assert chaotic_extension(F, brownian, mart, 0.0) == evaluate_chaos(F, brownian)
+        assert chaotic_extension(F, brownian, mart)(0.0) == pytest.approx(
+            evaluate_chaos(F, brownian), rel=1e-12)
 
     def test_extension_rotation_covariance(self, unit_grid):
         # first chaos: F^theta = cos(theta) I_1(h; B) + sin(theta) I_1(h; M)
@@ -283,8 +285,24 @@ class TestChaosEvaluation:
             theta
         ) * stochastic_integral(h, M)
         np.testing.assert_allclose(
-            chaotic_extension(F, B, M, theta), expected, rtol=1e-12
+            chaotic_extension(F, B, M)(theta), expected, rtol=1e-12
         )
+
+    def test_extension_is_the_rotation(self, unit_grid):
+        # a chaos vector's extension is its RotatedChaos; any other functional is read
+        # on each rotated path, bit for bit
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 6)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 6)
+        F = make_functional("three-term")
+        extension = chaotic_extension(F, B, M)
+        assert isinstance(extension, RotatedChaos)
+        for theta in (0.0, 1e-3, -0.7, math.pi / 2):
+            assert extension(theta).tobytes() == RotatedChaos(F, B, M)(theta).tobytes()
+        square = make_square(1.0)
+        extension = chaotic_extension(square, B, M)
+        for theta in (0.0, 1e-3, -0.7, math.pi / 2):
+            expected = evaluate_functional(square, rotate(B, M, theta))
+            assert extension(theta).tobytes() == expected.tobytes()
 
 
 class TestExponentialVector:

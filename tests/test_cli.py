@@ -195,6 +195,10 @@ class TestRun:
          "sde_params names SDEs that are not run: ['gmb']"),
         ("sde-lent-particle", ["u_grid=[NaN]", "t_grid=[1.0]"], "time nan outside (0, 1.0]"),
         ("sde-lent-particle", ["u_grid=[0.0]", "t_grid=[1.0]"], "time 0.0 outside (0, 1.0]"),
+        ("sde-lent-particle", ["u_grid=[0.9]", "t_grid=[0.5]"],
+         "no pair of u_grid [0.9] and t_grid [0.5] has u <= t"),
+        ("isometry", ["orders=[0, 1]"], "orders must be a non-empty list of orders >= 1"),
+        ("covariance-decay", ["orders=[0]"], "orders must be a non-empty list of orders >= 1"),
     ])
     def test_bad_param_exit_2(self, runner, tmp_path, experiment, params, message):
         flags = [flag for param in params for flag in ("--param", param)]

@@ -236,10 +236,10 @@ class TestRunners:
     def test_supremum_binary_can_fail(self, monkeypatch):
         from lentparticle import experiments, gradients
 
-        def halved(K, brownian, u, a):
-            return 0.5 * gradients.supremum_gradient(K, brownian, u, a)
+        def halved(gap, a):
+            return 0.5 * gradients.supremum_quotient(gap, a)
 
-        monkeypatch.setattr(experiments, "supremum_gradient", halved)
+        monkeypatch.setattr(experiments, "supremum_quotient", halved)
         res = run_experiment(make_config("supremum", n_paths=500))
         (binary,) = [c for c in res.checks if c["name"] == "supremum_binary"]
         # every untied path whose quotient should be 1 now reads 0.5
@@ -401,13 +401,14 @@ class TestRunners:
 
     def test_mehler_draws_each_outer_path_once(self, monkeypatch):
         # the eigenvalue rows read the first outer paths: no path is drawn twice, and
-        # second-chaos builds two rotations per outer path and a third per eigen path
-        from lentparticle import experiments, gradients
+        # each functional builds one rotation per outer path, which Gamma, the brackets
+        # and the eigenvalue rows share
+        from lentparticle import chaos, experiments
 
         keys, outer, orders = [], [], []
         original_hats = experiments.inner_hat_batch
         original_batch = experiments.martingale_batch
-        original_rotated = gradients.RotatedChaos
+        original_rotated = chaos.RotatedChaos
 
         def recording_hats(grid, master_seed, outer_index, count):
             keys.append(outer_index)
@@ -423,13 +424,13 @@ class TestRunners:
 
         monkeypatch.setattr(experiments, "inner_hat_batch", recording_hats)
         monkeypatch.setattr(experiments, "martingale_batch", recording_batch)
-        monkeypatch.setattr(gradients, "RotatedChaos", recording_rotated)
+        monkeypatch.setattr(chaos, "RotatedChaos", recording_rotated)
         run_experiment(make_config(
             "mehler", n_steps=20, params={"n_outer": 3, "n_inner": 8, "n_eigen_paths": 2}
         ))
         assert sorted(keys) == list(range(3))
         assert sorted(outer) == [("brownian", i, 1) for i in range(3)]
-        assert orders.count(2) == 2 * 3 + 2
+        assert sorted(orders) == [1, 1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("params, error", [
         ({"t_bracket": (0.1, 0.1)}, DomainError),  # one distinct bracket time
@@ -459,6 +460,45 @@ class TestRunners:
         monkeypatch.setattr(experiments, "inner_hat_batch", drawn)
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config("mehler", n_steps=20, params=params))
+
+    @pytest.mark.parametrize("name, params, error, message", [
+        # an order-0 kernel is a constant: its standard error of 0 failed after every batch
+        ("isometry", {"orders": [1, 0]}, ConfigurationError, "orders must be a non-empty"),
+        ("covariance-decay", {"orders": [0]}, ConfigurationError, "orders must be a non-empty"),
+        ("covariance-decay", {"orders": []}, ConfigurationError, "orders must be a non-empty"),
+        ("isometry", {"rotation_theta": float("nan")}, DomainError, "angle must be finite"),
+        ("covariance-decay", {"phis": [0.0, float("nan")]}, DomainError,
+         "angle must be finite"),
+        ("exp-vector-covariance", {"phis": [float("inf")]}, DomainError,
+         "angle must be finite"),
+    ])
+    def test_chaos_params_rejected_before_drawing(self, monkeypatch, name, params, error,
+                                                  message):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        with pytest.raises(error, match=message):
+            run_experiment(make_config(name, n_steps=20, n_paths=8, params=params))
+
+    @pytest.mark.parametrize("u_grid, t_grid", [
+        ((0.9,), (0.5,)),  # the one pair has u > t: the report would have no row
+        ((0.6, 0.9), (0.2, 0.5)),
+        ((), (1.0,)),
+    ])
+    def test_sde_without_a_u_t_pair_rejected_before_drawing(self, monkeypatch, u_grid,
+                                                            t_grid):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        with pytest.raises(ConfigurationError, match="has u <= t"):
+            run_experiment(make_config("sde-lent-particle", n_steps=10, n_paths=4, params={
+                "u_grid": u_grid, "t_grid": t_grid}))
 
     def test_registry_descriptions(self):
         for name, spec in EXPERIMENTS.items():

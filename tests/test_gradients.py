@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lentparticle.chaos import chaotic_extension
 from lentparticle.drivers import martingale_batch, rotate
 from lentparticle.errors import ConfigurationError, DomainError
 from lentparticle.experiments import make_config, run_experiment
@@ -20,6 +21,7 @@ from lentparticle.gradients import (
     lent_particle_sde_table,
     supremum_decomposition,
     supremum_gradient,
+    supremum_quotient,
 )
 from lentparticle.grid import SamplePath
 from lentparticle.kernels import ChaosVector, SimplexKernel
@@ -82,7 +84,7 @@ class TestChaosGradient:
         M = martingale_batch("compound", unit_grid, SEED, 0, 16)
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
         F = ChaosVector(0.0, (SimplexKernel(1, (h,)),))
-        sharp = gradient_chaos(F, B, M, theta0=1e-3)
+        sharp = gradient_chaos(chaotic_extension(F, B, M), theta0=1e-3)
         contraction = chaos_gradient_contraction(F, B, M)
         np.testing.assert_allclose(sharp, contraction, atol=1e-5)
 
@@ -93,7 +95,7 @@ class TestChaosGradient:
         M = martingale_batch("compound", unit_grid, SEED, 0, 16)
         h = StepFunction.constant(1.0, 1.0)
         F = ChaosVector(0.0, (SimplexKernel.power(h, 2),))
-        sharp = gradient_chaos(F, B, M, theta0=1e-4)
+        sharp = gradient_chaos(chaotic_extension(F, B, M), theta0=1e-4)
         contraction = chaos_gradient_contraction(F, B, M)
         hv = h.on_grid(unit_grid)
         diagonal = 2.0 * np.sum(hv**2 * B.increments * M.increments, axis=-1)
@@ -103,7 +105,8 @@ class TestChaosGradient:
         B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
         M = martingale_batch("poisson", unit_grid, SEED, 0, 4)
         F = ChaosVector(5.0, ())
-        np.testing.assert_allclose(gradient_chaos(F, B, M), 0.0, atol=1e-12)
+        np.testing.assert_allclose(gradient_chaos(chaotic_extension(F, B, M)), 0.0,
+                                   atol=1e-12)
         np.testing.assert_allclose(chaos_gradient_contraction(F, B, M), 0.0)
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
@@ -114,7 +117,7 @@ class TestChaosGradient:
         theta = 1e-3
         on_paths = (evaluate_functional(F, rotate(B, M, theta))
                     - evaluate_functional(F, rotate(B, M, -theta))) / (2.0 * theta)
-        np.testing.assert_allclose(gradient_chaos(F, B, M, theta), on_paths,
+        np.testing.assert_allclose(gradient_chaos(chaotic_extension(F, B, M), theta), on_paths,
                                    rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("theta0", [0.0, -1e-3, np.nan, np.inf])
@@ -123,7 +126,7 @@ class TestChaosGradient:
         B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
         M = martingale_batch("poisson", unit_grid, SEED, 0, 4)
         with pytest.raises(DomainError, match="theta0 must be positive and finite"):
-            gradient_chaos(make_functional(name), B, M, theta0)
+            gradient_chaos(chaotic_extension(make_functional(name), B, M), theta0)
 
 
 class TestPoissonSde:
@@ -173,7 +176,7 @@ class TestPoissonSde:
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
 @pytest.mark.parametrize("estimator", [
     "gradient_cylindrical", "gradient_chaos", "lent_particle_sde_table",
-    "lent_particle_sde_poisson", "supremum_gradient"])
+    "lent_particle_sde_poisson", "supremum_gradient", "supremum_quotient"])
 def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step):
     B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
     M = martingale_batch("compound", unit_grid, SEED, 0, 4)
@@ -183,12 +186,14 @@ def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step)
     calls = {
         "gradient_cylindrical": ("a0", lambda: gradient_cylindrical(make_square(1.0), B, 0.5,
                                                                     step)),
-        "gradient_chaos": ("theta0", lambda: gradient_chaos(make_square(1.0), B, M, step)),
+        "gradient_chaos": ("theta0", lambda: gradient_chaos(
+            chaotic_extension(make_square(1.0), B, M), step)),
         "lent_particle_sde_table": ("theta", lambda: lent_particle_sde_table(
             spec, B, (0.5,), (1.0,), step)),
         "lent_particle_sde_poisson": ("theta", lambda: lent_particle_sde_poisson(
             spec, B, M, 1.0, step)),
         "supremum_gradient": ("a", lambda: supremum_gradient(None, B, 0.5, step)),
+        "supremum_quotient": ("a", lambda: supremum_quotient(np.zeros(4), step)),
     }
     name, call = calls[estimator]
     with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got "):
@@ -263,6 +268,16 @@ class TestSupremum:
         clear = np.abs(after - before) > a
         assert np.all(np.isin(grads[clear], [0.0, 1.0]))
         assert np.all((grads >= 0.0) & (grads <= 1.0))
+
+    def test_quotient_clips_the_gap(self, unit_grid):
+        # 1 where the post-u supremum leads or ties, 0 where it trails by more than a
+        a = 1e-6
+        gap = np.array([0.5, 0.0, -5e-7, -a, -2e-6])
+        np.testing.assert_array_equal(supremum_quotient(gap, a), [1.0, 1.0, 0.5, 0.0, 0.0])
+        batch = martingale_batch("brownian", unit_grid, SEED, 0, 64)
+        before, after = supremum_decomposition(None, batch, 0.5)
+        assert (supremum_gradient(None, batch, 0.5, a).tobytes()
+                == supremum_quotient(after - before, a).tobytes())
 
     def test_drift_shifts_decomposition(self, unit_grid, brownian):
         K = StepFunction.constant(100.0, 0.25)  # huge head start before u
