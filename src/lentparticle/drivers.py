@@ -9,12 +9,27 @@ Y^theta = B cos(theta) + M sin(theta) and jump-augmented Brownian paths
 Jump times are drawn as unit-rate exponential gaps and snapped forward to the
 nearest grid point strictly after the previous jump; the compensator -t of N~
 is carried analytically as a continuous drift of -dt per step, not as
-pseudo-jumps.
+pseudo-jumps.  ``_jump_step_indices`` is that rule, one gap at a time, and the
+reference.  A batch draws each path's first ``_GAP_BLOCK`` gaps with one call
+(6 cover the N_T + 1 draws of all but ~6e-4 of paths at T = 1) and snaps the
+whole batch at once: arrival times by a row cumsum, steps by
+k_i = i + max(1, running max of ceil(t_j / dt - 1e-9) - j), and a stop at the
+first arrival past T or past the last step.  A path whose block does not reach
+its stop is drawn again by ``_jump_step_indices``.  The marks of a compound
+path follow its gaps in the same stream, so a path with arrivals replays
+exactly its N + 1 gaps before its one ``integers`` call.
+
+Per-path draws hold the interpreter lock, one short call per path, while the
+vectorized reductions around them release it.  Every per-key loop therefore
+runs under one module lock, ``_DRAW_LOCK``: threads take turns at whole
+batches of draws and overlap them with each other's reductions, instead of
+handing the interpreter lock back and forth at every path.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -159,21 +174,21 @@ def _philox_keys(words: list) -> np.ndarray:
 def _keyed_generators(master_seed: int, channel: int, index, subindex):
     """Generators in the start state of RngStream(...).generator(), key by key.
 
-    One of ``index`` and ``subindex`` is a ``range(start, stop)``, the other
-    an int; key k takes the range's k-th entry.  A generator is valid until
-    the next one is requested: on the vectorized route it is one Philox,
-    reset to each key.
+    One of ``index`` and ``subindex`` is a sorted sequence of keys (a ``range``
+    or an integer array), the other an int; key k takes the sequence's k-th
+    entry.  A generator is valid until the next one is requested: on the
+    vectorized route it is one Philox, reset to each key.
     """
-    words = [master_seed, channel, index, subindex]
-    n = next(len(w) for w in words if isinstance(w, range))
-    fits = n > 0 and all(0 <= w[0] and w[-1] <= _MASK32 if isinstance(w, range)
+    words = [np.arange(w.start, w.stop) if isinstance(w, range) else w
+             for w in (master_seed, channel, index, subindex)]
+    n = next(len(w) for w in words if isinstance(w, np.ndarray))
+    fits = n > 0 and all(0 <= w[0] and w[-1] <= _MASK32 if isinstance(w, np.ndarray)
                          else 0 <= w <= _MASK32 for w in words)
     if not fits:
-        keys = [[w[k] if isinstance(w, range) else w for w in words] for k in range(n)]
+        keys = [[int(w[k]) if isinstance(w, np.ndarray) else w for w in words]
+                for k in range(n)]
         return (RngStream(seed, i, ch, sub).generator() for seed, ch, i, sub in keys)
-    keys = _philox_keys([np.arange(w.start, w.stop) if isinstance(w, range) else w
-                         for w in words])
-    return _reset_to_each(keys.tolist())
+    return _reset_to_each(_philox_keys(words).tolist())
 
 
 def _reset_to_each(philox_keys: list):
@@ -189,11 +204,17 @@ def _reset_to_each(philox_keys: list):
         yield gen
 
 
+# Held by every per-key loop, so that threads take turns at the per-path draws.
+_DRAW_LOCK = threading.Lock()
+_GAP_BLOCK = 6  # exponential gaps drawn per path in the first pass of a jump batch
+
+
 def _normal_batch(grid: TimeGrid, count: int, generators) -> SamplePath:
     """One Brownian path of N(0, dt) increments for each of ``count`` generators."""
     inc = np.empty((count, grid.n_steps))
-    for i, gen in enumerate(generators):
-        gen.standard_normal(out=inc[i])
+    with _DRAW_LOCK:
+        for row, gen in zip(inc, generators):
+            gen.standard_normal(out=row)
     inc *= np.sqrt(grid.dt)
     return SamplePath(grid, inc)
 
@@ -201,12 +222,34 @@ def _normal_batch(grid: TimeGrid, count: int, generators) -> SamplePath:
 def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
                 channel: int, signed: bool) -> np.ndarray:
     """Jump part of each path: unit marks, or fair +-1 marks when ``signed``."""
+    gaps = np.empty((count, _GAP_BLOCK))
+    with _DRAW_LOCK:
+        for row, gen in zip(gaps, _keyed_generators(master_seed, channel,
+                                                    range(start, start + count), 0)):
+            gen.standard_exponential(out=row)
+    # _jump_step_indices on every row at once, up to the block's last gap
+    arrivals = np.cumsum(gaps, axis=1)
+    order = np.arange(_GAP_BLOCK)
+    snapped = np.maximum(np.ceil(arrivals / grid.dt - 1e-9) - order, 1)
+    steps = order + np.maximum.accumulate(snapped, axis=1)
+    kept = (arrivals <= grid.horizon) & (steps <= grid.n_steps)  # a prefix of each row
+    n_kept = kept.sum(axis=1)
+    unstopped = n_kept == _GAP_BLOCK  # drawn again, gap by gap
+    kept[unstopped] = False
     jumps = np.zeros((count, grid.n_steps))
-    gens = _keyed_generators(master_seed, channel, range(start, start + count), 0)
-    for i, gen in enumerate(gens):
-        idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
-        marks = gen.integers(0, 2, size=idx.size) * 2.0 - 1.0 if signed else 1.0
-        jumps[i, idx - 1] = marks
+    marks = np.ones_like(arrivals)
+    redo = np.flatnonzero(n_kept > 0 if signed else unstopped)
+    with _DRAW_LOCK:
+        for i, gen in zip(redo, _keyed_generators(master_seed, channel, start + redo, 0)):
+            if unstopped[i]:
+                idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
+                jumps[i, idx - 1] = (gen.integers(0, 2, size=idx.size) * 2.0 - 1.0
+                                     if signed else 1.0)
+            else:  # replay the gaps, up to the one past the stop, then draw the marks
+                gen.standard_exponential(n_kept[i] + 1)
+                marks[i, :n_kept[i]] = gen.integers(0, 2, size=n_kept[i]) * 2.0 - 1.0
+    rows, cols = np.nonzero(kept)
+    jumps[rows, steps[rows, cols].astype(np.intp) - 1] = marks[rows, cols]
     return jumps
 
 

@@ -46,11 +46,14 @@ DEFAULT_SEED = 20240901
 
 def _param_value(name: str, value, default):
     """value checked against the kind of its registered default: a tuple's entries by
-    its first entry (one value becomes a 1-tuple), a dict's (``sde_params``) as objects."""
+    its first entry (one value becomes a 1-tuple) and without repeats, since each entry
+    gives its own report rows and checks; a dict's (``sde_params``) as objects."""
     if isinstance(default, tuple):
         value = value if isinstance(value, (list, tuple)) else (value,)
         for i, entry in enumerate(value):
             require_kind(f"{name}[{i}]", entry, type(default[0]))
+            if entry in value[:i]:
+                raise ConfigurationError(f"{name}[{i}] repeats an earlier entry: {entry!r}")
         return value
     require_kind(name, value, type(default))
     if isinstance(default, dict):

@@ -176,7 +176,7 @@ class TestRun:
         ("mehler", ["t_bracket=[Infinity, 0.01]"],
          "t_bracket entries must be positive and finite"),
         ("mehler", ["t_bracket=[0, 0.01]"], "t_bracket entries must be positive and finite"),
-        ("mehler", ["t_bracket=[0.01, 0.01]"], "t_bracket needs at least two distinct times"),
+        ("mehler", ["t_bracket=[0.01]"], "t_bracket needs at least two distinct times"),
         ("exp-vector-covariance", ["h_norm_sq=-1"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=0"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=NaN"], "h_norm_sq must be positive and finite"),
@@ -199,6 +199,10 @@ class TestRun:
          "no pair of u_grid [0.9] and t_grid [0.5] has u <= t"),
         ("isometry", ["orders=[0, 1]"], "orders must be a non-empty list of orders >= 1"),
         ("covariance-decay", ["orders=[0]"], "orders must be a non-empty list of orders >= 1"),
+        # each entry of a list parameter gives its own report rows and check names
+        ("mehler", ["t_bracket=[0.01, 0.01]"], "t_bracket[1] repeats an earlier entry: 0.01"),
+        ("covariance-decay", ["orders=[2, 2]"], "orders[1] repeats an earlier entry: 2"),
+        ("exp-vector-covariance", ["phis=[0.5, 0.5]"], "phis[1] repeats an earlier entry: 0.5"),
     ])
     def test_bad_param_exit_2(self, runner, tmp_path, experiment, params, message):
         flags = [flag for param in params for flag in ("--param", param)]

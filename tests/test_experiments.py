@@ -433,7 +433,7 @@ class TestRunners:
         assert sorted(orders) == [1, 1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("params, error", [
-        ({"t_bracket": (0.1, 0.1)}, DomainError),  # one distinct bracket time
+        ({"t_bracket": (0.1,)}, DomainError),  # one bracket time
         ({"n_eigen_paths": 0}, ConfigurationError),
         ({"n_eigen_paths": 3}, ConfigurationError),  # more than n_outer
     ])
@@ -482,6 +482,23 @@ class TestRunners:
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
         with pytest.raises(error, match=message):
             run_experiment(make_config(name, n_steps=20, n_paths=8, params=params))
+
+    @pytest.mark.parametrize("name, param", [
+        (name, param) for name, spec in EXPERIMENTS.items()
+        for param, default in spec.param_defaults.items() if isinstance(default, tuple)
+    ])
+    def test_repeated_list_entry_rejected_before_drawing(self, monkeypatch, name, param):
+        # a repeated entry gave repeated report rows and check names
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        first = EXPERIMENTS[name].param_defaults[param][0]
+        with pytest.raises(ConfigurationError,
+                           match=rf"{param}\[1\] repeats an earlier entry: {first!r}"):
+            run_experiment(make_config(name, n_steps=20, n_paths=8,
+                                       params={param: [first, first]}))
+        assert drawn == []
 
     @pytest.mark.parametrize("u_grid, t_grid", [
         ((0.9,), (0.5,)),  # the one pair has u > t: the report would have no row

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,71 @@ class TestKeyedGenerators:
             gen = RngStream(seed, outer, CHANNEL_HAT, j + 1).generator()
             expected = gen.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
             np.testing.assert_array_equal(batch.increments[j], expected)
+
+    @pytest.mark.parametrize("horizon, n_steps, scalar", [
+        (12.0, 400, "most"),  # N_T + 1 > 6 gaps on most paths: the gap-by-gap route
+        (8.0, 1, "none"), (8.0, 2, "none"), (8.0, 3, "none"),  # stopped by the last step
+        (1.0, 1000, "few"),  # ~6e-4 of paths at T = 1
+    ])
+    @pytest.mark.parametrize("seed, start, count", [
+        (SEED, 0, 300),
+        (SEED, 2**32 - 3, 6),  # crosses to the per-key route
+    ])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_snapped_jump_batch_matches_scalar_route(self, monkeypatch, kind, seed, start,
+                                                     count, horizon, n_steps, scalar):
+        grid = TimeGrid(horizon, n_steps)
+        original, redrawn = drivers._jump_step_indices, []
+
+        def recorded(gen, grid):
+            redrawn.append(1)
+            return original(gen, grid)
+
+        monkeypatch.setattr(drivers, "_jump_step_indices", recorded)
+        batch = martingale_batch(kind, grid, seed, start, count)
+        monkeypatch.undo()
+        for row, i in enumerate(range(start, start + count)):
+            increments, jumps = _reference_path(kind, grid, seed, i)
+            np.testing.assert_array_equal(batch.increments[row], increments)
+            np.testing.assert_array_equal(batch.jump_increments[row], jumps)
+        if count > 6:
+            assert {"none": len(redrawn) == 0, "few": len(redrawn) < count / 100,
+                    "most": len(redrawn) > count / 2}[scalar]
+
+    def test_per_path_draws_hold_the_draw_lock(self, monkeypatch, unit_grid):
+        original, yielded = drivers._reset_to_each, []
+
+        def checked(philox_keys):
+            for gen in original(philox_keys):
+                assert drivers._DRAW_LOCK.locked()
+                yielded.append(1)
+                yield gen
+
+        monkeypatch.setattr(drivers, "_reset_to_each", checked)
+        for kind in ("brownian", "poisson", "compound"):
+            martingale_batch(kind, unit_grid, SEED, 0, 50)
+        inner_hat_batch(unit_grid, SEED, 3, 50)
+        # both passes of the compound batch: its paths with a jump are drawn twice
+        assert len(yielded) > 4 * 50
+        assert not drivers._DRAW_LOCK.locked()
+
+    def test_threads_taking_turns_draw_the_serial_batches(self, unit_grid):
+        jobs = [(kind, start) for kind in ("brownian", "poisson", "compound")
+                for start in range(0, 480, 60)]
+        serial = [martingale_batch(kind, unit_grid, SEED, start, 60).increments
+                  for kind, start in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:  # more workers than cores
+                futures = [pool.submit(martingale_batch, kind, unit_grid, SEED, start, 60)
+                           for kind, start in jobs]
+                threaded = [f.result(timeout=60).increments for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
+        assert not drivers._DRAW_LOCK.locked()
 
     def test_empty_batch(self, unit_grid):
         for kind in ("brownian", "poisson", "compound"):
