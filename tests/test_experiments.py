@@ -449,6 +449,10 @@ class TestRunners:
         ({"t_eigen": 0.0}, "t_eigen must be positive and finite"),
         # the eigenvalue rows read the first n_eigen_paths outer paths
         ({"n_outer": 4, "n_eigen_paths": 5}, "n_eigen_paths must be in 1..n_outer = 4, got 5"),
+        # Gamma and the eigen rows' standard errors need two hat paths per outer path
+        ({"n_inner": -3}, "n_inner must be at least 2, got -3"),
+        ({"n_inner": 0}, "n_inner must be at least 2, got 0"),
+        ({"n_inner": 1}, "n_inner must be at least 2, got 1"),
     ])
     def test_mehler_rejects_params_before_drawing(self, monkeypatch, params, message):
         from lentparticle import experiments
@@ -471,6 +475,12 @@ class TestRunners:
          "angle must be finite"),
         ("exp-vector-covariance", {"phis": [float("inf")]}, DomainError,
          "angle must be finite"),
+        # the target e^h_norm_sq overflowed after every batch had been drawn
+        ("exp-vector-covariance", {"h_norm_sq": 800.0}, DomainError,
+         r"h_norm_sq must be in \[0, 709.78\]"),
+        # F-sharp's energy is read off the kernels of a chaos vector
+        ("chaos-energy", {"functional": "square"}, ConfigurationError,
+         "functional must be a chaos vector"),
     ])
     def test_chaos_params_rejected_before_drawing(self, monkeypatch, name, params, error,
                                                   message):
