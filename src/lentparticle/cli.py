@@ -70,14 +70,13 @@ def main() -> None:
 @click.option("--n-paths", type=int, default=None, help="Outer Monte Carlo paths.")
 @click.option("--grid-steps", type=int, default=None, help="Time steps on [0, T].")
 @click.option("--horizon", type=float, default=None, help="Time horizon T.")
-@click.option("--theta", type=float, default=None, help="Difference step.")
 @click.option("--workers", type=int, default=None, help="Worker threads.")
 @click.option("--param", "params", multiple=True,
               help="Experiment parameter override, NAME=JSON (repeatable).")
 @click.option("--output", type=click.Path(), default=None,
               help="Report directory (default: $LENTPARTICLE_OUTPUT_DIR or ./reports).")
-def run(experiment, config_path, seed, n_paths, grid_steps, horizon, theta,
-        workers, params, output):
+def run(experiment, config_path, seed, n_paths, grid_steps, horizon, workers, params,
+        output):
     """Run a named experiment and write its CSV + JSON report."""
     try:
         fields: dict = {}
@@ -97,7 +96,6 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, theta,
             "n_paths": n_paths,
             "n_steps": grid_steps,
             "horizon": horizon,
-            "theta": theta,
             "workers": workers,
         }
         fields.update({k: v for k, v in overrides.items() if v is not None})

@@ -89,12 +89,12 @@ class SamplePath:
     """One driver path (or a batch of them) on a shared grid.
 
     ``increments[..., j]`` is the change over (t_j, t_{j+1}];
-    ``jump_increments`` is the pure-jump part of each increment (zero array
-    for continuous drivers); ``values`` holds the levels at the grid points,
-    with value 0 at t_0.  They are computed on first read and cached: by
-    ``_levels`` when a path built from others records how (so the levels stay
-    bit-exact at every grid point), else as the cumulative sum of the
-    increments.
+    ``jump_increments`` is the pure-jump part of each increment (None for
+    continuous drivers, Brownian paths included); ``values`` holds the levels
+    at the grid points, with value 0 at t_0.  They are computed on first read
+    and cached: by ``_levels`` when a path built from others records how (so
+    the levels stay bit-exact at every grid point), else as the cumulative sum
+    of the increments.
     """
 
     grid: TimeGrid

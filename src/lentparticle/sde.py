@@ -28,6 +28,7 @@ step columns its caller names, so full trajectories are stored only by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,6 +86,8 @@ def make_sde(name: str, **params) -> SdeSpec:
         raise ConfigurationError(f"unknown parameters for {name!r}: {sorted(unknown)}")
     for key, value in params.items():
         require_kind(f"{name!r} parameter {key!r}", value, float)
+        if not math.isfinite(value):  # JSON reads 1e999 as inf
+            raise ConfigurationError(f"{name!r} parameter {key!r} must be finite, got {value}")
     p = {key: float(params.get(key, value)) for key, value in _SDE_DEFAULTS[name].items()}
     x0, sig, mu = p["x0"], p.get("sigma"), p.get("b")
     if name == "gbm":

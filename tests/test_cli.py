@@ -26,6 +26,11 @@ class TestList:
         assert "sde-lent-particle" in result.output
         assert "bessel" not in result.output
 
+    def test_registered_theta_listed(self, runner):
+        result = runner.invoke(main, ["list", "chaos-energy"])
+        assert result.exit_code == 0
+        assert '"theta": 0.001' in result.output
+
     def test_empty_filter_is_not_an_error(self, runner):
         result = runner.invoke(main, ["list", "zzz"])
         assert result.exit_code == 0
@@ -122,22 +127,73 @@ class TestRun:
 
     def test_theta_where_unread_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "run", "isometry", "--theta", "0.5", "--output", str(tmp_path),
+            "run", "isometry", "--param", "theta=0.5", "--output", str(tmp_path),
         ])
         assert result.exit_code == 2, result.output
         assert "configuration error" in result.output
-        assert "no difference step" in result.output
+        assert "unknown parameters for 'isometry': ['theta']" in result.output
         assert not (tmp_path / "isometry.json").exists()
+        # the step is a parameter: there is no --theta flag on run
+        result = runner.invoke(main, ["run", "chaos-energy", "--theta", "1e-3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
-    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    # every experiment and value is covered by TestRunners::test_theta_rejected_before_drawing
+    @pytest.mark.parametrize("theta", [pytest.param("NaN", id="nan"),
+                                       pytest.param("Infinity", id="inf")])
     def test_non_finite_theta_exit_2(self, runner, tmp_path, theta):
         result = runner.invoke(main, [
-            "run", "chaos-energy", "--theta", theta, "--n-paths", "50", "--grid-steps", "20",
-            "--output", str(tmp_path),
+            "run", "chaos-energy", "--param", f"theta={theta}", "--n-paths", "50",
+            "--grid-steps", "20", "--output", str(tmp_path),
         ])
         assert result.exit_code == 2, result.output
-        assert "positive and finite" in result.output
+        assert "theta must be positive and finite" in result.output
         assert not (tmp_path / "chaos-energy.json").exists()
+
+    def test_theta_param_reaches_rows_and_summary(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "chaos-energy", "--param", "theta=2e-3", "--n-paths", "50",
+            "--grid-steps", "20", "--output", str(tmp_path),
+        ])
+        assert result.exit_code in (0, 1), result.output
+        rows = (tmp_path / "chaos-energy.csv").read_text().splitlines()
+        assert rows[0].split(",")[1] == "theta"
+        assert {row.split(",")[1] for row in rows[1:]} == {"0.002"}
+        config = json.loads((tmp_path / "chaos-energy.json").read_text())["config"]
+        assert "theta" not in config
+        assert config["params"]["theta"] == 0.002
+
+    @pytest.mark.parametrize("experiment, flags", [
+        ("sde-lent-particle", ["--n-paths", "4", "--grid-steps", "100"]),
+        ("sde-poisson", ["--n-paths", "50", "--grid-steps", "100"]),
+        ("mehler", ["--grid-steps", "20", "--param", "n_outer=4", "--param", "n_inner=8",
+                    "--param", "n_eigen_paths=2"]),
+    ])
+    def test_default_report_records_theta(self, runner, tmp_path, experiment, flags):
+        result = runner.invoke(main, ["run", experiment, *flags, "--output", str(tmp_path)])
+        assert result.exit_code in (0, 1), result.output
+        config = json.loads((tmp_path / f"{experiment}.json").read_text())["config"]
+        assert "theta" not in config
+        assert config["params"]["theta"] == 1e-4  # the step it ran at, not null
+
+    @pytest.mark.parametrize("experiment, params, n_paths, excluded", [
+        # the one (u, t) row has no finite path: a report, not a traceback
+        ("sde-lent-particle", ['sde=["gbm"]', 'sde_params={"gbm": {"sigma": 1e300}}',
+                               "u_grid=[0.5]", "t_grid=[1.0]"], 4, "excluded paths: 4"),
+        # 71 of the 200 paths have a single jump, and each of them blows up
+        ("sde-poisson", ['sde_params={"gbm": {"sigma": 1e300}}'], 200, "excluded paths: 71"),
+    ])
+    def test_blown_up_sde_exits_cleanly(self, runner, tmp_path, experiment, params, n_paths,
+                                        excluded):
+        flags = [flag for param in params for flag in ("--param", param)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = runner.invoke(main, ["run", experiment, *flags, "--n-paths", str(n_paths),
+                                          "--grid-steps", "100", "--output", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output  # a failed check
+        assert excluded in result.output
+        assert (tmp_path / f"{experiment}.json").exists()
 
     @pytest.mark.parametrize("experiment, param", [
         ("isometry", "rotation_theta=NaN"),
@@ -198,6 +254,11 @@ class TestRun:
          "sde_params names SDEs that are not run: ['gmb']"),
         ("sde-lent-particle", ['sde_params={"gbm": {}, "gmb": {"sigma": 0.5}}'],
          "sde_params names SDEs that are not run: ['gmb']"),
+        # JSON reads 1e999 as inf
+        ("sde-poisson", ['sde_params={"gbm": {"sigma": 1e999}}'],
+         "'gbm' parameter 'sigma' must be finite, got inf"),
+        ("sde-lent-particle", ['sde_params={"additive": {"b": NaN}}'],
+         "'additive' parameter 'b' must be finite, got nan"),
         ("sde-lent-particle", ["u_grid=[NaN]", "t_grid=[1.0]"], "time nan outside (0, 1.0]"),
         ("sde-lent-particle", ["u_grid=[0.0]", "t_grid=[1.0]"], "time 0.0 outside (0, 1.0]"),
         ("sde-lent-particle", ["u_grid=[0.9]", "t_grid=[0.5]"],

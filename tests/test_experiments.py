@@ -27,37 +27,37 @@ class TestConfig:
     def test_invalid_numbers(self):
         with pytest.raises(ConfigurationError):
             make_config("isometry", n_paths=0)
-        with pytest.raises(ConfigurationError):
-            make_config("isometry", theta=-1.0)
         with pytest.raises(ConfigurationError, match="master_seed must be non-negative"):
             make_config("supremum", master_seed=-1)
         make_config("supremum", master_seed=0)
-        for theta in (float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError, match="positive and finite"):
-                make_config("chaos-energy", theta=theta)
 
     @pytest.mark.parametrize("name", [
         "isometry", "covariance-decay", "bessel", "exp-vector-covariance", "ibp",
         "supremum", "reproducibility",
     ])
     def test_theta_rejected_where_unread(self, name):
-        assert make_config(name).describe()["theta"] is None
-        with pytest.raises(ConfigurationError, match="no difference step"):
-            make_config(name, theta=0.5)
+        assert "theta" not in make_config(name).describe()["params"]
+        with pytest.raises(ConfigurationError, match="unknown parameters"):
+            make_config(name, params={"theta": 0.5})
+        with pytest.raises(ConfigurationError, match="unknown config fields"):
+            make_config(name, theta=0.5)  # no longer a config field
 
     @pytest.mark.parametrize("name", ["chaos-energy", "sde-lent-particle", "sde-poisson",
                                       "mehler"])
     def test_theta_accepted_where_read(self, name):
-        assert make_config(name).describe()["theta"] is None  # unset renders as null
-        assert make_config(name, theta=0.5).describe()["theta"] == 0.5
+        step = {"chaos-energy": 1e-3}.get(name, 1e-4)
+        desc = make_config(name).describe()
+        assert "theta" not in desc
+        assert desc["params"]["theta"] == step  # the default is written out
+        assert make_config(name, params={"theta": 0.5}).describe()["params"]["theta"] == 0.5
 
     def test_registered_difference_step(self):
-        def thetas(**overrides):
-            cfg = make_config("chaos-energy", n_paths=16, n_steps=20, **overrides)
-            return {r["theta"] for r in run_experiment(cfg).rows}
+        def thetas(**params):
+            cfg = make_config("chaos-energy", n_paths=16, n_steps=20, params=params)
+            return {r["theta"] for r in run_experiment(cfg).rows}, cfg.param("theta")
 
-        assert thetas() == {1e-3}
-        assert thetas(theta=2e-3) == {2e-3}
+        assert thetas() == ({1e-3}, 1e-3)
+        assert thetas(theta=2e-3) == ({2e-3}, 2e-3)
 
     @pytest.mark.parametrize("fields, message", [
         ({"n_paths": "100"}, "n_paths must be an integer, got '100'"),
@@ -67,7 +67,7 @@ class TestConfig:
         ({"workers": 1.5}, "workers must be an integer"),
         ({"horizon": "1"}, "horizon must be a number"),
         ({"horizon": True}, "horizon must be a number"),
-        ({"theta": "x"}, "theta must be a number"),
+        ({"theta": 1e-3}, "unknown config fields: \\['theta'\\]"),
         ({"params": [1]}, "params must be an object"),
         ({"surprise": 1}, "unknown config fields: \\['surprise'\\]"),
     ])
@@ -76,8 +76,8 @@ class TestConfig:
             make_config("chaos-energy", **fields)
 
     def test_field_kinds_accepted(self):
-        cfg = make_config("chaos-energy", horizon=2, theta=1, n_paths=np.int64(5))
-        assert (cfg.horizon, cfg.theta, cfg.n_paths) == (2, 1, 5)
+        cfg = make_config("chaos-energy", horizon=2, n_paths=np.int64(5), params={"theta": 1})
+        assert (cfg.horizon, cfg.param("theta"), cfg.n_paths) == (2, 1, 5)
         with pytest.raises(ConfigurationError, match="experiment must be a string"):
             ExperimentConfig(experiment=1)
 
@@ -88,6 +88,7 @@ class TestConfig:
         ("isometry", {"rotation_theta": "x"}, "rotation_theta must be a number, got 'x'"),
         ("mehler", {"n_outer": 4.5}, "n_outer must be an integer, got 4.5"),
         ("chaos-energy", {"functional": 3}, "functional must be a string"),
+        ("chaos-energy", {"theta": "x"}, "theta must be a number, got 'x'"),
         ("sde-lent-particle", {"sde": ["gbm", 1]}, "sde\\[1\\] must be a string"),
         ("sde-poisson", {"sde_params": []}, "sde_params must be an object"),
         ("sde-poisson", {"sde_params": {"gbm": 1}}, "sde_params\\['gbm'\\] must be an object"),
@@ -255,7 +256,7 @@ class TestRunners:
         # 512-path batches; on 50 steps the default t_grid lies on the grid
         *[pytest.param(name, {"n_paths": 513, "n_steps": 50}, id=name)
           for name in ("sde-lent-particle", "sde-poisson")],
-        # batches of n_outer // 16 = 2 outer paths
+        # 32 outer paths fill one default batch, so this case runs 8-path batches
         pytest.param("mehler", {"n_steps": 20, "params": {"n_outer": 32}}, id="mehler"),
     ])
     def test_report_bytes_stable_across_workers(self, name, overrides, monkeypatch):
@@ -263,9 +264,10 @@ class TestRunners:
 
         original = experiments.parallel_batches
         runs, joins = [], []
+        chunk = {"chunk": 8} if name == "mehler" else {}
 
         def recorded(*args, **kwargs):
-            joined = original(*args, **kwargs)
+            joined = original(*args, **{**kwargs, **chunk})
             joins[-1].append(joined)
             return joined
 
@@ -389,6 +391,111 @@ class TestRunners:
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
         with pytest.raises(ConfigurationError, match="sde_params names SDEs that are not run"):
             run_experiment(make_config(name, n_steps=100, n_paths=4, params=params))
+
+    @pytest.mark.parametrize("name", ["chaos-energy", "sde-lent-particle", "sde-poisson",
+                                      "mehler"])
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_theta_rejected_before_drawing(self, monkeypatch, name, theta):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        monkeypatch.setattr(experiments, "inner_hat_batch", drawn)
+        with pytest.raises(DomainError, match="theta must be positive and finite"):
+            run_experiment(make_config(name, n_steps=100, n_paths=4, params={"theta": theta}))
+
+    @pytest.mark.parametrize("name", ["sde-lent-particle", "sde-poisson"])
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_non_finite_sde_coefficient_rejected_before_drawing(self, monkeypatch, name,
+                                                                sigma):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        with pytest.raises(ConfigurationError, match="'gbm' parameter 'sigma' must be finite"):
+            run_experiment(make_config(name, n_steps=100, n_paths=4, params={
+                "sde_params": {"gbm": {"sigma": sigma}}}))
+
+    def test_sde_row_without_a_finite_path_is_reported(self):
+        # every path blows up: the row is NaN, not a crash, and both checks fail
+        with np.errstate(all="ignore"):
+            res = run_experiment(make_config("sde-lent-particle", n_steps=100, n_paths=4, params={
+                "sde": "gbm", "sde_params": {"gbm": {"sigma": 1e300}},
+                "u_grid": 0.5, "t_grid": 1.0}))
+        (row,) = res.rows
+        assert all(np.isnan(row[key])
+                   for key in ("estimate", "oracle", "max_rel_err", "frac_within_1e-2"))
+        checks = {c["name"]: c for c in res.checks}
+        assert not checks["sde_gbm_frac_ok"]["passed"]  # min(1.0, nan) would read 1.0
+        assert np.isnan(checks["sde_gbm_frac_ok"]["worst_frac"])
+        assert not checks["sde_exclusion_rate"]["passed"]
+        assert res.excluded_paths == checks["sde_exclusion_rate"]["excluded"] == 4
+        assert "NaN" in render_json(res.summary())
+
+    def test_sde_excluded_path_counted_once_per_sde(self, monkeypatch):
+        from lentparticle import experiments
+
+        original = experiments.lent_particle_sde_table
+
+        def one_nan_path(spec, B, us, ts, theta):
+            table = original(spec, B, us, ts, theta)
+            for g in table.values():
+                g.value[7] = np.nan  # path 7 of the one batch, in every (u, t) row
+            return table
+
+        monkeypatch.setattr(experiments, "lent_particle_sde_table", one_nan_path)
+        res = run_experiment(make_config("sde-lent-particle", n_steps=100, n_paths=40, params={
+            "sde": ["additive", "gbm"], "u_grid": [0.1, 0.2, 0.3], "t_grid": [0.8, 0.9, 1.0]}))
+        assert len(res.rows) == 18
+        assert res.excluded_paths == 2  # one path of each SDE, not one per row
+        (rate,) = [c for c in res.checks if c["name"] == "sde_exclusion_rate"]
+        assert rate["excluded"] == 2
+        assert {c["name"]: c["passed"] for c in res.checks if c["name"] != "sde_exclusion_rate"
+                } == {"sde_additive_frac_ok": True, "sde_additive_exact": True,
+                      "sde_gbm_frac_ok": True}
+
+    def test_sde_poisson_counts_blown_up_paths(self):
+        with np.errstate(all="ignore"):
+            res = run_experiment(make_config("sde-poisson", n_steps=100, n_paths=200, params={
+                "sde_params": {"gbm": {"sigma": 1e300}}}))
+        (row,) = res.rows
+        single = round(row["single_jump_freq"] * 200)
+        assert single > 0
+        assert res.excluded_paths == single  # every single-jump path blew up
+        assert np.isnan(row["frac_within_1e-2"])
+        assert not res.passed
+
+    def test_sde_poisson_partial_blow_up_fails(self):
+        # some single-jump paths blow up: they count as misses in poisson_frac_ok, so the
+        # check cannot pass on the finite paths alone
+        with np.errstate(all="ignore"):
+            res = run_experiment(make_config("sde-poisson", n_steps=100, n_paths=200, params={
+                "sde_params": {"gbm": {"sigma": 3000}}}))
+        (row,) = res.rows
+        single = round(row["single_jump_freq"] * 200)
+        assert 0 < res.excluded_paths < single
+        assert row["frac_within_1e-2"] >= 0.99  # the finite paths alone would pass
+        checks = {c["name"]: c for c in res.checks}
+        assert checks["poisson_frac_ok"]["frac_ok"] <= 1.0 - res.excluded_paths / single + 1e-12
+        assert not checks["poisson_frac_ok"]["passed"]
+
+    def test_mehler_joins_its_outer_paths_in_one_batch(self, monkeypatch):
+        # the outer-path work holds the interpreter lock: more batches only add workers' CPU
+        from lentparticle import experiments
+
+        original, batches = experiments.parallel_batches, []
+
+        def recorded(fn, *args, **kwargs):
+            return original(lambda s, c: batches.append(c) or fn(s, c), *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "parallel_batches", recorded)
+        run_experiment(make_config("mehler", n_steps=20, workers=2, params={
+            "n_outer": 32, "n_inner": 8, "n_eigen_paths": 2}))
+        assert batches == [32]
 
     def test_mehler_measures_the_eigenvalues(self):
         res = run_experiment(make_config("mehler", n_steps=100, params={

@@ -60,6 +60,11 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="'gbm' parameter 'sigma' must be a number"):
             make_sde("gbm", sigma=value)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameter(self, value):
+        with pytest.raises(ConfigurationError, match="'gbm' parameter 'sigma' must be finite"):
+            make_sde("gbm", sigma=value)
+
     def test_inconsistent_derivatives_detected(self):
         bad = SdeSpec(
             "bad", 1.0,
@@ -255,6 +260,7 @@ class TestEngine:
         cfg = experiments.make_config("sde-lent-particle", n_paths=64, n_steps=200,
                                       params={"sde": "gbm"})
         res = experiments.run_experiment(cfg)
-        assert res.excluded_paths == 25  # the kicked path, at every (u, t) pair
+        # the kicked path spoils all 25 (u, t) pairs and is counted once
+        assert res.excluded_paths == 1
         checks = {c["name"]: c["passed"] for c in res.checks}
         assert checks == {"sde_gbm_frac_ok": True, "sde_exclusion_rate": False}
