@@ -25,12 +25,10 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidKernelError,
-    NumericalBlowupError,
-    SingularFlowError,
 )
-from .estimates import GradientEstimate
 from .functionals import CylindricalFunctional, evaluate_functional, make_functional
 from .gradients import (
+    GradientEstimate,
     chaos_gradient_contraction,
     gradient_chaos,
     gradient_cylindrical,
@@ -41,7 +39,7 @@ from .gradients import (
 from .grid import RngStream, SamplePath, TimeGrid
 from .kernels import ChaosVector, SimplexKernel
 from .ou import carre_du_champ, richardson_limit, semigroup_limit_gamma
-from .sde import SdeSpec, first_variation, flow_oracle, make_sde, solve_sde
+from .sde import SdeSpec, first_variation, make_sde, solve_sde
 from .stepfn import StepFunction
 
 __all__ = [
@@ -51,14 +49,13 @@ __all__ = [
     "iterated_integral", "stochastic_integral",
     "add_unit_jump", "martingale_batch", "rotate",
     "ConfigurationError", "DimensionMismatchError", "DomainError",
-    "InvalidKernelError", "NumericalBlowupError", "SingularFlowError",
-    "GradientEstimate",
+    "InvalidKernelError",
     "CylindricalFunctional", "evaluate_functional", "make_functional",
-    "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
+    "GradientEstimate", "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
     "lent_particle_sde", "lent_particle_sde_poisson", "supremum_gradient",
     "RngStream", "SamplePath", "TimeGrid",
     "ChaosVector", "SimplexKernel",
     "carre_du_champ", "richardson_limit", "semigroup_limit_gamma",
-    "SdeSpec", "first_variation", "flow_oracle", "make_sde", "solve_sde",
+    "SdeSpec", "first_variation", "make_sde", "solve_sde",
     "StepFunction",
 ]

@@ -1,7 +1,6 @@
 """Command-line interface: run experiments, list them, export sample paths.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
-3 numerical blowup during simulation.
+Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidKernelError,
-    NumericalBlowupError,
-    SingularFlowError,
     require_kind,
 )
 from .experiments import list_experiments, make_config, run_experiment
@@ -29,7 +26,6 @@ from .reporting import render_csv, write_result
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-EXIT_NUMERICAL = 3
 
 _CONFIG_ERRORS = (
     ConfigurationError,
@@ -107,9 +103,6 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, workers, pa
     except _CONFIG_ERRORS as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    except (NumericalBlowupError, SingularFlowError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
 
     for check in result.checks:
         status = "PASS" if check["passed"] else "FAIL"

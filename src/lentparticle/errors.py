@@ -19,18 +19,6 @@ class InvalidKernelError(ValueError):
     """Kernel factor count does not match its declared order."""
 
 
-class NumericalBlowupError(RuntimeError):
-    """SDE state became non-finite; carries the offending step index."""
-
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"non-finite SDE state at step {step}")
-
-
-class SingularFlowError(RuntimeError):
-    """First-variation process hit zero where a ratio is required."""
-
-
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 

@@ -47,10 +47,12 @@ DEFAULT_SEED = 20240901
 
 def _param_value(name: str, value, default):
     """value checked against the kind of its registered default: a tuple's entries by
-    its first entry (one value becomes a 1-tuple) and without repeats, since each entry
-    gives its own report rows and checks; a dict's (``sde_params``) as objects."""
+    its first entry (one value becomes a 1-tuple), at least one and without repeats, since
+    each entry gives its own report rows and checks; a dict's (``sde_params``) as objects."""
     if isinstance(default, tuple):
         value = value if isinstance(value, (list, tuple)) else (value,)
+        if not value:
+            raise ConfigurationError(f"{name} must be a non-empty list")
         for i, entry in enumerate(value):
             require_kind(f"{name}[{i}]", entry, type(default[0]))
             if entry in value[:i]:
@@ -83,8 +85,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1 or self.workers < 1:
-            raise ConfigurationError("horizon, n_steps, n_paths and workers must be positive")
+        if self.n_steps < 1 or self.n_paths < 1 or self.workers < 1:
+            raise ConfigurationError("n_steps, n_paths and workers must be positive")
+        if not 0.0 < self.horizon < math.inf:  # the TimeGrid rule, also where none is built
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be non-negative, got {self.master_seed}")
         spec = EXPERIMENTS[self.experiment]
@@ -201,7 +205,7 @@ ISOMETRY_DRIVERS = ("brownian", "poisson", "compound", "rotation")
 def _power_kernels(cfg: ExperimentConfig) -> tuple:
     """``orders`` and {n: h^(x)n} for its entries, h = 1/sqrt(T), before any path is drawn."""
     orders = cfg.param("orders")
-    if min(orders, default=0) < 1:  # I_0 is a constant: its standard error is 0
+    if min(orders) < 1:  # I_0 is a constant: its standard error is 0
         raise ConfigurationError(f"orders must be a non-empty list of orders >= 1, got {orders}")
     h = StepFunction.constant(1.0 / math.sqrt(cfg.horizon), cfg.horizon)
     return orders, {n: SimplexKernel.power(h, n) for n in orders}

@@ -10,7 +10,8 @@ estimator is paired with a route that does not go through the jump difference:
 * cylindrical functionals -- the chain-rule value sum_i dPhi_i * h_i(u-);
 * chaos vectors           -- the order-lowering kernel contraction integrated
                              against the martingale;
-* SDE solutions           -- the first-variation flow (sde.flow_oracle);
+* SDE solutions           -- the first-variation flow (sde.flow_form) from the
+                             same Euler pass;
 * running suprema         -- the closed-form indicator from the piecewise
                              linear structure of the max.
 
@@ -21,13 +22,13 @@ integration-by-parts pair are one pairing <DF, phi> (``_derivative_pairing``).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chaos import iterated_integrals, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError, DomainError
-from .estimates import GradientEstimate
 from .functionals import CylindricalFunctional, evaluate_functional
 from .grid import SamplePath, require_same_grid
 from .kernels import ChaosVector
@@ -35,6 +36,19 @@ from .sde import SdeSpec, euler, flow_form
 from .stepfn import StepFunction
 
 DEFAULT_STEP = 1e-4
+
+
+@dataclass
+class GradientEstimate:
+    """A jump-difference estimate of D_u F or D_u X_t at difference step ``theta``,
+    with the value of the independent route (chain rule or flow form) in ``analytic``."""
+
+    u: float
+    t: float
+    value: float | np.ndarray
+    theta: float
+    analytic: float | np.ndarray
+    snapped: bool = False
 
 
 def require_step(name: str, step: float) -> None:
@@ -63,8 +77,8 @@ def gradient_cylindrical(
 
     analytic = _derivative_pairing(F, path, lambda g: g(u_left))
     return GradientEstimate(
-        u=k * grid.dt, t=grid.horizon, value=diff, method="jump_difference",
-        theta=a0, analytic=analytic, snapped=snapped,
+        u=k * grid.dt, t=grid.horizon, value=diff, theta=a0, analytic=analytic,
+        snapped=snapped,
     )
 
 
@@ -122,7 +136,7 @@ def lent_particle_sde(
 ) -> GradientEstimate:
     """D_u X_t by solving against dB + theta 1_{. >= u} and differencing in theta.
 
-    ``analytic`` carries the flow form (sde.flow_oracle) from the same pass.
+    ``analytic`` carries the flow form (sde.flow_form) from the same pass.
     """
     out = lent_particle_sde_table(spec, brownian, (u,), (t,), theta)
     if not out:
@@ -154,8 +168,7 @@ def lent_particle_sde_table(
             value = (xs[j][1 + 2 * i] - xs[j][2 + 2 * i]) / (2.0 * theta)
             flow = flow_form(spec, grid, k, xs[n_t + i][0], ys[n_t + i], ys[j])
             out[u, t] = GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value,
-                                         method="jump_difference", theta=theta,
-                                         analytic=flow)
+                                         theta=theta, analytic=flow)
     return out
 
 
@@ -185,8 +198,7 @@ def lent_particle_sde_poisson(
             rotate(brownian, martingale, -theta).increments]
     (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))
     return GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=(x[1] - x[2]) / (2.0 * theta),
-                            method="jump_difference", theta=theta,
-                            analytic=flow_form(spec, grid, k, x_before[0], y_k, y_m))
+                            theta=theta, analytic=flow_form(spec, grid, k, x_before[0], y_k, y_m))
 
 
 def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):

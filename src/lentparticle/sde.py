@@ -34,9 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalBlowupError, SingularFlowError
-from .errors import require_kind
-from .estimates import GradientEstimate
+from .errors import ConfigurationError, DomainError, require_kind
 from .grid import RngStream, SamplePath, TimeGrid
 
 
@@ -115,7 +113,7 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     integer array over the paths giving each path its own step: xs[i] is the
     stacked state (rows, ...) there and ys[i] the first variation of row 0,
     which is advanced only when y_steps is non-empty.  Non-finite states are
-    carried on for the caller to mask and count.
+    carried on, without numpy warnings, for the caller to mask and count.
     """
     n = grid.n_steps
     if bumps and len(drivers) != 1:
@@ -136,21 +134,23 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     y = np.ones(paths) if y_steps else None
     _keep(x_plan, xs, 0, x)
     _keep(y_plan, ys, 0, y)
-    for j in range(n):
-        if j % STEP_BLOCK == 0:  # the next block of steps, time-major and contiguous
-            dw = np.stack([np.moveaxis(inc[..., j:j + STEP_BLOCK], -1, 0) for inc in drivers], 1)
-        t = times[j]
-        d = dw[j % STEP_BLOCK]
-        if y is not None:
-            x_base = x[0]
-            y = y * (1.0 + spec.sigma_x(t, x_base) * d[0] + spec.b_x(t, x_base) * dt)
-        if j in bumped:
-            d = np.repeat(d, rows, axis=0)
-            for row, a in bumped[j]:
-                d[row] = d[0] + a
-        x = x + spec.sigma(t, x) * d + spec.b(t, x) * dt
-        _keep(x_plan, xs, j + 1, x)
-        _keep(y_plan, ys, j + 1, y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(n):
+            if j % STEP_BLOCK == 0:  # the next block of steps, time-major and contiguous
+                dw = np.stack([np.moveaxis(inc[..., j:j + STEP_BLOCK], -1, 0)
+                               for inc in drivers], 1)
+            t = times[j]
+            d = dw[j % STEP_BLOCK]
+            if y is not None:
+                x_base = x[0]
+                y = y * (1.0 + spec.sigma_x(t, x_base) * d[0] + spec.b_x(t, x_base) * dt)
+            if j in bumped:
+                d = np.repeat(d, rows, axis=0)
+                for row, a in bumped[j]:
+                    d[row] = d[0] + a
+            x = x + spec.sigma(t, x) * d + spec.b(t, x) * dt
+            _keep(x_plan, xs, j + 1, x)
+            _keep(y_plan, ys, j + 1, y)
     return xs, ys
 
 
@@ -172,18 +172,10 @@ def _keep(plan: dict, out: list, step: int, value) -> None:
 
 
 def solve_sde(spec: SdeSpec, driver: SamplePath) -> np.ndarray:
-    """Euler path(s) of the SDE; shape (..., n_steps + 1).
-
-    A single path raises NumericalBlowupError at the first non-finite state;
-    batches return non-finite entries for the caller to mask and count.
-    """
+    """Euler path(s) of the SDE; shape (..., n_steps + 1), non-finite where a path blew up."""
     n = driver.grid.n_steps
     xs, _ = euler(spec, driver.grid, [driver.increments], x_steps=range(n + 1))
-    out = np.stack(xs, axis=-1)[0]
-    if not driver.is_batch and not np.all(np.isfinite(out)):
-        step = int(np.argmax(~np.isfinite(out)))
-        raise NumericalBlowupError(step)
-    return out
+    return np.stack(xs, axis=-1)[0]
 
 
 def first_variation(spec: SdeSpec, driver: SamplePath) -> np.ndarray:
@@ -194,21 +186,7 @@ def first_variation(spec: SdeSpec, driver: SamplePath) -> np.ndarray:
 
 
 def flow_form(spec: SdeSpec, grid: TimeGrid, k, x_before, y_k, y_m):
-    """sigma(t_{k-1}, X_{k-1}) Y_m / Y_k: D_u X_t for u snapped to t_k, t = t_m."""
-    return spec.sigma(grid.times[k - 1], x_before) * y_m / y_k
-
-
-def flow_oracle(spec: SdeSpec, brownian: SamplePath, u: float, t: float) -> GradientEstimate:
-    """D_u X_t via the first-variation transfer: sigma(u-, X_{u-}) Y_t / Y_u."""
-    grid = brownian.grid
-    k = grid.index_at_or_after(u)
-    m = grid.index_of(t)
-    if m < k:
-        raise DomainError(f"need u <= t <= T on the grid, got u={u}, t={t}")
-    (x_before,), (y_u, y_t) = euler(
-        spec, grid, [brownian.increments], x_steps=(k - 1,), y_steps=(k, m)
-    )
-    if np.any(y_u == 0.0):
-        raise SingularFlowError("first variation vanished at the perturbation time")
-    value = flow_form(spec, grid, k, x_before[0], y_u, y_t)
-    return GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value, method="flow_oracle")
+    """sigma(t_{k-1}, X_{k-1}) Y_m / Y_k: D_u X_t for u snapped to t_k, t = t_m,
+    non-finite where Y_k vanished or the path blew up."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return spec.sigma(grid.times[k - 1], x_before) * y_m / y_k

@@ -54,7 +54,7 @@ def test_finite_chaos_gradient_energy():
     run_and_assert("chaos-energy")
 
 
-def test_sde_lent_particle_vs_flow_oracle():
+def test_sde_lent_particle_vs_flow_form():
     # gbm / additive / sine-diffusion, theta = 1e-4, dt = 1e-4, 1e3 paths,
     # 5x5 (u, t) grid: >= 99% of paths within 1e-2 relative error;
     # additive exact to 1e-10; < 0.1% excluded paths

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from lentparticle.cli import main
-from lentparticle.errors import NumericalBlowupError
+from lentparticle.experiments import EXPERIMENTS
 
 
 @pytest.fixture
@@ -182,18 +182,47 @@ class TestRun:
                                "u_grid=[0.5]", "t_grid=[1.0]"], 4, "excluded paths: 4"),
         # 71 of the 200 paths have a single jump, and each of them blows up
         ("sde-poisson", ['sde_params={"gbm": {"sigma": 1e300}}'], 200, "excluded paths: 71"),
+        # 38 of the 71 blow up
+        ("sde-poisson", ['sde_params={"gbm": {"sigma": 3000}}'], 200, "excluded paths: 38"),
     ])
     def test_blown_up_sde_exits_cleanly(self, runner, tmp_path, experiment, params, n_paths,
                                         excluded):
         flags = [flag for param in params for flag in ("--param", param)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # the report and the excluded-paths line say it, not a numpy warning
+            warnings.simplefilter("error")
             result = runner.invoke(main, ["run", experiment, *flags, "--n-paths", str(n_paths),
                                           "--grid-steps", "100", "--output", str(tmp_path)])
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output  # a failed check
         assert excluded in result.output
         assert (tmp_path / f"{experiment}.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
+    def test_bad_horizon_exit_2(self, runner, tmp_path, horizon):
+        # bessel builds no grid, so only the config rule stops a horizon JSON cannot hold
+        result = runner.invoke(main, ["run", "bessel", "--horizon", horizon,
+                                      "--output", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "horizon must be positive and finite" in result.output
+        assert not (tmp_path / "bessel.json").exists()
+
+    @pytest.mark.parametrize("experiment, param", [
+        (name, param) for name, spec in EXPERIMENTS.items()
+        for param, default in spec.param_defaults.items() if isinstance(default, tuple)
+    ])
+    def test_empty_list_param_exit_2(self, runner, tmp_path, monkeypatch, experiment, param):
+        # an empty list gave a report with no rows or no checks, and PASSED
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        result = runner.invoke(main, ["run", experiment, "--param", f"{param}=[]",
+                                      "--grid-steps", "10", "--output", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"{param} must be a non-empty list" in result.output
+        assert drawn == []
+        assert not (tmp_path / f"{experiment}.json").exists()
 
     @pytest.mark.parametrize("experiment, param", [
         ("isometry", "rotation_theta=NaN"),
@@ -343,17 +372,6 @@ class TestRun:
         cfg.write_text(json.dumps({"surprise": 1}))
         result = runner.invoke(main, ["run", "bessel", "--config", str(cfg)])
         assert result.exit_code == 2
-
-    def test_numerical_failure_exit_3(self, runner, monkeypatch):
-        import lentparticle.cli as cli_mod
-
-        def boom(cfg):
-            raise NumericalBlowupError(17)
-
-        monkeypatch.setattr(cli_mod, "run_experiment", boom)
-        result = runner.invoke(main, ["run", "bessel"])
-        assert result.exit_code == 3
-        assert "numerical failure" in result.output
 
     def test_reports_identical_across_invocations(self, runner, tmp_path):
         args = ["run", "supremum", "--n-paths", "2000", "--grid-steps", "200"]

@@ -630,7 +630,9 @@ class TestRunners:
             raise AssertionError(f"a path was drawn: {args[2:]}")
 
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
-        with pytest.raises(ConfigurationError, match="has u <= t"):
+        # an empty list is rejected with the config's other list rules
+        message = "has u <= t" if u_grid else "u_grid must be a non-empty list"
+        with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config("sde-lent-particle", n_steps=10, n_paths=4, params={
                 "u_grid": u_grid, "t_grid": t_grid}))
 
