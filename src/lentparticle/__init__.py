@@ -20,12 +20,7 @@ from .chaos import (
     stochastic_integral,
 )
 from .drivers import add_unit_jump, martingale_batch, rotate
-from .errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    DomainError,
-    InvalidKernelError,
-)
+from .errors import ConfigurationError
 from .functionals import CylindricalFunctional, evaluate_functional, make_functional
 from .gradients import (
     GradientEstimate,
@@ -48,8 +43,7 @@ __all__ = [
     "chaotic_extension", "evaluate_chaos", "exponential_vector",
     "iterated_integral", "stochastic_integral",
     "add_unit_jump", "martingale_batch", "rotate",
-    "ConfigurationError", "DimensionMismatchError", "DomainError",
-    "InvalidKernelError",
+    "ConfigurationError",
     "CylindricalFunctional", "evaluate_functional", "make_functional",
     "GradientEstimate", "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
     "lent_particle_sde", "lent_particle_sde_poisson", "supremum_gradient",

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError
 
 MAX_EXPONENT = math.log(sys.float_info.max)  # the largest x with e^x finite
 
 
 def require_exponent(h_norm_sq: float) -> None:
-    """Raise DomainError unless h_norm_sq is finite, >= 0 and e^h_norm_sq is finite."""
+    """Raise ConfigurationError unless h_norm_sq is finite, >= 0 and e^h_norm_sq is finite."""
     if not 0.0 <= h_norm_sq <= MAX_EXPONENT:
-        raise DomainError(f"h_norm_sq must be in [0, {MAX_EXPONENT:.2f}] so that "
-                          f"e^h_norm_sq is finite, got {h_norm_sq}")
+        raise ConfigurationError(f"h_norm_sq must be in [0, {MAX_EXPONENT:.2f}] so that "
+                                 f"e^h_norm_sq is finite, got {h_norm_sq}")
 
 
 def _coefficient_sq(n: int, x: float, tol: float, max_terms: int = 2000) -> float:
@@ -63,9 +63,9 @@ class SpectrumReport:
     def fourier(self, phi: float) -> float:
         """sum_{n in Z} c_n^2 e^{i n phi}, real by symmetry."""
         if not math.isfinite(phi):
-            raise DomainError(f"angle must be finite, got {phi}")
+            raise ConfigurationError(f"angle must be finite, got {phi}")
         if not math.isfinite(self.truncation_n * phi):
-            raise DomainError(
+            raise ConfigurationError(
                 f"angle must be finite, and so must {self.truncation_n} * angle: got {phi}")
         terms = [self.coefficients[0]]
         terms += [2.0 * c * math.cos(n * phi) for n, c in enumerate(self.coefficients) if n >= 1]
@@ -77,10 +77,10 @@ class SpectrumReport:
 
 def bessel_spectrum(h_norm_sq: float, n_max: int, tol: float = 1e-16) -> SpectrumReport:
     if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+        raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
     require_exponent(h_norm_sq)
     if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+        raise ConfigurationError(f"tol must be > 0, got {tol}")
     coeffs = np.array([_coefficient_sq(n, h_norm_sq, tol) for n in range(n_max + 1)])
     return SpectrumReport(h_norm_sq, coeffs, n_max, tol)
 

@@ -13,27 +13,13 @@ import click
 
 from . import __version__
 from .drivers import martingale_batch, rotate
-from .errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    DomainError,
-    InvalidKernelError,
-    require_kind,
-)
+from .errors import ConfigurationError, require_kind
 from .experiments import list_experiments, make_config, run_experiment
 from .grid import TimeGrid
 from .reporting import render_csv, write_result
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-_CONFIG_ERRORS = (
-    ConfigurationError,
-    DomainError,
-    InvalidKernelError,
-    DimensionMismatchError,
-)
-
 
 def _output_dir(flag: str | None) -> str:
     return flag or os.environ.get("LENTPARTICLE_OUTPUT_DIR") or "reports"
@@ -100,7 +86,7 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, workers, pa
             fields["params"] = {**fields.get("params", {}), **_parse_params(params)}
         cfg = make_config(experiment, **fields)
         result = run_experiment(cfg)
-    except _CONFIG_ERRORS as exc:
+    except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
 
@@ -151,7 +137,7 @@ def export_paths(kind, seed, index, grid_steps, horizon, theta, output):
         B = martingale_batch("brownian", grid, seed, index, 1).select(0)
         M = martingale_batch(kind, grid, seed, index, 1).select(0)
         Y = rotate(B, M, theta)
-    except _CONFIG_ERRORS as exc:
+    except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
     rows = [

@@ -33,7 +33,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError
 from .grid import (
     CHANNEL_BROWNIAN,
     CHANNEL_COMPOUND,
@@ -64,7 +64,7 @@ def _jump_step_indices(gen: np.random.Generator, grid: TimeGrid) -> list[int]:
 
 def _cos_sin(theta: float) -> tuple[float, float]:
     if not np.isfinite(theta):
-        raise DomainError(f"rotation angle must be finite, got {theta}")
+        raise ConfigurationError(f"rotation angle must be finite, got {theta}")
     # Clamp values that are zero up to the representation error of pi/2
     # multiples, so that rotate(B, M, pi/2) returns the martingale exactly.
     c, s = np.cos(theta), np.sin(theta)
@@ -289,4 +289,4 @@ def martingale_batch(kind: str, grid: TimeGrid, master_seed: int, start: int, co
     try:
         return DRIVER_BATCHES[kind](grid, master_seed, start, count)
     except KeyError:
-        raise DomainError(f"unknown driver kind {kind!r}") from None
+        raise ConfigurationError(f"unknown driver kind {kind!r}") from None

@@ -23,8 +23,8 @@ from . import __version__
 from .bessel import bessel_spectrum, default_truncation, require_exponent
 # iterated_integral is unused here: the benchmark's restore test reads this binding
 from .chaos import chaotic_extension, exponential_vector, iterated_integral, iterated_integrals
-from .drivers import _cos_sin, martingale_batch, rotate
-from .errors import ConfigurationError, DomainError, require_kind
+from .drivers import martingale_batch, rotate
+from .errors import ConfigurationError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
 from .functionals import FUNCTIONALS, make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
@@ -68,7 +68,8 @@ def _param_value(name: str, value, default):
 @dataclass
 class ExperimentConfig:
     """The configuration schema: field kinds come from the annotations, parameter
-    kinds from the registered defaults.  Parameter ranges are the runners' to check."""
+    kinds from the registered defaults, and every number is finite (``require_kind``).
+    Parameter ranges are the runners' to check."""
 
     experiment: str
     horizon: float = 1.0
@@ -87,8 +88,7 @@ class ExperimentConfig:
             )
         if self.n_steps < 1 or self.n_paths < 1 or self.workers < 1:
             raise ConfigurationError("n_steps, n_paths and workers must be positive")
-        if not 0.0 < self.horizon < math.inf:  # the TimeGrid rule, also where none is built
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        TimeGrid(self.horizon, self.n_steps)  # the grid's rules, also where none is built
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be non-negative, got {self.master_seed}")
         spec = EXPERIMENTS[self.experiment]
@@ -153,7 +153,7 @@ def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> dict:
     every reduction sees the same arrays whatever the worker count or chunk.
     """
     if n_paths < 1:
-        raise DomainError(f"need at least one path, got {n_paths}")
+        raise ConfigurationError(f"need at least one path, got {n_paths}")
     batches = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
     if workers <= 1:
         parts = [fn(s, c) for s, c in batches]
@@ -165,11 +165,13 @@ def parallel_batches(fn, n_paths: int, workers: int, chunk: int = 4096) -> dict:
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     if samples.size < 2:
-        raise DomainError(f"a standard error needs at least 2 samples, got {samples.size}")
+        raise ConfigurationError(
+            f"a standard error needs at least 2 samples, got {samples.size}")
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     if se == 0.0:
-        raise DomainError(f"all {samples.size} samples are {mean}: the standard error is 0")
+        raise ConfigurationError(
+            f"all {samples.size} samples are {mean}: the standard error is 0")
     return mean, se
 
 
@@ -215,7 +217,6 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     orders, kernels = _power_kernels(cfg)
     rotation_theta = cfg.param("rotation_theta")
-    _cos_sin(rotation_theta)  # a non-finite angle fails before any path is drawn
 
     def batch(start, count):
         B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
@@ -241,8 +242,6 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     orders, kernels = _power_kernels(cfg)
     phis = cfg.param("phis")
-    for phi in phis:
-        _cos_sin(phi)  # a non-finite angle fails before any path is drawn
     F = ChaosVector(0.0, tuple(kernels.values()))
 
     def batch(start, count):
@@ -299,11 +298,9 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     phis = cfg.param("phis")
     h_norm_sq = cfg.param("h_norm_sq")
-    if not 0.0 < h_norm_sq < math.inf:
+    if h_norm_sq <= 0.0:
         raise ConfigurationError(f"h_norm_sq must be positive and finite, got {h_norm_sq}")
     require_exponent(h_norm_sq)  # the target e^h_norm_sq must be finite
-    for phi in phis:
-        _cos_sin(phi)  # a non-finite angle fails before any path is drawn
     h = StepFunction.constant(math.sqrt(h_norm_sq / grid.horizon), grid.horizon)
     zero = StepFunction.constant(0.0, grid.horizon)
     T = grid.horizon
@@ -452,7 +449,7 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     freq = float(np.mean(single))
     freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
     if freq_se == 0.0:
-        raise DomainError(f"single-jump frequency {freq}: the standard error is 0")
+        raise ConfigurationError(f"single-jump frequency {freq}: the standard error is 0")
     z = (freq - math.exp(-1.0)) / freq_se
     row, excluded = _agreement_row(name, "U1", grid.horizon, joined["debiased"], joined["oracle"])
     row.update(single_jump_freq=freq, freq_z_score=z)
@@ -513,13 +510,12 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
             f"n_eigen_paths must be in 1..n_outer = {n_outer}, got {n_eigen}")
     if n_inner < 2:  # Gamma and the eigen rows' standard errors need two hat paths
         raise ConfigurationError(f"n_inner must be at least 2, got {n_inner}")
-    if not 0.0 < t_eigen < math.inf:
+    if t_eigen <= 0.0:
         raise ConfigurationError(f"t_eigen must be positive and finite, got {t_eigen}")
-    # DomainError, as ou.semigroup_bracket_samples and richardson_limit raise on the paths
-    if not all(0.0 < t < math.inf for t in t_list):
-        raise DomainError(f"t_bracket entries must be positive and finite, got {t_list}")
+    if min(t_list) <= 0.0:
+        raise ConfigurationError(f"t_bracket entries must be positive and finite, got {t_list}")
     if len(set(t_list)) < 2:
-        raise DomainError(f"t_bracket needs at least two distinct times, got {t_list}")
+        raise ConfigurationError(f"t_bracket needs at least two distinct times, got {t_list}")
     b1, f2 = make_b1(grid.horizon), make_second_chaos(grid.horizon)
 
     def outer_stats(i):

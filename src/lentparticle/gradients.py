@@ -28,7 +28,7 @@ import numpy as np
 
 from .chaos import iterated_integrals, stochastic_integral
 from .drivers import add_unit_jump, rotate
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .functionals import CylindricalFunctional, evaluate_functional
 from .grid import SamplePath, require_same_grid
 from .kernels import ChaosVector
@@ -48,13 +48,12 @@ class GradientEstimate:
     value: float | np.ndarray
     theta: float
     analytic: float | np.ndarray
-    snapped: bool = False
 
 
 def require_step(name: str, step: float) -> None:
-    """DomainError unless the difference step is positive and finite."""
+    """ConfigurationError unless the difference step is positive and finite."""
     if not 0.0 < step < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {step}")
+        raise ConfigurationError(f"{name} must be positive and finite, got {step}")
 
 
 def gradient_cylindrical(
@@ -68,7 +67,6 @@ def gradient_cylindrical(
     require_step("a0", a0)
     grid = path.grid
     k = grid.index_at_or_after(u)
-    snapped = abs(k * grid.dt - u) > 1e-12 * grid.horizon
     u_left = grid.times[k - 1]
 
     plus = evaluate_functional(F, add_unit_jump(path, u, a0))
@@ -76,10 +74,8 @@ def gradient_cylindrical(
     diff = (plus - minus) / (2.0 * a0)
 
     analytic = _derivative_pairing(F, path, lambda g: g(u_left))
-    return GradientEstimate(
-        u=k * grid.dt, t=grid.horizon, value=diff, theta=a0, analytic=analytic,
-        snapped=snapped,
-    )
+    return GradientEstimate(u=k * grid.dt, t=grid.horizon, value=diff, theta=a0,
+                            analytic=analytic)
 
 
 def _derivative_pairing(F, path: SamplePath, pair):
@@ -140,7 +136,7 @@ def lent_particle_sde(
     """
     out = lent_particle_sde_table(spec, brownian, (u,), (t,), theta)
     if not out:
-        raise DomainError(f"need u <= t <= T on the grid, got u={u}, t={t}")
+        raise ConfigurationError(f"need u <= t <= T on the grid, got u={u}, t={t}")
     return out[u, t]
 
 
@@ -188,11 +184,11 @@ def lent_particle_sde_poisson(
     grid = require_same_grid(brownian, martingale)
     m = grid.index_of(t)
     if m == 0:
-        raise DomainError(f"t={t} not a positive grid time")
+        raise ConfigurationError(f"t={t} not a positive grid time")
     jumps = martingale.jump_increments
     jumped = np.zeros(1, bool) if jumps is None else jumps != 0.0
     if not jumped.any(axis=-1).all():
-        raise DomainError("every martingale path needs a jump")
+        raise ConfigurationError("every martingale path needs a jump")
     k = np.argmax(jumped, axis=-1) + 1
     rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
             rotate(brownian, martingale, -theta).increments]

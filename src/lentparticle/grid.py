@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, DomainError
+from .errors import ConfigurationError
 
 # Channel tags keep the streams of distinct drivers / purposes disjoint.
 CHANNEL_BROWNIAN = 0
@@ -36,7 +36,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -52,16 +52,16 @@ class TimeGrid:
     def index_at_or_after(self, u: float) -> int:
         """Smallest k >= 1 with t_k >= u.  Valid for u in (0, T]."""
         if not (0.0 < u <= self.horizon + 1e-12 * self.horizon):
-            raise DomainError(f"time {u} outside (0, {self.horizon}]")
+            raise ConfigurationError(f"time {u} outside (0, {self.horizon}]")
         k = int(np.ceil(u / self.dt - 1e-9))
         return min(max(k, 1), self.n_steps)
 
     def index_of(self, t: float) -> int:
-        """The step k with t_k = t; DomainError for a t that is no grid point."""
+        """The step k with t_k = t; ConfigurationError for a t that is no grid point."""
         k = round(t / self.dt) if np.isfinite(t) else -1
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > 1e-9 * self.horizon:
-            raise DomainError(f"time {t} is not a point of the {self.n_steps}-step grid of "
-                              f"[0, {self.horizon}]")
+            raise ConfigurationError(
+                f"time {t} is not a point of the {self.n_steps}-step grid of [0, {self.horizon}]")
         return int(k)
 
 
@@ -106,13 +106,13 @@ class SamplePath:
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
         if self.increments.shape[-1] != self.grid.n_steps:
-            raise DimensionMismatchError(
+            raise ConfigurationError(
                 f"increments last axis {self.increments.shape[-1]} != n_steps {self.grid.n_steps}"
             )
         if self.jump_increments is not None:
             self.jump_increments = np.asarray(self.jump_increments, dtype=float)
             if self.jump_increments.shape != self.increments.shape:
-                raise DimensionMismatchError("jump_increments shape mismatch")
+                raise ConfigurationError("jump_increments shape mismatch")
 
     @property
     def values(self) -> np.ndarray:
@@ -144,5 +144,5 @@ def require_same_grid(*paths: SamplePath) -> TimeGrid:
     grid = paths[0].grid
     for p in paths[1:]:
         if p.grid != grid:
-            raise DimensionMismatchError(f"grid mismatch: {p.grid} vs {grid}")
+            raise ConfigurationError(f"grid mismatch: {p.grid} vs {grid}")
     return grid

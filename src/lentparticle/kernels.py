@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidKernelError
+from .errors import ConfigurationError
 from .stepfn import StepFunction
 
 MAX_ORDER = 8
@@ -45,11 +45,11 @@ class SimplexKernel:
 
     def __post_init__(self):
         if self.order < 0:
-            raise InvalidKernelError(f"order must be >= 0, got {self.order}")
+            raise ConfigurationError(f"order must be >= 0, got {self.order}")
         if self.order > MAX_ORDER:
             raise ConfigurationError(f"order {self.order} above maximum {MAX_ORDER}")
         if len(self.factors) != self.order:
-            raise InvalidKernelError(
+            raise ConfigurationError(
                 f"kernel of order {self.order} needs {self.order} factors, got {len(self.factors)}"
             )
         object.__setattr__(self, "factors", tuple(self.factors))

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .drivers import _combine, inner_hat_batch  # inner_hat_batch: part of this module's API
-from .errors import DomainError
+from .errors import ConfigurationError
 from .gradients import gradient_chaos
 from .grid import SamplePath
 
@@ -42,7 +42,7 @@ def mehler_samples(extension, ts) -> list:
     atan2 keeps sin(theta_t) exact as t -> 0; t = 0 reads F at the outer path, to rounding.
     """
     if not all(0.0 <= t < math.inf for t in ts):
-        raise DomainError(f"t must be >= 0 and finite, got {ts}")
+        raise ConfigurationError(f"t must be >= 0 and finite, got {ts}")
     thetas = [math.atan2(math.sqrt(-math.expm1(-t)), math.exp(-t / 2.0)) for t in ts]
     return [np.asarray(extension(theta), dtype=float) for theta in thetas]
 
@@ -56,7 +56,7 @@ def carre_du_champ(extension, theta: float = 1e-4) -> float:
     """Gamma[F] at the outer path: inner average of the squared theta-difference."""
     samples = rotation_gradient_samples(extension, theta)
     if samples.size < 2:
-        raise DomainError("carre_du_champ needs at least 2 inner paths")
+        raise ConfigurationError("carre_du_champ needs at least 2 inner paths")
     return float(np.mean(samples**2))
 
 
@@ -68,7 +68,7 @@ def semigroup_bracket_samples(extension, f0: float, ts) -> list:
     1/t amplification from blowing up the inner-MC variance.
     """
     if not all(0.0 < t < math.inf for t in ts):
-        raise DomainError(f"t must be positive and finite, got {ts}")
+        raise ConfigurationError(f"t must be positive and finite, got {ts}")
     return [(fm - f0) ** 2 / t for t, fm in zip(ts, mehler_samples(extension, ts))]
 
 
@@ -84,6 +84,6 @@ def richardson_limit(t_pairs: list[tuple[float, float]]) -> float:
     """
     distinct = sorted(dict(t_pairs).items())
     if len(distinct) < 2:
-        raise DomainError("need (t, value) pairs at two distinct t")
+        raise ConfigurationError("need (t, value) pairs at two distinct t")
     (t1, v1), (t2, v2) = distinct[:2]
     return float((t2 * v1 - t1 * v2) / (t2 - t1))

@@ -28,13 +28,12 @@ step columns its caller names, so full trajectories are stored only by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, require_kind
+from .errors import ConfigurationError, require_kind
 from .grid import RngStream, SamplePath, TimeGrid
 
 
@@ -83,9 +82,7 @@ def make_sde(name: str, **params) -> SdeSpec:
     if unknown:
         raise ConfigurationError(f"unknown parameters for {name!r}: {sorted(unknown)}")
     for key, value in params.items():
-        require_kind(f"{name!r} parameter {key!r}", value, float)
-        if not math.isfinite(value):  # JSON reads 1e999 as inf
-            raise ConfigurationError(f"{name!r} parameter {key!r} must be finite, got {value}")
+        require_kind(f"{name!r} parameter {key!r}", value, float)  # JSON reads 1e999 as inf
     p = {key: float(params.get(key, value)) for key, value in _SDE_DEFAULTS[name].items()}
     x0, sig, mu = p["x0"], p.get("sigma"), p.get("b")
     if name == "gbm":
@@ -123,7 +120,7 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     bumped: dict[int, list] = {}
     for row, (k, a) in enumerate(bumps, start=len(drivers)):
         if not 1 <= k <= n:
-            raise DomainError(f"bump step {k} outside 1..{n}")
+            raise ConfigurationError(f"bump step {k} outside 1..{n}")
         bumped.setdefault(k - 1, []).append((row, a))
     x_plan, xs = _column_plan(x_steps, n, paths, (rows,) + paths)
     y_plan, ys = _column_plan(y_steps, n, paths, paths)
@@ -160,7 +157,7 @@ def _column_plan(steps, n: int, paths: tuple, shape: tuple) -> tuple[dict, list]
     for slot, step in enumerate(steps):
         step = np.broadcast_to(step, paths)
         if not (0 <= step.min() and step.max() <= n):
-            raise DomainError(f"steps outside 0..{n}")
+            raise ConfigurationError(f"steps outside 0..{n}")
         for s in np.unique(step):
             plan.setdefault(int(s), []).append((slot, step == s))
     return plan, [np.empty(shape) for _ in steps]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError
 from .grid import TimeGrid
 
 
@@ -25,11 +25,11 @@ class StepFunction:
         bp = tuple(float(b) for b in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
         if len(bp) != len(vals) + 1:
-            raise DomainError("need len(breakpoints) == len(values) + 1")
+            raise ConfigurationError("need len(breakpoints) == len(values) + 1")
         if len(vals) == 0:
-            raise DomainError("step function needs at least one piece")
+            raise ConfigurationError("step function needs at least one piece")
         if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
+            raise ConfigurationError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 

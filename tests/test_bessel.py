@@ -5,7 +5,7 @@ import pytest
 from scipy.special import iv
 
 from lentparticle.bessel import SpectrumReport, bessel_spectrum, default_truncation
-from lentparticle.errors import DomainError
+from lentparticle.errors import ConfigurationError
 
 
 class TestCoefficients:
@@ -58,16 +58,16 @@ class TestIdentities:
 
 class TestValidation:
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             bessel_spectrum(-1.0, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             bessel_spectrum(1.0, -1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             bessel_spectrum(1.0, 10, tol=0.0)
 
     def test_angle_with_an_infinite_multiple(self):
         report = bessel_spectrum(1.0, 40)
-        with pytest.raises(DomainError, match="40 \\* angle"):
+        with pytest.raises(ConfigurationError, match="40 \\* angle"):
             report.fourier(1e308)
         assert math.isfinite(report.fourier(1e306))
 

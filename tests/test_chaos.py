@@ -14,7 +14,7 @@ from lentparticle.chaos import (
     stochastic_integral,
 )
 from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
-from lentparticle.errors import DimensionMismatchError, DomainError
+from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import evaluate_functional, make_functional, make_square
 from lentparticle.gradients import chaos_gradient_contraction
@@ -329,9 +329,9 @@ class TestRotatedChaos:
         B = martingale_batch("brownian", unit_grid, SEED, 0, 3)
         other = martingale_batch("poisson", TimeGrid(1.0, 7), SEED, 0, 3)
         F = make_functional("second-chaos")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigurationError):
             RotatedChaos(F, B, other)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigurationError, match="finite"):
             RotatedChaos(F, B, B)(math.nan)
 
 
@@ -430,7 +430,7 @@ class TestExponentialVector:
         h = StepFunction.constant(1.0, 1.0)
         flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
                           jump_increments=np.zeros(unit_grid.n_steps))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             exponential_vector(h, h, brownian, flat, [0.0], 0.1234567)
 
 
@@ -526,7 +526,7 @@ class TestExponentialVectorAngles:
             raise AssertionError("reduced the batch before checking the angles")
 
         monkeypatch.setattr(np, "einsum", no_reduction)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigurationError, match="finite"):
             exponential_vector(self.H1, self.H2, B, M, [0.0, 0.3, bad], 1.0)
 
     def test_no_angles_give_no_values(self, unit_grid):
@@ -549,5 +549,5 @@ class TestCovarianceCurve:
     def test_requires_paths(self, unit_grid):
         cfg = make_config("covariance-decay", n_paths=1, n_steps=unit_grid.n_steps,
                           master_seed=SEED, params={"orders": (2,), "phis": (0.0,)})
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             run_experiment(cfg)

@@ -140,14 +140,17 @@ class TestRun:
 
     # every experiment and value is covered by TestRunners::test_theta_rejected_before_drawing
     @pytest.mark.parametrize("theta", [pytest.param("NaN", id="nan"),
-                                       pytest.param("Infinity", id="inf")])
+                                       pytest.param("Infinity", id="inf"),
+                                       # JSON reads it as an int no float holds
+                                       pytest.param(str(10**400), id="10**400")])
     def test_non_finite_theta_exit_2(self, runner, tmp_path, theta):
         result = runner.invoke(main, [
             "run", "chaos-energy", "--param", f"theta={theta}", "--n-paths", "50",
             "--grid-steps", "20", "--output", str(tmp_path),
         ])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
         assert result.exit_code == 2, result.output
-        assert "theta must be positive and finite" in result.output
+        assert "theta must be finite" in result.output
         assert not (tmp_path / "chaos-energy.json").exists()
 
     def test_theta_param_reaches_rows_and_summary(self, runner, tmp_path):
@@ -198,13 +201,17 @@ class TestRun:
         assert excluded in result.output
         assert (tmp_path / f"{experiment}.json").exists()
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
-    def test_bad_horizon_exit_2(self, runner, tmp_path, horizon):
+    @pytest.mark.parametrize("horizon, message", [
+        ("nan", "horizon must be finite, got nan"),
+        ("inf", "horizon must be finite, got inf"),
+        ("0", "horizon must be positive and finite, got 0.0"),
+    ], ids=["nan", "inf", "0"])
+    def test_bad_horizon_exit_2(self, runner, tmp_path, horizon, message):
         # bessel builds no grid, so only the config rule stops a horizon JSON cannot hold
         result = runner.invoke(main, ["run", "bessel", "--horizon", horizon,
                                       "--output", str(tmp_path)])
         assert result.exit_code == 2, result.output
-        assert "horizon must be positive and finite" in result.output
+        assert message in result.output
         assert not (tmp_path / "bessel.json").exists()
 
     @pytest.mark.parametrize("experiment, param", [
@@ -224,20 +231,21 @@ class TestRun:
         assert drawn == []
         assert not (tmp_path / f"{experiment}.json").exists()
 
-    @pytest.mark.parametrize("experiment, param", [
-        ("isometry", "rotation_theta=NaN"),
-        ("covariance-decay", "phis=[NaN]"),
-        ("bessel", "angles=[NaN]"),
-        ("exp-vector-covariance", "phis=[Infinity]"),
-        ("bessel", "angles=[1e308]"),  # finite, but 40 * angle is not
+    @pytest.mark.parametrize("experiment, param, message", [
+        ("isometry", "rotation_theta=NaN", "rotation_theta must be finite, got nan"),
+        ("covariance-decay", "phis=[NaN]", "phis[0] must be finite, got nan"),
+        ("bessel", "angles=[NaN]", "angles[0] must be finite, got nan"),
+        ("exp-vector-covariance", "phis=[Infinity]", "phis[0] must be finite, got inf"),
+        # finite, but 40 * angle is not
+        ("bessel", "angles=[1e308]", "angle must be finite"),
     ])
-    def test_non_finite_angle_exit_2(self, runner, tmp_path, experiment, param):
+    def test_non_finite_angle_exit_2(self, runner, tmp_path, experiment, param, message):
         result = runner.invoke(main, [
             "run", experiment, "--param", param, "--n-paths", "10", "--grid-steps", "10",
             "--output", str(tmp_path),
         ])
         assert result.exit_code == 2, result.output
-        assert "angle must be finite" in result.output
+        assert message in result.output
         assert not (tmp_path / f"{experiment}.json").exists()
 
     def test_off_grid_time_exit_2(self, runner, tmp_path):
@@ -257,9 +265,8 @@ class TestRun:
          "n_eigen_paths must be in 1..n_outer = 4, got 5"),
         ("mehler", ["n_eigen_paths=0", "n_inner=2"], "n_eigen_paths must be in 1..n_outer"),
         ("mehler", ["t_eigen=-1", "n_inner=2"], "t_eigen must be positive and finite"),
-        ("mehler", ["t_bracket=[NaN, 0.01]"], "t_bracket entries must be positive and finite"),
-        ("mehler", ["t_bracket=[Infinity, 0.01]"],
-         "t_bracket entries must be positive and finite"),
+        ("mehler", ["t_bracket=[NaN, 0.01]"], "t_bracket[0] must be finite, got nan"),
+        ("mehler", ["t_bracket=[Infinity, 0.01]"], "t_bracket[0] must be finite, got inf"),
         ("mehler", ["t_bracket=[0, 0.01]"], "t_bracket entries must be positive and finite"),
         ("mehler", ["t_bracket=[0.01]"], "t_bracket needs at least two distinct times"),
         ("mehler", ["n_inner=-3"], "n_inner must be at least 2, got -3"),
@@ -268,16 +275,15 @@ class TestRun:
          "'third-chaos', 'three-term']; got 'square'"),
         ("exp-vector-covariance", ["h_norm_sq=-1"], "h_norm_sq must be positive and finite"),
         ("exp-vector-covariance", ["h_norm_sq=0"], "h_norm_sq must be positive and finite"),
-        ("exp-vector-covariance", ["h_norm_sq=NaN"], "h_norm_sq must be positive and finite"),
-        ("exp-vector-covariance", ["h_norm_sq=Infinity"],
-         "h_norm_sq must be positive and finite"),
+        ("exp-vector-covariance", ["h_norm_sq=NaN"], "h_norm_sq must be finite, got nan"),
+        ("exp-vector-covariance", ["h_norm_sq=Infinity"], "h_norm_sq must be finite, got inf"),
         ("exp-vector-covariance", ["h_norm_sq=800"], "h_norm_sq must be in [0, 709.78]"),
-        ("bessel", ["h_norm_sq=[NaN]"], "h_norm_sq must be in [0, 709.78]"),
-        ("bessel", ["h_norm_sq=[Infinity]"], "h_norm_sq must be in [0, 709.78]"),
+        ("bessel", ["h_norm_sq=[NaN]"], "h_norm_sq[0] must be finite, got nan"),
+        ("bessel", ["h_norm_sq=[Infinity]"], "h_norm_sq[0] must be finite, got inf"),
         ("bessel", ["h_norm_sq=[1e300]"], "h_norm_sq must be in [0, 709.78]"),
         ("bessel", ["h_norm_sq=[1.0, -2]"], "h_norm_sq must be in [0, 709.78]"),
-        ("supremum", ["a=NaN"], "a must be positive and finite, got nan"),
-        ("supremum", ["a=Infinity"], "a must be positive and finite, got inf"),
+        ("supremum", ["a=NaN"], "a must be finite, got nan"),
+        ("supremum", ["a=Infinity"], "a must be finite, got inf"),
         ("supremum", ["a=-1"], "a must be positive and finite, got -1"),
         ("sde-poisson", ['sde_params={"gmb": {"sigma": 0.5}}'],
          "sde_params names SDEs that are not run: ['gmb']"),
@@ -288,7 +294,8 @@ class TestRun:
          "'gbm' parameter 'sigma' must be finite, got inf"),
         ("sde-lent-particle", ['sde_params={"additive": {"b": NaN}}'],
          "'additive' parameter 'b' must be finite, got nan"),
-        ("sde-lent-particle", ["u_grid=[NaN]", "t_grid=[1.0]"], "time nan outside (0, 1.0]"),
+        ("sde-lent-particle", ["u_grid=[NaN]", "t_grid=[1.0]"],
+         "u_grid[0] must be finite, got nan"),
         ("sde-lent-particle", ["u_grid=[0.0]", "t_grid=[1.0]"], "time 0.0 outside (0, 1.0]"),
         ("sde-lent-particle", ["u_grid=[0.9]", "t_grid=[0.5]"],
          "no pair of u_grid [0.9] and t_grid [0.5] has u <= t"),
@@ -324,6 +331,8 @@ class TestRun:
     @pytest.mark.parametrize("experiment, content, message", [
         ("supremum", {"n_paths": "100"}, "n_paths must be an integer, got '100'"),
         ("supremum", {"horizon": "1"}, "horizon must be a number, got '1'"),
+        # a 401-digit horizon ran bessel and was written into its report
+        ("bessel", {"horizon": 10**400}, "horizon must be finite, got 1000"),
         ("supremum", {"params": [1]}, "params must be an object, got [1]"),
         ("supremum", {"workers": 1.5, "n_paths": 100}, "workers must be an integer, got 1.5"),
         ("supremum", {"n_steps": True}, "n_steps must be an integer, got True"),
@@ -406,6 +415,12 @@ class TestExportPaths:
     def test_bad_grid_exit_2(self, runner):
         result = runner.invoke(main, ["export-paths", "--grid-steps", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_exit_2(self, runner, horizon):
+        result = runner.invoke(main, ["export-paths", "--horizon", horizon])
+        assert result.exit_code == 2, result.output
+        assert f"horizon must be positive and finite, got {horizon}" in result.output
 
     @pytest.mark.parametrize("flags", [["--seed", "-3", "--index", "-2"], ["--seed", "-3"],
                                        ["--index", "-2"]])

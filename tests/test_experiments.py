@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from lentparticle.errors import ConfigurationError, DomainError
+from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -161,7 +163,7 @@ class TestParallelBatches:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
     def test_no_paths_rejected(self):
-        with pytest.raises(DomainError, match="at least one path"):
+        with pytest.raises(ConfigurationError, match="at least one path"):
             parallel_batches(lambda s, c: {"x": np.zeros(c)}, 0, 1)
 
 
@@ -360,20 +362,22 @@ class TestRunners:
         monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
         # on 7 steps no default t but 1.0 is a grid time; 0.82 and 0.88 both round to 6/7
         cfg = make_config("sde-lent-particle", n_steps=7, n_paths=4)
-        with pytest.raises(DomainError, match="0.76 is not a point"):
+        with pytest.raises(ConfigurationError, match="0.76 is not a point"):
             run_experiment(cfg)
         assert drawn == []
 
-    @pytest.mark.parametrize("u", [np.nan, 0.0])
-    def test_sde_u_outside_the_horizon_rejected_before_drawing(self, monkeypatch, u):
+    @pytest.mark.parametrize("u, message", [
+        (np.nan, r"u_grid\[0\] must be finite, got nan"),
+        (0.0, r"time 0.0 outside"),
+    ], ids=["nan", "0.0"])
+    def test_sde_u_outside_the_horizon_rejected_before_drawing(self, monkeypatch, u, message):
         from lentparticle import experiments
 
         drawn = []
         monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
-        cfg = make_config("sde-lent-particle", n_steps=100, n_paths=600,
-                          params={"u_grid": (u,)})
-        with pytest.raises(DomainError, match=f"time {u} outside"):
-            run_experiment(cfg)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(make_config("sde-lent-particle", n_steps=100, n_paths=600,
+                                       params={"u_grid": (u,)}))
         assert drawn == []
 
     @pytest.mark.parametrize("name, params", [
@@ -394,8 +398,13 @@ class TestRunners:
 
     @pytest.mark.parametrize("name", ["chaos-energy", "sde-lent-particle", "sde-poisson",
                                       "mehler"])
-    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
-    def test_theta_rejected_before_drawing(self, monkeypatch, name, theta):
+    @pytest.mark.parametrize("theta, message", [
+        (0.0, "theta must be positive and finite"),
+        (-1.0, "theta must be positive and finite"),
+        (float("nan"), "theta must be finite, got nan"),
+        (float("inf"), "theta must be finite, got inf"),
+    ], ids=["0.0", "-1.0", "nan", "inf"])
+    def test_theta_rejected_before_drawing(self, monkeypatch, name, theta, message):
         from lentparticle import experiments
 
         def drawn(*args):
@@ -403,11 +412,40 @@ class TestRunners:
 
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
         monkeypatch.setattr(experiments, "inner_hat_batch", drawn)
-        with pytest.raises(DomainError, match="theta must be positive and finite"):
+        with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config(name, n_steps=100, n_paths=4, params={"theta": theta}))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("name, param", [
+        *((name, param) for name, spec in EXPERIMENTS.items()
+          for param, default in spec.param_defaults.items()
+          if isinstance(default, float)
+          or isinstance(default, tuple) and isinstance(default[0], float)),
+        *((name, "horizon") for name in EXPERIMENTS),
+    ])
+    def test_non_finite_number_rejected_before_drawing(self, monkeypatch, name, param, bad):
+        # 10**400 is how JSON reads a 401-digit integer: it passed every range check
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError(f"a path was drawn: {args[2:]}")
+
+        monkeypatch.setattr(experiments, "martingale_batch", drawn)
+        monkeypatch.setattr(experiments, "inner_hat_batch", drawn)
+        default = EXPERIMENTS[name].param_defaults.get(param)
+        if param == "horizon":
+            label, fields = param, {"horizon": bad}
+        elif isinstance(default, tuple):  # the bad value after the defaults
+            label, fields = f"{param}[{len(default)}]", {"params": {param: [*default, bad]}}
+        else:
+            label, fields = param, {"params": {param: bad}}
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(label)} must be finite, got "):
+            run_experiment(make_config(name, n_steps=20, n_paths=8, **fields))
+
     @pytest.mark.parametrize("name", ["sde-lent-particle", "sde-poisson"])
-    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"),
+                                       pytest.param(10**400, id="10**400")])
     def test_non_finite_sde_coefficient_rejected_before_drawing(self, monkeypatch, name,
                                                                 sigma):
         from lentparticle import experiments
@@ -539,15 +577,15 @@ class TestRunners:
         assert sorted(outer) == [("brownian", i, 1) for i in range(3)]
         assert sorted(orders) == [1, 1, 1, 2, 2, 2]
 
-    @pytest.mark.parametrize("params, error", [
-        ({"t_bracket": (0.1,)}, DomainError),  # one bracket time
-        ({"n_eigen_paths": 0}, ConfigurationError),
-        ({"n_eigen_paths": 3}, ConfigurationError),  # more than n_outer
+    @pytest.mark.parametrize("params", [
+        {"t_bracket": (0.1,)},  # one bracket time
+        {"n_eigen_paths": 0},
+        {"n_eigen_paths": 3},  # more than n_outer
     ])
-    def test_mehler_rejects_unusable_params(self, params, error):
+    def test_mehler_rejects_unusable_params(self, params):
         cfg = make_config("mehler", n_steps=20, params={
             "n_outer": 2, "n_inner": 8, "n_eigen_paths": 1, **params})
-        with pytest.raises(error):
+        with pytest.raises(ConfigurationError):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("params, message", [
@@ -572,32 +610,27 @@ class TestRunners:
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config("mehler", n_steps=20, params=params))
 
-    @pytest.mark.parametrize("name, params, error, message", [
+    @pytest.mark.parametrize("name, params, message", [
         # an order-0 kernel is a constant: its standard error of 0 failed after every batch
-        ("isometry", {"orders": [1, 0]}, ConfigurationError, "orders must be a non-empty"),
-        ("covariance-decay", {"orders": [0]}, ConfigurationError, "orders must be a non-empty"),
-        ("covariance-decay", {"orders": []}, ConfigurationError, "orders must be a non-empty"),
-        ("isometry", {"rotation_theta": float("nan")}, DomainError, "angle must be finite"),
-        ("covariance-decay", {"phis": [0.0, float("nan")]}, DomainError,
-         "angle must be finite"),
-        ("exp-vector-covariance", {"phis": [float("inf")]}, DomainError,
-         "angle must be finite"),
+        ("isometry", {"orders": [1, 0]}, "orders must be a non-empty"),
+        ("covariance-decay", {"orders": [0]}, "orders must be a non-empty"),
+        ("covariance-decay", {"orders": []}, "orders must be a non-empty"),
+        ("isometry", {"rotation_theta": float("nan")}, "rotation_theta must be finite, got nan"),
+        ("covariance-decay", {"phis": [0.0, float("nan")]}, r"phis\[1\] must be finite, got nan"),
+        ("exp-vector-covariance", {"phis": [float("inf")]}, r"phis\[0\] must be finite, got inf"),
         # the target e^h_norm_sq overflowed after every batch had been drawn
-        ("exp-vector-covariance", {"h_norm_sq": 800.0}, DomainError,
-         r"h_norm_sq must be in \[0, 709.78\]"),
+        ("exp-vector-covariance", {"h_norm_sq": 800.0}, r"h_norm_sq must be in \[0, 709.78\]"),
         # F-sharp's energy is read off the kernels of a chaos vector
-        ("chaos-energy", {"functional": "square"}, ConfigurationError,
-         "functional must be a chaos vector"),
+        ("chaos-energy", {"functional": "square"}, "functional must be a chaos vector"),
     ])
-    def test_chaos_params_rejected_before_drawing(self, monkeypatch, name, params, error,
-                                                  message):
+    def test_chaos_params_rejected_before_drawing(self, monkeypatch, name, params, message):
         from lentparticle import experiments
 
         def drawn(*args):
             raise AssertionError(f"a path was drawn: {args[2:]}")
 
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
-        with pytest.raises(error, match=message):
+        with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config(name, n_steps=20, n_paths=8, params=params))
 
     @pytest.mark.parametrize("name, param", [

@@ -3,7 +3,7 @@ import pytest
 
 from lentparticle.chaos import chaotic_extension
 from lentparticle.drivers import martingale_batch, rotate
-from lentparticle.errors import ConfigurationError, DomainError
+from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import (
     CylindricalFunctional,
@@ -50,9 +50,10 @@ class TestCylindricalGradient:
         assert est_late.analytic == pytest.approx(-1.0)
 
     def test_snap_flag(self, brownian):
+        # u is the grid time the jump was lent at: u itself on the grid, else the next one
         F = make_square(1.0)
-        assert gradient_cylindrical(F, brownian, 0.5).snapped is False
-        assert gradient_cylindrical(F, brownian, 0.5001).snapped is True
+        assert gradient_cylindrical(F, brownian, 0.5).u == 0.5
+        assert gradient_cylindrical(F, brownian, 0.5001).u == brownian.grid.times[251]
 
     def test_nonlinear_smooth_functional(self, brownian):
         h = StepFunction.constant(1.0, 1.0)
@@ -125,7 +126,7 @@ class TestChaosGradient:
     def test_rejects_a_step_that_is_not_positive_and_finite(self, unit_grid, name, theta0):
         B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
         M = martingale_batch("poisson", unit_grid, SEED, 0, 4)
-        with pytest.raises(DomainError, match="theta0 must be positive and finite"):
+        with pytest.raises(ConfigurationError, match="theta0 must be positive and finite"):
             gradient_chaos(chaotic_extension(make_functional(name), B, M), theta0)
 
 
@@ -138,7 +139,7 @@ class TestPoissonSde:
         M = martingale_batch("compound", unit_grid, SEED, 0, 8)
         spec = make_sde("gbm")
         for b, m in ((brownian, flat), (brownian, no_jump_part), (B, M)):
-            with pytest.raises(DomainError, match="every martingale path needs a jump"):
+            with pytest.raises(ConfigurationError, match="every martingale path needs a jump"):
                 lent_particle_sde_poisson(spec, b, m, 1.0)
 
     def test_records_first_jump_time(self, unit_grid, brownian):
@@ -155,7 +156,7 @@ class TestPoissonSde:
         jumps = np.zeros(unit_grid.n_steps)
         jumps[99] = 1.0
         mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
-        with pytest.raises(DomainError, match="not a point"):
+        with pytest.raises(ConfigurationError, match="not a point"):
             lent_particle_sde_poisson(make_sde("gbm"), brownian, mart, 0.5005)
 
     def test_batch_matches_single_paths(self, unit_grid):
@@ -196,7 +197,7 @@ def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step)
         "supremum_quotient": ("a", lambda: supremum_quotient(np.zeros(4), step)),
     }
     name, call = calls[estimator]
-    with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got "):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be positive and finite, got "):
         call()
 
 
@@ -285,7 +286,7 @@ class TestSupremum:
         assert grad == 0.0  # supremum fixed before the perturbation point
 
     def test_rejects_nonpositive_step(self, unit_grid, brownian):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             supremum_gradient(None, brownian, 0.5, 0.0)
 
 

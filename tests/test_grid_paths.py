@@ -12,11 +12,7 @@ from lentparticle.drivers import (
     martingale_batch,
     rotate,
 )
-from lentparticle.errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    DomainError,
-)
+from lentparticle.errors import ConfigurationError
 from lentparticle.chaos import evaluate_chaos
 from lentparticle.experiments import DEFAULT_SEED
 from lentparticle.functionals import make_functional
@@ -50,9 +46,9 @@ class TestTimeGrid:
 
     def test_index_rejects_out_of_range(self):
         grid = TimeGrid(1.0, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             grid.index_at_or_after(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             grid.index_at_or_after(1.5)
 
     def test_index_of_grid_times(self):
@@ -63,7 +59,7 @@ class TestTimeGrid:
     @pytest.mark.parametrize("t", [0.82, 0.88, -1.0 / 7, 8.0 / 7, float("nan"), float("inf")])
     def test_index_of_rejects_other_times(self, t):
         # on 7 steps 0.82 and 0.88 both round to the step at 6/7
-        with pytest.raises(DomainError, match="not a point of the 7-step grid"):
+        with pytest.raises(ConfigurationError, match="not a point of the 7-step grid"):
             TimeGrid(1.0, 7).index_of(t)
 
     def test_invalid_grid(self):
@@ -251,7 +247,7 @@ class TestSamplePath:
         np.testing.assert_allclose(np.diff(path.values), inc)
 
     def test_shape_mismatch(self, unit_grid):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigurationError):
             SamplePath(unit_grid, np.zeros(unit_grid.n_steps - 1))
 
     def test_batch_select(self, unit_grid):
@@ -265,7 +261,7 @@ class TestSamplePath:
         other = TimeGrid(1.0, unit_grid.n_steps + 1)
         a = SamplePath(unit_grid, np.zeros(unit_grid.n_steps))
         b = SamplePath(other, np.zeros(other.n_steps))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigurationError):
             require_same_grid(a, b)
 
 
@@ -315,7 +311,7 @@ class TestDrivers:
 
     def test_unknown_kind(self, unit_grid):
         for kind in ("levy", "hat"):
-            with pytest.raises(DomainError):
+            with pytest.raises(ConfigurationError):
                 martingale_batch(kind, unit_grid, SEED, 0, 1)
 
 

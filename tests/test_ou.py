@@ -5,7 +5,7 @@ import pytest
 
 from lentparticle.chaos import RotatedChaos, chaotic_extension, evaluate_chaos
 from lentparticle.drivers import martingale_batch, rotate
-from lentparticle.errors import DomainError
+from lentparticle.errors import ConfigurationError
 from lentparticle.functionals import evaluate_functional, make_b1, make_second_chaos
 from lentparticle.functionals import make_functional, make_square
 from lentparticle.ou import (
@@ -70,12 +70,12 @@ class TestMehler:
         assert abs(samples.mean() - target) < 5 * se
 
     def test_negative_t_rejected(self, outer, hats):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             mehler_samples(chaotic_extension(make_b1(1.0), outer, hats), (0.3, -0.1))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_t_rejected(self, outer, hats, t):
-        with pytest.raises(DomainError, match="t must be >= 0 and finite"):
+        with pytest.raises(ConfigurationError, match="t must be >= 0 and finite"):
             mehler_samples(chaotic_extension(make_b1(1.0), outer, hats), (t,))
 
 
@@ -168,14 +168,14 @@ class TestRotationGradient:
     def test_carre_needs_two_inner(self, unit_grid, outer, make):
         single = inner_hat_batch(unit_grid, SEED, 0, 1)
         for hats in (single, single.select(0)):  # a batch of one path, and one 1-D path
-            with pytest.raises(DomainError, match="needs at least 2 inner paths"):
+            with pytest.raises(ConfigurationError, match="needs at least 2 inner paths"):
                 carre_du_champ(chaotic_extension(make(1.0), outer, hats))
 
     @pytest.mark.parametrize("theta", [0.0, -1e-4, math.nan, math.inf])
     @pytest.mark.parametrize("make", [make_second_chaos, make_square])
     def test_carre_rejects_a_step_that_is_not_positive_and_finite(self, outer, hats, make,
                                                                    theta):
-        with pytest.raises(DomainError, match="theta0 must be positive and finite"):
+        with pytest.raises(ConfigurationError, match="theta0 must be positive and finite"):
             carre_du_champ(chaotic_extension(make(1.0), outer, hats), theta)
 
 
@@ -192,13 +192,13 @@ class TestBracket:
         assert extrapolated == pytest.approx(gamma, rel=0.05)
 
     def test_bracket_rejects_nonpositive_t(self, outer, hats):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             semigroup_bracket_samples(chaotic_extension(make_b1(1.0), outer, hats), 0.0,
                                       (0.1, 0.0))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_bracket_rejects_non_finite_t(self, outer, hats, t):
-        with pytest.raises(DomainError, match="t must be positive and finite"):
+        with pytest.raises(ConfigurationError, match="t must be positive and finite"):
             semigroup_bracket_samples(chaotic_extension(make_b1(1.0), outer, hats), 0.0, (t,))
 
     def test_richardson_is_exact_on_affine_data(self):
@@ -207,11 +207,11 @@ class TestBracket:
         assert richardson_limit(pairs) == pytest.approx(gamma, rel=1e-12)
 
     def test_richardson_needs_two_points(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             richardson_limit([(0.1, 1.0)])
 
     def test_richardson_needs_two_distinct_t(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             richardson_limit([(0.1, 1.0), (0.1, 1.0)])
         gamma, slope = 2.5, -0.7
         pairs = [(t, gamma + slope * t) for t in (0.01, 0.2, 0.01)]

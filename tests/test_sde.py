@@ -3,7 +3,7 @@ import pytest
 
 from lentparticle import experiments
 from lentparticle.drivers import martingale_batch
-from lentparticle.errors import ConfigurationError, DomainError
+from lentparticle.errors import ConfigurationError
 from lentparticle.gradients import lent_particle_sde
 from lentparticle.grid import RngStream, SamplePath, TimeGrid
 from lentparticle.sde import (
@@ -156,12 +156,12 @@ class TestFlowOracle:
 
     def test_rejects_bad_times(self, unit_grid, brownian):
         spec = make_sde("gbm")
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             lent_particle_sde(spec, brownian, 0.8, 0.5)
 
     def test_rejects_off_grid_t(self, unit_grid, brownian):
         spec = make_sde("gbm")
-        with pytest.raises(DomainError, match="not a point"):
+        with pytest.raises(ConfigurationError, match="not a point"):
             lent_particle_sde(spec, brownian, 0.3, 0.9001)
 
     def test_singular_flow_detected(self):
@@ -213,7 +213,7 @@ class TestEngine:
         spec = make_sde("gbm")
         n = unit_grid.n_steps
         for bumps, steps in [([(0, 1e-3)], ()), ([(n + 1, 1e-3)], ()), ((), (n + 1,))]:
-            with pytest.raises(DomainError):
+            with pytest.raises(ConfigurationError):
                 euler(spec, unit_grid, [brownian.increments], bumps, x_steps=steps)
 
     def test_exploding_path_stays_nonfinite(self, unit_grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lentparticle.errors import ConfigurationError, DomainError, InvalidKernelError
+from lentparticle.errors import ConfigurationError
 from lentparticle.grid import TimeGrid
 from lentparticle.kernels import MAX_ORDER, ChaosVector, SimplexKernel, permanent
 from lentparticle.stepfn import StepFunction
@@ -50,9 +50,9 @@ class TestStepFunction:
         np.testing.assert_array_equal(f.on_grid(grid), [0.0, 0.0, 1.0, 1.0])
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             StepFunction((0.0, 0.0), (1.0,))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             StepFunction((0.0, 1.0), (1.0, 2.0))
 
 
@@ -104,7 +104,7 @@ class TestSimplexKernel:
 
     def test_validation(self):
         h = StepFunction.constant(1.0, 1.0)
-        with pytest.raises(InvalidKernelError):
+        with pytest.raises(ConfigurationError):
             SimplexKernel(2, (h,))
         with pytest.raises(ConfigurationError):
             SimplexKernel.power(h, MAX_ORDER + 1)
