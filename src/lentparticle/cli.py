@@ -33,7 +33,7 @@ def _parse_params(pairs: tuple[str, ...]) -> dict:
         name, _, raw = pair.partition("=")
         try:
             out[name] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # a JSON error, or an integer past Python's digit limit
             out[name] = raw  # bare strings are convenient on the command line
     return out
 
@@ -66,7 +66,7 @@ def run(experiment, config_path, seed, n_paths, grid_steps, horizon, workers, pa
             try:
                 with open(config_path) as fh:
                     fields = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigurationError(f"cannot read config {config_path}: {exc}")
             if not isinstance(fields, dict):
                 raise ConfigurationError("config file must hold a JSON object")

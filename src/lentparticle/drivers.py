@@ -260,6 +260,13 @@ def brownian_batch(
     return _normal_batch(grid, count, gens)
 
 
+def brownian_rows(grid: TimeGrid, master_seed: int, indices) -> SamplePath:
+    """The rows ``indices`` (sorted path indices) of a Brownian batch, drawn alone."""
+    indices = np.asarray(indices, dtype=np.intp)
+    gens = _keyed_generators(master_seed, CHANNEL_BROWNIAN, indices, 0)
+    return _normal_batch(grid, indices.size, gens)
+
+
 def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: int) -> SamplePath:
     """Batch of independent Brownian copies keyed (seed, outer index, inner index)."""
     gens = _keyed_generators(master_seed, CHANNEL_HAT, outer_index, range(1, count + 1))

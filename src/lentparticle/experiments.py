@@ -23,7 +23,7 @@ from . import __version__
 from .bessel import bessel_spectrum, default_truncation, require_exponent
 # iterated_integral is unused here: the benchmark's restore test reads this binding
 from .chaos import chaotic_extension, exponential_vector, iterated_integral, iterated_integrals
-from .drivers import martingale_batch, rotate
+from .drivers import brownian_rows, martingale_batch, rotate
 from .errors import ConfigurationError, require_kind
 from .functionals import evaluate_functional, make_b1, make_functional, make_second_chaos
 from .functionals import FUNCTIONALS, make_square
@@ -431,15 +431,15 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
     (spec,) = _make_sdes(cfg, (name,))
 
     def batch(start, count):
-        B = martingale_batch("brownian", grid, cfg.master_seed, start, count)
         M = martingale_batch("compound", grid, cfg.master_seed, start, count)
         jumps = M.jump_increments
         single = (np.count_nonzero(jumps, axis=-1) == 1) & (np.abs(jumps).max(axis=-1) == 1.0)
         if not single.any():
             return {"single": single, "debiased": np.empty(0), "oracle": np.empty(0)}
-        # the estimator runs on the single-jump paths alone: there the sum is the mark
-        # J_1, and the flow oracle at U_1 is `analytic`
-        B, M = B.select(single), M.select(single)
+        # the estimator runs on the single-jump paths alone, and only their B is drawn:
+        # there the sum is the mark J_1, and the flow oracle at U_1 is `analytic`
+        B = brownian_rows(grid, cfg.master_seed, start + np.flatnonzero(single))
+        M = M.select(single)
         grad = lent_particle_sde_poisson(spec, B, M, grid.horizon, theta)
         return {"single": single, "debiased": M.jump_increments.sum(axis=-1) * grad.value,
                 "oracle": grad.analytic}

@@ -19,11 +19,14 @@ Every solve runs through one engine, ``euler``: a single loop over
 time-major increments that advances a stack of states together with the
 first variation of its row 0.  Row 0 follows the base driver; further rows
 follow other drivers, or the base driver with a lent jump a 1_{. >= t_k},
-which enters as a added to the increment of step k.  A bumped row shares
-every operation with row 0 before its bump step, so it equals a separate
-solve on the perturbed increments bit for bit.  The engine keeps only the
-step columns its caller names, so full trajectories are stored only by
-``solve_sde`` and ``first_variation``, which ask for every column.
+which enters as a added to the increment of step k.  A bumped row equals
+row 0 bit for bit before its bump step, so it goes live there, on a copy of
+row 0's state, and still equals a separate solve on the perturbed
+increments bit for bit.  Y advances per block of steps: one vectorized
+evaluation of the block's factors, multiplied in step order.  The engine
+keeps only the step columns its caller names, so full trajectories are
+stored only by ``solve_sde`` and ``first_variation``, which ask for every
+column.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class SdeSpec:
     """Coefficients and x-derivatives of dX = sigma(t,X) dB + b(t,X) dt.
 
     A coefficient constant in x may return a float; it broadcasts like an array.
+    sigma_x and b_x are also called on a block of steps at once, with t an
+    array of shape (block, 1, ...) against x of shape (block, paths...).
     """
 
     name: str
@@ -126,28 +131,39 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     y_plan, ys = _column_plan(y_steps, n, paths, paths)
 
     dt = grid.dt
-    times = grid.times
-    x = np.full((rows,) + paths, float(spec.x0))
+    times = grid.times.tolist()
+    x = np.full((len(drivers),) + paths, float(spec.x0))  # the live rows
+    live = np.append(np.arange(len(drivers)), np.zeros(len(bumps), int))  # row 0 until bumped
     y = np.ones(paths) if y_steps else None
-    _keep(x_plan, xs, 0, x)
+    _keep(x_plan, xs, 0, x[live])
     _keep(y_plan, ys, 0, y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(n):
-            if j % STEP_BLOCK == 0:  # the next block of steps, time-major and contiguous
-                dw = np.stack([np.moveaxis(inc[..., j:j + STEP_BLOCK], -1, 0)
-                               for inc in drivers], 1)
-            t = times[j]
-            d = dw[j % STEP_BLOCK]
-            if y is not None:
-                x_base = x[0]
-                y = y * (1.0 + spec.sigma_x(t, x_base) * d[0] + spec.b_x(t, x_base) * dt)
-            if j in bumped:
-                d = np.repeat(d, rows, axis=0)
-                for row, a in bumped[j]:
-                    d[row] = d[0] + a
-            x = x + spec.sigma(t, x) * d + spec.b(t, x) * dt
-            _keep(x_plan, xs, j + 1, x)
-            _keep(y_plan, ys, j + 1, y)
+        for j0 in range(0, n, STEP_BLOCK):  # a block of steps, time-major and contiguous
+            dw = np.stack([np.moveaxis(inc[..., j0:j0 + STEP_BLOCK], -1, 0)
+                           for inc in drivers], 1)
+            x_base = np.empty(dw[:, 0].shape)  # row 0 before each step, for Y
+            for j, d in enumerate(dw, start=j0):
+                if y is not None:
+                    x_base[j - j0] = x[0]
+                if j in bumped:  # the bumped rows go live on row 0's state
+                    new = bumped[j]
+                    live[[row for row, _ in new]] = range(len(x), len(x) + len(new))
+                    d = np.concatenate([np.broadcast_to(d, x.shape)]
+                                       + [d[:1] + a for _, a in new])
+                    x = np.concatenate([x, np.repeat(x[:1], len(new), axis=0)])
+                drift = spec.b(times[j], x) * dt  # x is advanced in place, so b reads it first
+                x += spec.sigma(times[j], x) * d
+                x += drift
+                if j + 1 in x_plan:
+                    _keep(x_plan, xs, j + 1, x[live])
+            if y is not None:  # Y over the block: one factor per step, multiplied in order
+                t = grid.times[j0:j0 + len(dw)].reshape((-1,) + (1,) * len(paths))
+                factors = 1.0 + spec.sigma_x(t, x_base) * dw[:, 0] + spec.b_x(t, x_base) * dt
+                factors[0] *= y
+                np.multiply.accumulate(factors, axis=0, out=factors)
+                y = factors[-1]
+                for j in y_plan.keys() & range(j0 + 1, j0 + len(dw) + 1):
+                    _keep(y_plan, ys, j, factors[j - j0 - 1])
     return xs, ys
 
 

@@ -153,6 +153,17 @@ class TestRun:
         assert "theta must be finite" in result.output
         assert not (tmp_path / "chaos-energy.json").exists()
 
+    def test_integer_past_the_digit_limit_is_a_bare_string(self, runner, tmp_path):
+        # json.loads raises a plain ValueError past Python's int-string limit (4300 digits)
+        result = runner.invoke(main, [
+            "run", "chaos-energy", "--param", f"theta={'1' * 5000}", "--n-paths", "50",
+            "--grid-steps", "20", "--output", str(tmp_path),
+        ])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "theta must be a number" in result.output
+        assert not (tmp_path / "chaos-energy.json").exists()
+
     def test_theta_param_reaches_rows_and_summary(self, runner, tmp_path):
         result = runner.invoke(main, [
             "run", "chaos-energy", "--param", "theta=2e-3", "--n-paths", "50",
@@ -381,6 +392,16 @@ class TestRun:
         cfg.write_text(json.dumps({"surprise": 1}))
         result = runner.invoke(main, ["run", "bessel", "--config", str(cfg)])
         assert result.exit_code == 2
+
+    def test_config_integer_past_the_digit_limit_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"horizon": ' + "1" * 5000 + "}")
+        result = runner.invoke(main, ["run", "bessel", "--config", str(cfg),
+                                      "--output", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert f"cannot read config {cfg}" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_reports_identical_across_invocations(self, runner, tmp_path):
         args = ["run", "supremum", "--n-paths", "2000", "--grid-steps", "200"]

@@ -521,6 +521,35 @@ class TestRunners:
         assert checks["poisson_frac_ok"]["frac_ok"] <= 1.0 - res.excluded_paths / single + 1e-12
         assert not checks["poisson_frac_ok"]["passed"]
 
+    def test_sde_poisson_draws_b_on_single_jump_paths_only(self, monkeypatch):
+        from lentparticle import experiments
+        from lentparticle.drivers import brownian_rows, martingale_batch
+
+        drawn = []
+
+        def rows(grid, seed, indices):
+            drawn.append(indices.tolist())
+            return brownian_rows(grid, seed, indices)
+
+        def compound_only(kind, *args):
+            assert kind == "compound", "a whole Brownian batch was drawn"
+            return martingale_batch(kind, *args)
+
+        original = experiments.parallel_batches
+        monkeypatch.setattr(experiments, "brownian_rows", rows)
+        monkeypatch.setattr(experiments, "martingale_batch", compound_only)
+        monkeypatch.setattr(experiments, "parallel_batches",
+                            lambda fn, n_paths, workers, chunk: original(fn, n_paths, workers, 4))
+        cfg = make_config("sde-poisson", n_steps=100, n_paths=40)
+        run_experiment(cfg)
+        jumps = martingale_batch("compound", cfg.grid, cfg.master_seed, 0, 40).jump_increments
+        single = np.count_nonzero(jumps, axis=-1) == 1
+        assert sorted(i for batch in drawn for i in batch) == np.flatnonzero(single).tolist()
+        # a 4-path batch without a single-jump path returns before it draws B
+        with_single = single.reshape(10, 4).any(axis=1)
+        assert not with_single.all()
+        assert len(drawn) == with_single.sum()
+
     def test_mehler_joins_its_outer_paths_in_one_batch(self, monkeypatch):
         # the outer-path work holds the interpreter lock: more batches only add workers' CPU
         from lentparticle import experiments

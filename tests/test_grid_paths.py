@@ -8,6 +8,7 @@ from lentparticle import drivers
 from lentparticle.drivers import (
     add_unit_jump,
     brownian_batch,
+    brownian_rows,
     inner_hat_batch,
     martingale_batch,
     rotate,
@@ -278,6 +279,15 @@ class TestDrivers:
         for i in range(3):
             normals = RngStream(SEED, 5 + i).generator().standard_normal(unit_grid.n_steps)
             np.testing.assert_array_equal(batch.increments[i], normals * np.sqrt(unit_grid.dt))
+
+    @pytest.mark.parametrize("seed, start", [(SEED, 0), (2**32, 0), (SEED, 2**32 - 5)],
+                             ids=["hashed", "wide-seed", "wide-index"])
+    def test_rows_drawn_alone_match_the_batch(self, unit_grid, seed, start):
+        batch = brownian_batch(unit_grid, seed, start, 12).increments
+        for rows in ([0, 3, 4, 11], [7], []):
+            drawn = brownian_rows(unit_grid, seed, start + np.array(rows, dtype=int))
+            assert drawn.increments.shape == (len(rows), unit_grid.n_steps)
+            np.testing.assert_array_equal(drawn.increments, batch[rows])
 
     @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
     def test_single_path_is_a_batch_of_one(self, unit_grid, kind):

@@ -178,12 +178,25 @@ class TestFlowOracle:
         assert not np.isfinite(lent_particle_sde(spec, B, 0.1, 1.0).analytic)
 
 
+def time_dependent():
+    """Coefficients that read t, unlike the built-in SDEs: a step that took the time of
+    its neighbour would change every row."""
+    return SdeSpec("time-dependent", 1.0,
+                   sigma=lambda t, x: np.cos(3.0 * t) * np.sin(x) + t,
+                   b=lambda t, x: np.exp(-t) * x,
+                   sigma_x=lambda t, x: np.cos(3.0 * t) * np.cos(x),
+                   b_x=lambda t, x: np.exp(-t) * np.ones_like(x))
+
+
 class TestEngine:
-    @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion"])
+    def test_time_dependent_derivatives(self):
+        time_dependent().check_derivatives(RngStream(SEED, 2))
+
+    @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion", "time-dependent"])
     def test_rows_match_reference_loop(self, name):
         grid = TimeGrid(1.0, 2 * STEP_BLOCK + 50)  # crosses two block boundaries
         B = martingale_batch("brownian", grid, SEED, 0, 5)
-        spec = make_sde(name)
+        spec = time_dependent() if name == "time-dependent" else make_sde(name)
         theta = 1e-3
         # bumps at the first step, the first step of a block and the last step
         bumps = [(k, a) for k in (1, STEP_BLOCK + 1, grid.n_steps) for a in (theta, -theta)]
@@ -198,6 +211,42 @@ class TestEngine:
             inc[:, k - 1] += a
             np.testing.assert_array_equal(x[row], reference_euler(spec, grid, inc)[0])
             np.testing.assert_array_equal(x[row][:, :k], x_ref[:, :k])
+
+    def test_bumps_in_any_order(self):
+        # listed in descending step order, two at one step, one at a block's first step
+        grid = TimeGrid(1.0, STEP_BLOCK + 50)
+        B = martingale_batch("brownian", grid, SEED, 0, 4)
+        spec = time_dependent()
+        bumps = [(grid.n_steps, 1e-3), (STEP_BLOCK + 1, -2e-3), (7, 1e-3), (7, -1e-3),
+                 (1, 3e-3)]
+        steps = range(grid.n_steps + 1)
+        xs, ys = euler(spec, grid, [B.increments], bumps, x_steps=steps, y_steps=steps)
+        x = np.stack(xs, axis=-1)
+        x_ref, y_ref = reference_euler(spec, grid, B.increments)
+        np.testing.assert_array_equal(x[0], x_ref)
+        np.testing.assert_array_equal(np.stack(ys, axis=-1), y_ref)
+        for row, (k, a) in enumerate(bumps, start=1):
+            inc = B.increments.copy()
+            inc[:, k - 1] += a
+            np.testing.assert_array_equal(x[row], reference_euler(spec, grid, inc)[0])
+
+    def test_rows_advance_from_their_bump(self):
+        # only the driver row is advanced before the first bump step
+        live = []
+
+        def sigma(t, x):
+            live.append(np.shape(x)[0])
+            return np.sin(x) + 2.0
+
+        base = make_sde("sine-diffusion")
+        spec = SdeSpec("counted", base.x0, sigma, base.b, base.sigma_x, base.b_x)
+        grid = TimeGrid(1.0, STEP_BLOCK + 20)
+        B = martingale_batch("brownian", grid, SEED, 0, 3)
+        bumps = [(STEP_BLOCK + 5, 1e-3), (9, 1e-3), (9, -1e-3)]
+        (x,), _ = euler(spec, grid, [B.increments], bumps, x_steps=(5,))
+        assert live == [1] * 8 + [3] * (STEP_BLOCK - 4) + [4] * (grid.n_steps - STEP_BLOCK - 4)
+        # a row that is not live yet reads row 0
+        np.testing.assert_array_equal(x, np.repeat(x[:1], 4, axis=0))
 
     def test_per_path_columns(self):
         grid = TimeGrid(1.0, STEP_BLOCK + 50)
