@@ -9,10 +9,11 @@ factors form a class).  For m counting the factors of each class used so far,
     J_0 = 1,   J_m(t_k) = sum_c sum_{j < k} J_{m - e_c}(t_j) g_c(t_j) dX_{(t_j, t_{j+1}]}
 
 sums the ordered-simplex integrals over the distinct orderings of those
-factors, and I_n = weight * prod_c m_c! * J_full(T).  Kernels with the same
-classes in the same first-use order share one walk, whose states sum their
-predecessors in a one-kernel walk's order, so each kernel (``iterated_integral``
-is the one-kernel case) reads its J_full(T) bit for bit, and equal kernels once.
+factors, and I_n = weight * prod_c m_c! * J_full(T); a state that no later state
+needs is one sequential reduction to J(T).  Kernels with the same classes in the
+same first-use order share one walk, whose states sum their predecessors in a
+one-kernel walk's order, so each kernel (``iterated_integral`` is the one-kernel
+case) reads its J_full(T) bit for bit, and equal kernels once.
 
 ``chaotic_extension(F, B, M)`` is the rotation theta -> F^theta on Y^theta =
 B cos(theta) + M sin(theta) as one object.  F-sharp is its derivative at 0
@@ -52,7 +53,7 @@ from collections import Counter
 import numpy as np
 
 from .drivers import _cos_sin, rotate
-from .grid import SamplePath, TimeGrid, require_same_grid
+from .grid import SamplePath, TimeGrid, reduce_rows, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
@@ -66,9 +67,10 @@ def _factor_classes(kernel: SimplexKernel, grid: TimeGrid) -> tuple[list, tuple,
 def iterated_integrals(kernels, driver: SamplePath) -> list:
     """I_n(f_n) of each kernel against the driver path(s), in order; a scalar or batch array each.
 
-    Level k holds the J_m with |m| = k that some kernel's counts reach, built
-    from level k - 1 alone, which it pops as it goes; a state that no further
-    state needs keeps only J(T).  A power kernel is the plain simplex chain.
+    Level k holds the J_m with |m| = k that some kernel's counts reach, built from
+    level k - 1 alone, which it pops as it goes; a power kernel is the simplex chain.
+    A state no further state needs is J(T) alone, its products summed in order from
+    +0.0: the cumsum's last entry bit for bit, but +0.0 where a row's are all -0.0.
     """
     inc = driver.increments
     shape = inc.shape[:-1]
@@ -87,15 +89,19 @@ def iterated_integrals(kernels, driver: SamplePath) -> list:
                     values[kernel] = kernel.weight * math.prod(map(math.factorial, m)) * J[..., -1]
                 for c, g in enumerate(gvals):
                     target = m[:c] + (m[c] + 1,) + m[c + 1 :]
-                    if reaching := [f for f in reads if all(map(operator.le, target, f))]:
-                        out = np.zeros(shape + (inc.shape[-1] + 1,))
-                        tail = np.multiply(J[..., :-1], g, out=out[..., 1:])
-                        np.cumsum(np.multiply(tail, inc, out=tail), axis=-1, out=tail)
-                        if reaching == [target]:  # no further state needs it
-                            out = out[..., -1:].copy()
-                        if target in nxt:
-                            out += nxt[target]  # addition commutes: the bits of a one-kernel walk
-                        nxt[target] = out
+                    if not (reaching := [f for f in reads if all(map(operator.le, target, f))]):
+                        continue
+                    if reaching == [target]:  # no further state needs it: J(T) alone
+                        out = np.einsum("...j,j,...j->...", J[..., :-1], g, inc)[..., None]
+                    else:
+                        out = np.empty(shape + (inc.shape[-1] + 1,))
+                        out[..., 0] = 0.0
+                        tail = out[..., 1:]
+                        jg = J[:-1] * g if J.ndim == 1 else np.multiply(J[..., :-1], g, out=tail)
+                        np.cumsum(np.multiply(jg, inc, out=tail), axis=-1, out=tail)
+                    if target in nxt:
+                        out += nxt[target]  # addition commutes: the bits of a one-kernel walk
+                    nxt[target] = out
             level = nxt
     return [values[k] if k.order else np.full(shape, k.weight) if shape else k.weight
             for k in kernels]
@@ -242,8 +248,10 @@ def chaotic_extension(F, brownian: SamplePath, martingale: SamplePath):
 
 
 def stochastic_integral(g: StepFunction, driver: SamplePath) -> np.ndarray:
-    """First-order integral sum_j g(t_j) dX_j (left endpoints)."""
-    return np.sum(g.on_grid(driver.grid) * driver.increments, axis=-1)
+    """First-order integral sum_j g(t_j) dX_j (left endpoints), one row block at a time."""
+    gv = g.on_grid(driver.grid)
+    return reduce_rows(driver.increments, driver.grid.n_steps,
+                       lambda rows, buf: np.sum(np.multiply(gv, rows, out=buf), axis=-1))[0]
 
 
 def exponential_vector(

@@ -518,8 +518,7 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigurationError(f"t_bracket needs at least two distinct times, got {t_list}")
     b1, f2 = make_b1(grid.horizon), make_second_chaos(grid.horizon)
 
-    def outer_stats(i):
-        B = martingale_batch("brownian", grid, cfg.master_seed, i, 1).select(0)
+    def outer_stats(i, B):
         hats = inner_hat_batch(grid, cfg.master_seed, i, n_inner)
         ext_b1, ext_f2 = (chaotic_extension(F, B, hats) for F in (b1, f2))
         f2_at_b = float(evaluate_functional(f2, B))
@@ -532,7 +531,9 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         return gamma_b1, richardson_limit(list(zip(t_list, brackets))) - gamma_f2, eigen
 
     def batch(start, count):
-        gamma_b1, bracket_vs_gamma, eigen = zip(*map(outer_stats, range(start, start + count)))
+        B = martingale_batch("brownian", grid, cfg.master_seed, start, count)  # keyed per row
+        gamma_b1, bracket_vs_gamma, eigen = zip(*(outer_stats(start + r, B.select(r))
+                                                  for r in range(count)))
         return {"gamma_b1": np.array(gamma_b1), "bracket_vs_gamma": np.array(bracket_vs_gamma),
                 "eigen": np.reshape([order for path in eigen for order in path], (-1, 2, 3))}
 

@@ -30,7 +30,7 @@ from .chaos import iterated_integrals, stochastic_integral
 from .drivers import add_unit_jump, rotate
 from .errors import ConfigurationError
 from .functionals import CylindricalFunctional, evaluate_functional
-from .grid import SamplePath, require_same_grid
+from .grid import SamplePath, reduce_rows, require_same_grid
 from .kernels import ChaosVector
 from .sde import SdeSpec, euler, flow_form
 from .stepfn import StepFunction
@@ -204,15 +204,20 @@ def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):
 
 
 def supremum_decomposition(K, brownian: SamplePath, u: float):
-    """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward."""
+    """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward; a plain
+    batch (no K, its levels neither cached nor recorded) is summed a row block at a time."""
     grid = brownian.grid
     k = grid.index_at_or_after(u)
+    if K is None and brownian._values is None and brownian._levels is None:
+        def split(rows, buf):
+            buf[:, 0] = 0.0
+            np.cumsum(rows, axis=-1, out=buf[:, 1:])
+            return np.max(buf[:, :k], axis=-1), np.max(buf[:, k:], axis=-1)
+        return tuple(reduce_rows(brownian.increments, grid.n_steps + 1, split, count=2))
     levels = brownian.values
     if K is not None:
         levels = levels + np.asarray(K(grid.times) if callable(K) else K, dtype=float)
-    before = np.max(levels[..., :k], axis=-1)
-    after = np.max(levels[..., k:], axis=-1)
-    return before, after
+    return np.max(levels[..., :k], axis=-1), np.max(levels[..., k:], axis=-1)
 
 
 def supremum_quotient(gap, a: float) -> np.ndarray:

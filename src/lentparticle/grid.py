@@ -26,6 +26,8 @@ CHANNEL_POISSON = 1
 CHANNEL_COMPOUND = 2
 CHANNEL_HAT = 3  # independent Brownian copy (inner / rotation streams)
 
+ROW_BLOCK = 256  # rows per block of reduce_rows: each row reduces as it would alone
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -120,9 +122,8 @@ class SamplePath:
             if self._levels is not None:
                 self._values, self._levels = self._levels(), None
             else:
-                zero = np.zeros(self.increments.shape[:-1] + (1,))
-                self._values = np.concatenate([zero, np.cumsum(self.increments, axis=-1)],
-                                              axis=-1)
+                self._values = np.zeros(self.increments.shape[:-1] + (self.grid.n_steps + 1,))
+                np.cumsum(self.increments, axis=-1, out=self._values[..., 1:])
         return self._values
 
     @property
@@ -138,6 +139,16 @@ class SamplePath:
         elif self._levels is not None:  # stays lazy; one read fills this batch's cache
             path._levels = lambda: self.values[index]
         return path
+
+
+def reduce_rows(inc: np.ndarray, width: int, reduce, count: int = 1) -> list:
+    """reduce(rows, buffer) per ROW_BLOCK rows of inc, with one (block, width) buffer reused:
+    ``count`` per-row results, each shaped as inc's leading axes."""
+    rows = inc.reshape(-1, inc.shape[-1])
+    out, buf = np.empty((count, len(rows))), np.empty((min(len(rows), ROW_BLOCK), width))
+    for r in range(0, len(rows), ROW_BLOCK):
+        out[:, r : r + ROW_BLOCK] = reduce(rows[r : r + ROW_BLOCK], buf[: len(rows) - r])
+    return [o.reshape(inc.shape[:-1])[()] for o in out]
 
 
 def require_same_grid(*paths: SamplePath) -> TimeGrid:

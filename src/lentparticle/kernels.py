@@ -54,6 +54,11 @@ class SimplexKernel:
             )
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "symmetrize", any(f != self.factors[0] for f in self.factors))
+        object.__setattr__(self, "_hash", hash((self.order, self.factors, self.weight,
+                                                self.symmetrize)))
+
+    def __hash__(self) -> int:  # the dataclass hash, taken once: it rehashes every factor
+        return self._hash
 
     @classmethod
     def power(cls, h: StepFunction, order: int, weight: float = 1.0) -> "SimplexKernel":

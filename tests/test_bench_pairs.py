@@ -43,7 +43,8 @@ def bench(tmp_path, monkeypatch):
         calls.append((side, (tuple(command), workload, seed, seconds)))
         value = RUNS[side][i]
         return {"metrics": {"wall_s": {"value": value}, "ops_per_s": {"value": value}},
-                "failed": FAILED[side][i], "attempted": 10}
+                "failed": FAILED[side][i], "attempted": 10,
+                "process": {"user_s": value / 2, "sys_s": 0.1, "minor_faults": 1000 * i}}
 
     monkeypatch.setattr(bench_pairs, "ROOT", str(out))
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -86,6 +87,34 @@ def test_medians_and_quartiles_are_linear_percentiles(bench):
     assert wall["change"] == {"median": 2.5, "q1": 1.625, "q3": 3.125, "runs": RUNS["change"]}
     assert wall["change_over_parent"] == 1.0
     assert (wall["unit"], wall["bound"]) == ("s", 0.24)
+
+
+def test_process_counters_are_summarized_per_side_without_a_verdict(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    process = _entry(out)["process"]
+    assert set(process) == {"user_s", "sys_s", "minor_faults"}
+    assert process["user_s"]["parent"] == {"median": 1.25, "q1": 0.875, "q3": 1.625,
+                                           "runs": [0.5, 1.0, 1.5, 2.0]}
+    assert process["minor_faults"]["change"]["runs"] == [0, 1000, 2000, 3000]
+    assert process["sys_s"]["change"]["median"] == 0.1
+    assert all(set(sides) == set(bench_pairs.SIDES) for sides in process.values())
+
+
+def test_run_once_counts_the_benchmark_process_tree(tmp_path):
+    # a stand-in benchmark that touches 64 MB and prints a result line
+    script = tmp_path / "bench.py"
+    script.write_text("import json\nblock = bytearray(64 << 20)\n"
+                      "block[::4096] = b'x' * len(block[::4096])\n"
+                      "print(json.dumps({'metrics': {}, 'failed': 0, 'attempted': 1}))\n")
+    result = bench_pairs.run_once(str(tmp_path), ["python3", str(script)], "w", 5, 1)
+    assert (result["failed"], result["attempted"]) == (0, 1)
+    process = result["process"]
+    # an interpreter's start alone faults in thousands of pages; this process's own
+    # faults around the call would be a few dozen
+    assert process["minor_faults"] >= 1000
+    assert process["user_s"] >= 0.0 and process["sys_s"] >= 0.0
+    assert process["user_s"] + process["sys_s"] > 0.0
 
 
 def test_failed_and_attempted_operations_are_summed(bench):

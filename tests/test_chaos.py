@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,15 +157,15 @@ class TestIteratedIntegrals:
         return martingale_batch(kind, grid, SEED, 0, 12)
 
     @staticmethod
-    def _counting_cumsum(monkeypatch):
-        calls = []
-        cumsum = np.cumsum
+    def _counting_transitions(monkeypatch):
+        """Counts of the walk's transitions: cumsums, and einsums for final states."""
+        calls = Counter()
+        for name in ("cumsum", "einsum"):
+            def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cumsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "cumsum", counted)
+            monkeypatch.setattr(np, name, counted)
         return calls
 
     @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound", "rotation"])
@@ -198,31 +200,98 @@ class TestIteratedIntegrals:
         path = martingale_batch("brownian", unit_grid, SEED, 0, 8)
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
         F = ChaosVector(0.0, tuple(SimplexKernel.power(h, n) for n in (1, 2, 3)))
-        calls = self._counting_cumsum(monkeypatch)
+        calls = self._counting_transitions(monkeypatch)
         evaluate_chaos(F, path)
-        assert len(calls) == 3  # one chain to order 3, not 1 + 2 + 3 steps
+        # one chain to order 3, not 1 + 2 + 3 steps; only the last step is final
+        assert calls == {"cumsum": 2, "einsum": 1}
 
     def test_contraction_copies_are_read_once(self, unit_grid, monkeypatch):
         # power(h, 3).contractions() holds three equal order-2 kernels
         B, N = _drivers("poisson", unit_grid, 8)
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
         F = ChaosVector(0.0, (SimplexKernel.power(h, 3),))
-        calls = self._counting_cumsum(monkeypatch)
+        calls = self._counting_transitions(monkeypatch)
         chaos_gradient_contraction(F, B, N)
-        assert len(calls) == 2
+        assert calls == {"cumsum": 1, "einsum": 1}
 
     def test_class_lists_walk_apart_and_share_only_reached_states(self, unit_grid, monkeypatch):
         path = martingale_batch("compound", unit_grid, SEED, 0, 4)
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
         g = StepFunction.constant(0.5, 1.0)
-        calls = self._counting_cumsum(monkeypatch)
-        # (h, g, g) and (g, h, h) list their classes in opposite orders: 7 steps each
+        calls = self._counting_transitions(monkeypatch)
+        # (h, g, g) and (g, h, h) list their classes in opposite orders: 7 steps each,
+        # 2 of them into the final state
         iterated_integrals([SimplexKernel(3, (h, g, g)), SimplexKernel(3, (g, h, h))], path)
-        assert len(calls) == 14
+        assert calls == {"cumsum": 10, "einsum": 4}
         calls.clear()
         # counts (1, 2) and (2, 1) on one class list: the walk never builds (2, 2)
         iterated_integrals([SimplexKernel(3, (h, g, g)), SimplexKernel(3, (h, h, g))], path)
-        assert len(calls) == 10
+        assert calls == {"cumsum": 6, "einsum": 4}
+
+
+def reference_walk(kernel: SimplexKernel, path: SamplePath):
+    """I_n(f_n) off the full cumulative-sum array of every state, final states
+    included, visited in the order of ``iterated_integrals``."""
+    classes = list(dict.fromkeys(kernel.factors))
+    full = tuple(map(kernel.factors.count, classes))
+    gvals = [g.on_grid(path.grid) for g in classes]
+    inc = path.increments
+    zero = np.zeros(inc.shape[:-1] + (1,))
+    level = {(0,) * len(classes): np.ones(inc.shape[-1] + 1)}
+    for _ in range(kernel.order):
+        nxt = {}
+        for m, J in level.items():
+            for c, g in enumerate(gvals):
+                target = m[:c] + (m[c] + 1,) + m[c + 1 :]
+                if all(map(operator.le, target, full)):
+                    out = np.concatenate([zero, np.cumsum(J[..., :-1] * g * inc, axis=-1)],
+                                         axis=-1)
+                    nxt[target] = out + nxt[target] if target in nxt else out
+        level = nxt
+    return kernel.weight * math.prod(map(math.factorial, full)) * level[full][..., -1]
+
+
+class TestFinalStateReduction:
+    # A final state is one reduction, not a cumulative sum: the same bits.
+    H = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+    G = StepFunction.indicator(0.25, 1.0, -1.0)
+    KERNELS = [
+        SimplexKernel.power(H, 1, weight=0.7),  # level 0 is final
+        SimplexKernel.power(H, 3, weight=0.9),
+        SimplexKernel(2, (H, G), weight=2.0),  # (1, 1) reached from (1, 0) and (0, 1)
+        SimplexKernel(3, (H, G, G), weight=1.3),
+        SimplexKernel(3, (G, H, StepFunction.constant(0.5, 1.0))),
+    ]
+
+    @staticmethod
+    def _paths():
+        grid = TimeGrid(1.0, 90)
+        batch = martingale_batch("compound", grid, SEED, 0, 12)
+        rows = np.random.default_rng(SEED).standard_normal((2, 3, 90))
+        return [batch, batch.select(5), batch.select(slice(3, 4)),
+                martingale_batch("poisson", grid, SEED, 0, 7), SamplePath(grid, rows)]
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_bitwise_the_cumsum_chain(self, index):
+        path = self._paths()[index]
+        together = iterated_integrals(self.KERNELS, path)
+        for kernel, got in zip(self.KERNELS, together):
+            expected = reference_walk(kernel, path)
+            assert type(got) is type(expected), kernel
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), kernel
+
+    def test_a_row_of_negative_zero_products_reads_positive_zero(self):
+        # g < 0 on a row without increments: every product is -0.0, which the
+        # cumulative sum keeps and the reduction, starting from +0.0, does not
+        grid = TimeGrid(1.0, 10)
+        rows = np.random.default_rng(SEED).standard_normal((3, 10))
+        rows[1] = 0.0
+        path = SamplePath(grid, rows)
+        kernel = SimplexKernel.power(StepFunction.constant(-2.0, 1.0), 1)
+        got, expected = iterated_integral(kernel, path), reference_walk(kernel, path)
+        assert np.array_equal(got, expected)
+        assert np.signbit(expected[1]) and not np.signbit(got[1])
+        assert got[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
 
 
 class TestRotatedChaos:
@@ -341,6 +410,17 @@ class TestChaosEvaluation:
         F = ChaosVector(2.0, (SimplexKernel(1, (h,)),))
         expected = 2.0 + stochastic_integral(h, brownian)
         assert evaluate_chaos(F, brownian) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1,), (255,), (257,), (4097,), (3, 130), ()])
+    def test_stochastic_integral_is_bitwise_the_whole_array_sum(self, shape):
+        grid = TimeGrid(1.0, 40)
+        path = SamplePath(grid, np.random.default_rng(SEED).standard_normal(shape + (40,)))
+        h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
+        got = stochastic_integral(h, path)
+        expected = np.sum(h.on_grid(grid) * path.increments, axis=-1)
+        assert type(got) is type(expected)
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_constant_integrand(self, brownian):
         g = StepFunction.constant(3.0, 1.0)

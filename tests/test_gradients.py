@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lentparticle.chaos import chaotic_extension
-from lentparticle.drivers import martingale_batch, rotate
+from lentparticle.drivers import add_unit_jump, martingale_batch, rotate
 from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import (
@@ -24,7 +24,7 @@ from lentparticle.gradients import (
     supremum_gradient,
     supremum_quotient,
 )
-from lentparticle.grid import SamplePath
+from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.kernels import ChaosVector, SimplexKernel
 from lentparticle.sde import make_sde
 from lentparticle.stepfn import StepFunction
@@ -279,6 +279,44 @@ class TestSupremum:
         before, after = supremum_decomposition(None, batch, 0.5)
         assert (supremum_gradient(None, batch, 0.5, a).tobytes()
                 == supremum_quotient(after - before, a).tobytes())
+
+    @pytest.mark.parametrize("shape", [(1,), (255,), (257,), (4097,), (3, 130), ()])
+    @pytest.mark.parametrize("u", [0.01, 0.5, 1.0])
+    def test_decomposition_is_bitwise_the_whole_array_maxima(self, shape, u):
+        grid = TimeGrid(1.0, 40)
+        inc = np.random.default_rng(SEED).standard_normal(shape + (40,))
+        k = grid.index_at_or_after(u)
+        levels = np.concatenate([np.zeros(shape + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
+        path = SamplePath(grid, inc)
+        before, after = supremum_decomposition(None, path, u)
+        for got, expected in zip((before, after), (np.max(levels[..., :k], axis=-1),
+                                                   np.max(levels[..., k:], axis=-1))):
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert path._values is None  # the block route leaves the levels unread
+
+    @staticmethod
+    def _maxima(levels, grid, u):
+        k = grid.index_at_or_after(u)
+        return tuple(np.max(part, axis=-1).tobytes() for part in (levels[..., :k], levels[..., k:]))
+
+    def test_decomposition_reads_the_recorded_levels_of_a_jump_path(self, unit_grid):
+        # add_unit_jump's levels are the recipe's, not a fresh cumsum of its increments
+        batch = martingale_batch("brownian", unit_grid, SEED, 0, 16)
+        levels = add_unit_jump(batch, 0.3, 0.25).values
+        path = add_unit_jump(batch, 0.3, 0.25)
+        assert SamplePath(unit_grid, path.increments).values.tobytes() != levels.tobytes()
+        recipe, reads = path._levels, []
+        path._levels = lambda: reads.append(1) or recipe()
+        got = supremum_decomposition(None, path, 0.5)
+        assert reads == [1]
+        assert tuple(g.tobytes() for g in got) == self._maxima(levels, unit_grid, 0.5)
+
+    def test_decomposition_reads_cached_levels(self, unit_grid):
+        batch = martingale_batch("brownian", unit_grid, SEED, 0, 16)
+        path = SamplePath(unit_grid, batch.increments, _values=batch.values + 1.0)
+        got = supremum_decomposition(None, path, 0.5)
+        assert tuple(g.tobytes() for g in got) == self._maxima(batch.values + 1.0, unit_grid, 0.5)
 
     def test_drift_shifts_decomposition(self, unit_grid, brownian):
         K = StepFunction.constant(100.0, 0.25)  # huge head start before u

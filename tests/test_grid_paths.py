@@ -247,6 +247,14 @@ class TestSamplePath:
         assert path.values[0] == 0.0
         np.testing.assert_allclose(np.diff(path.values), inc)
 
+    @pytest.mark.parametrize("shape", [(1,), (255,), (257,), (4097,), (3, 130), ()])
+    def test_values_are_bitwise_the_concatenated_cumsum(self, shape):
+        inc = np.random.default_rng(SEED).standard_normal(shape + (40,))
+        values = SamplePath(TimeGrid(1.0, 40), inc).values
+        expected = np.concatenate([np.zeros(shape + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
     def test_shape_mismatch(self, unit_grid):
         with pytest.raises(ConfigurationError):
             SamplePath(unit_grid, np.zeros(unit_grid.n_steps - 1))

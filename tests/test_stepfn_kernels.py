@@ -102,6 +102,20 @@ class TestSimplexKernel:
         assert k.norm_sq == pytest.approx(2.25)
         assert k.inner(SimplexKernel(0, (), weight=2.0)) == pytest.approx(3.0)
 
+    def test_hash_is_the_field_hash_taken_once(self, monkeypatch):
+        h = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+        g = StepFunction.constant(2.0, 1.0)
+        k = SimplexKernel(3, (h, g, h), weight=0.5)
+        twin = SimplexKernel(3, [StepFunction((0.0, 0.5, 1.0), (1.0, -1.0)), g, h], weight=0.5)
+        assert k == twin and hash(k) == hash(twin)
+        assert hash(k) == hash((k.order, k.factors, k.weight, k.symmetrize))
+        assert k != SimplexKernel(3, (h, h, g), weight=0.5)
+        assert len({k, twin, SimplexKernel(3, (h, h, g), weight=0.5)}) == 2
+        rehashed = []
+        monkeypatch.setattr(StepFunction, "__hash__", lambda f: rehashed.append(f) or 0)
+        hash(k), hash(k), {k: 1}[twin]
+        assert rehashed == []
+
     def test_validation(self):
         h = StepFunction.constant(1.0, 1.0)
         with pytest.raises(ConfigurationError):

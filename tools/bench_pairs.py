@@ -14,6 +14,9 @@ number of pairs the change wins (ties count for neither) and a verdict (see
 ``verdict``); it also holds the failed and attempted operations, the machine,
 and what was measured on each side: the git commit where the checkout is a
 clean git work tree, and always a SHA-256 digest of the files under ``src/``.
+Under ``process`` it records, per side, the median and quartiles of each run's
+user and system CPU seconds and minor page faults of the benchmark's process
+tree (``getrusage(RUSAGE_CHILDREN)`` around the run), with no verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 
@@ -30,6 +34,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# per-run counters of the benchmark's process tree: name -> getrusage field
+PROCESS = {"user_s": "ru_utime", "sys_s": "ru_stime", "minor_faults": "ru_minflt"}
 METHOD = (
     "Parent and change each run from their own checkout with identical benchmark files. "
     "Pairs alternate which side runs first (change first in odd pairs). Each run's metric "
@@ -72,16 +78,22 @@ def git_commit(checkout: str) -> str | None:
 
 
 def run_once(checkout: str, command: list, workload: str, seed: int, seconds: float) -> dict:
-    """The result object that the benchmark prints as its last line."""
+    """The result object that the benchmark prints as its last line, with the PROCESS
+    counters of the run's process tree added under ``process``."""
     cmd = [sys.executable if command[0] in ("python", "python3") else command[0], *command[1:],
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"benchmark failed in {checkout} with exit code {proc.returncode}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["process"] = {name: getattr(after, field) - getattr(before, field)
+                         for name, field in PROCESS.items()}
+    return result
 
 
 def summarize(values: list) -> dict:
@@ -166,6 +178,8 @@ def main(argv=None) -> int:
         "attempted_operations": {side: sum(r["attempted"] for r in results[side])
                                  for side in SIDES},
         "metrics": metrics,
+        "process": {name: {side: summarize([r["process"][name] for r in results[side]])
+                           for side in SIDES} for name in PROCESS},
     }
     doc["change"] = args.tag
     doc["commits"] = measured
