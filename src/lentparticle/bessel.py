@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_EXPONENT = math.log(sys.float_info.max)  # the largest x with e^x finite
+SERIES_TOLERANCE = 1e-16  # a series stops at its first term below this share of its sum
 
 
 def require_exponent(h_norm_sq: float) -> None:
@@ -29,7 +30,7 @@ def require_exponent(h_norm_sq: float) -> None:
                                  f"e^h_norm_sq is finite, got {h_norm_sq}")
 
 
-def _coefficient_sq(n: int, x: float, tol: float, max_terms: int = 2000) -> float:
+def _coefficient_sq(n: int, x: float, max_terms: int = 2000) -> float:
     """Series for c_n^2 with relative-tolerance stopping."""
     half = x / 2.0
     if half == 0.0:  # x == 0, or a subnormal x whose half underflows
@@ -41,7 +42,7 @@ def _coefficient_sq(n: int, x: float, tol: float, max_terms: int = 2000) -> floa
     for k in range(max_terms):
         term *= ratio_num / ((k + 1) * (n + k + 1))
         total += term
-        if term < tol * total:
+        if term < SERIES_TOLERANCE * total:
             break
     return total
 
@@ -51,7 +52,6 @@ class SpectrumReport:
     h_norm_sq: float
     coefficients: np.ndarray  # c_n^2 for n = 0 .. truncation_n
     truncation_n: int
-    series_tolerance: float
 
     def parseval_total(self) -> float:
         """c_0^2 + 2 sum_{n>=1} c_n^2 (the c_n^2 are symmetric in n)."""
@@ -75,14 +75,12 @@ class SpectrumReport:
         return [{"n": n, "c_n_sq": float(c)} for n, c in enumerate(self.coefficients)]
 
 
-def bessel_spectrum(h_norm_sq: float, n_max: int, tol: float = 1e-16) -> SpectrumReport:
+def bessel_spectrum(h_norm_sq: float, n_max: int) -> SpectrumReport:
     if n_max < 0:
         raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
     require_exponent(h_norm_sq)
-    if tol <= 0.0:
-        raise ConfigurationError(f"tol must be > 0, got {tol}")
-    coeffs = np.array([_coefficient_sq(n, h_norm_sq, tol) for n in range(n_max + 1)])
-    return SpectrumReport(h_norm_sq, coeffs, n_max, tol)
+    coeffs = np.array([_coefficient_sq(n, h_norm_sq) for n in range(n_max + 1)])
+    return SpectrumReport(h_norm_sq, coeffs, n_max)
 
 
 def default_truncation(h_norm_sq: float) -> int:

@@ -37,10 +37,10 @@ value at every order up to MAX_ORDER; near pi/2, a jump path with fewer jumps
 than the order stays at the rounding of its power sums (order 8: ~1e-9
 against values of ~1e-4).
 
-``exponential_vector`` likewise takes every angle from one set of sums: the
-continuous part of its V is linear in (cos theta, sin theta) with four row
-sums for coefficients, and its jump product reads the list of nonzero jumps.
-It serves exp-vector-covariance.
+``exponential_vector(h, B, M, thetas)`` likewise takes every angle from one
+set of sums: the continuous part of V = int h dY^theta is linear in
+(cos theta, sin theta) with two row sums for coefficients, and its jump product
+reads the list of nonzero jumps.  It serves exp-vector-covariance.
 """
 
 from __future__ import annotations
@@ -254,49 +254,40 @@ def stochastic_integral(g: StepFunction, driver: SamplePath) -> np.ndarray:
                        lambda rows, buf: np.sum(np.multiply(gv, rows, out=buf), axis=-1))[0]
 
 
-def exponential_vector(
-    h1: StepFunction,
-    h2: StepFunction,
-    brownian: SamplePath,
-    martingale: SamplePath,
-    thetas,
-    t: float,
-) -> list:
-    """Stochastic exponential of V = int h1 dY^theta + int h2 dY^{theta+pi/2} at time t, per theta.
+def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: SamplePath,
+                       thetas) -> list:
+    """E(int h dY^theta) at the horizon, Y^theta = B cos(theta) + M sin(theta), per theta.
 
-    Evaluates the closed product form exp(V - [V,V]^c / 2) prod (1 + dV) e^{-dV}:
-    the Brownian component contributes the continuous bracket (computed exactly
-    from the step functions), the martingale's jumps contribute the product
-    factors, and any continuous drift of the martingale (the compensator of a
-    compensated Poisson driver) rides in V through the plain increment sums.
-    V's continuous part is c (sum h1 b + sum h2 m_c) + s (sum h1 m_c - sum h2 b)
-    for (c, s) those of drivers.rotate, so four fixed-order row reductions
-    serve every angle.  The product runs over the nonzero jumps before t only,
-    in step order: a step without a jump has the factor 1.0 exactly, so it is
-    bit for bit the product over every step.
+    Evaluates the closed product form exp(V - [V,V]^c / 2) prod (1 + dV) e^{-dV}
+    for V = int h dY^theta: the Brownian component contributes the continuous
+    bracket, int (cos(theta) h)^2 over h's pieces in [0, T] (exact from the step
+    function), the martingale's jumps contribute the product factors, and any
+    continuous drift of the martingale (the compensator of a compensated Poisson
+    driver) rides in V through the plain increment sums.  V's continuous part is
+    c sum h b + s sum h m_c for (c, s) those of drivers.rotate, so two fixed-order
+    row reductions serve every angle.  The product runs over the nonzero jumps
+    only, in step order: a step without a jump has the factor 1.0 exactly, so it
+    is bit for bit the product over every step.
 
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
     angles = [_cos_sin(theta) for theta in thetas]
     grid = require_same_grid(brownian, martingale)
-    m = grid.index_of(t)
-    h1_g, h2_g = h1.on_grid(grid)[:m], h2.on_grid(grid)[:m]
-    jumps = martingale.jump_increments
-    cont = martingale.increments[..., :m]
+    h_grid = h.on_grid(grid)
+    widths, values = np.diff(np.clip(h.breakpoints, 0.0, grid.horizon)), np.asarray(h.values)
+    cont, jumps = martingale.increments, martingale.jump_increments
     if jumps is not None:
-        cont = cont - jumps[..., :m]
-        jumps = jumps[..., :m].reshape(-1, m)
+        cont = cont - jumps
+        jumps = jumps.reshape(-1, grid.n_steps)
         rows, steps = np.nonzero(jumps)
         sizes = jumps[rows, steps]
-    sb1, sb2, sm1, sm2 = (np.einsum("...j,j->...", x, g)
-                          for x in (brownian.increments[..., :m], cont) for g in (h1_g, h2_g))
+    sb, sm = (np.einsum("...j,j->...", x, h_grid) for x in (brownian.increments, cont))
     out = []
     for c, s in angles:
-        bracket = h1.combine(h2, c, -s).integral_sq(upto=t)
-        value = np.exp(c * (sb1 + sm2) + s * (sm1 - sb2) - 0.5 * bracket)
+        value = np.exp(c * sb + s * sm - 0.5 * np.dot(widths, (c * values) ** 2))
         if jumps is not None:
             product = np.ones(len(jumps))
-            np.multiply.at(product, rows, 1.0 + h1.combine(h2, s, c).on_grid(grid)[steps] * sizes)
+            np.multiply.at(product, rows, 1.0 + (s * h_grid[steps]) * sizes)
             value = value * product.reshape(cont.shape[:-1])[()]
         out.append(value)
     return out

@@ -40,13 +40,12 @@ DEFAULT_STEP = 1e-4
 
 @dataclass
 class GradientEstimate:
-    """A jump-difference estimate of D_u F or D_u X_t at difference step ``theta``,
-    with the value of the independent route (chain rule or flow form) in ``analytic``."""
+    """A jump-difference estimate of D_u F or D_u X_t, with the value of the
+    independent route (chain rule or flow form) in ``analytic``."""
 
     u: float
     t: float
     value: float | np.ndarray
-    theta: float
     analytic: float | np.ndarray
 
 
@@ -74,8 +73,7 @@ def gradient_cylindrical(
     diff = (plus - minus) / (2.0 * a0)
 
     analytic = _derivative_pairing(F, path, lambda g: g(u_left))
-    return GradientEstimate(u=k * grid.dt, t=grid.horizon, value=diff, theta=a0,
-                            analytic=analytic)
+    return GradientEstimate(u=k * grid.dt, t=grid.horizon, value=diff, analytic=analytic)
 
 
 def _derivative_pairing(F, path: SamplePath, pair):
@@ -163,8 +161,7 @@ def lent_particle_sde_table(
                 continue
             value = (xs[j][1 + 2 * i] - xs[j][2 + 2 * i]) / (2.0 * theta)
             flow = flow_form(spec, grid, k, xs[n_t + i][0], ys[n_t + i], ys[j])
-            out[u, t] = GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value,
-                                         theta=theta, analytic=flow)
+            out[u, t] = GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=value, analytic=flow)
     return out
 
 
@@ -172,13 +169,14 @@ def lent_particle_sde_poisson(
     spec: SdeSpec, brownian: SamplePath, martingale: SamplePath, t: float,
     theta: float = DEFAULT_STEP,
 ) -> GradientEstimate:
-    """The Poisson-driver variant: solve against Y^theta and difference at 0.
+    """The Poisson-driver variant: solve against Y^theta, difference at 0 and divide by J_1.
 
-    With the symmetric compound driver on a single-jump path the limit is
-    J_1 * D_{U_1} X_t; multiplying by the mark recovers D_{U_1} X_t.  u is
-    the first jump time U_1 and ``analytic`` the flow form of D_{U_1} X_t,
-    per path on a batch, so every path of M needs a jump.  B, Y^theta and
-    Y^-theta are the rows of one Euler pass.
+    With the symmetric compound driver on a single-jump path the difference's
+    limit is J_1 * D_{U_1} X_t, so ``value`` is D_{U_1} X_t there; for a mark
+    J_1 = +-1 the division is exact.  u is the first jump time U_1, J_1 its
+    mark and ``analytic`` the flow form of D_{U_1} X_t, per path on a batch, so
+    every path of M needs a jump.  B, Y^theta and Y^-theta are the rows of one
+    Euler pass.
     """
     require_step("theta", theta)
     grid = require_same_grid(brownian, martingale)
@@ -190,11 +188,13 @@ def lent_particle_sde_poisson(
     if not jumped.any(axis=-1).all():
         raise ConfigurationError("every martingale path needs a jump")
     k = np.argmax(jumped, axis=-1) + 1
+    mark = np.take_along_axis(jumps, np.expand_dims(k - 1, -1), axis=-1)[..., 0]
     rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
             rotate(brownian, martingale, -theta).increments]
     (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))
-    return GradientEstimate(u=k * grid.dt, t=m * grid.dt, value=(x[1] - x[2]) / (2.0 * theta),
-                            theta=theta, analytic=flow_form(spec, grid, k, x_before[0], y_k, y_m))
+    return GradientEstimate(u=k * grid.dt, t=m * grid.dt,
+                            value=(x[1] - x[2]) / (2.0 * theta) / mark,
+                            analytic=flow_form(spec, grid, k, x_before[0], y_k, y_m))
 
 
 def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):

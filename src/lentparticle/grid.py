@@ -41,6 +41,13 @@ class TimeGrid:
             raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        try:
+            dt = self.horizon / self.n_steps
+        except OverflowError:  # an n_steps no float can hold
+            dt = 0.0
+        if not dt > 0.0:  # finite, as the horizon is
+            raise ConfigurationError(f"the step horizon / n_steps must be a positive finite "
+                                     f"float, got {self.horizon} / {self.n_steps}")
 
     @property
     def dt(self) -> float:
@@ -125,10 +132,6 @@ class SamplePath:
                 self._values = np.zeros(self.increments.shape[:-1] + (self.grid.n_steps + 1,))
                 np.cumsum(self.increments, axis=-1, out=self._values[..., 1:])
         return self._values
-
-    @property
-    def is_batch(self) -> bool:
-        return self.increments.ndim > 1
 
     def select(self, index) -> "SamplePath":
         """Extract one path (or a sub-batch) from a batch."""

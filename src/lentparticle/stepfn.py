@@ -69,16 +69,3 @@ class StepFunction:
     def norm_sq(self) -> float:
         bp = np.asarray(self.breakpoints)
         return float(np.dot(np.diff(bp), np.asarray(self.values) ** 2))
-
-    def integral_sq(self, upto: float) -> float:
-        """Exact integral of the squared function over [0, upto]."""
-        bp = np.asarray(self.breakpoints)
-        widths = np.clip(np.minimum(bp[1:], upto) - bp[:-1], 0.0, None)
-        return float(np.dot(widths, np.asarray(self.values) ** 2))
-
-    def combine(self, other: "StepFunction", a: float, b: float) -> "StepFunction":
-        """Pointwise a * self + b * other as a step function."""
-        bp = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        left = bp[:-1]
-        vals = a * np.asarray(self(left)) + b * np.asarray(other(left))
-        return StepFunction(tuple(bp), tuple(vals))

@@ -62,8 +62,6 @@ class TestValidation:
             bessel_spectrum(-1.0, 10)
         with pytest.raises(ConfigurationError):
             bessel_spectrum(1.0, -1)
-        with pytest.raises(ConfigurationError):
-            bessel_spectrum(1.0, 10, tol=0.0)
 
     def test_angle_with_an_infinite_multiple(self):
         report = bessel_spectrum(1.0, 40)

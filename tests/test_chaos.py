@@ -15,7 +15,7 @@ from lentparticle.chaos import (
     iterated_integrals,
     stochastic_integral,
 )
-from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
+from lentparticle.drivers import _cos_sin, inner_hat_batch, martingale_batch, rotate
 from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import evaluate_functional, make_functional, make_square
@@ -470,13 +470,10 @@ class TestChaosEvaluation:
 class TestExponentialVector:
     def test_brownian_only_closed_form(self, unit_grid, brownian):
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -0.5))
-        zero = StepFunction.constant(0.0, 1.0)
         flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
                           jump_increments=np.zeros(unit_grid.n_steps))
-        (value,) = exponential_vector(h, zero, brownian, flat, [0.0], 1.0)
-        manual = math.exp(
-            stochastic_integral(h, brownian) - 0.5 * h.integral_sq(upto=1.0)
-        )
+        (value,) = exponential_vector(h, brownian, flat, [0.0])
+        manual = math.exp(stochastic_integral(h, brownian) - 0.5 * h.norm_sq)
         assert value == pytest.approx(manual, rel=1e-12)
 
     def test_poisson_jump_product(self):
@@ -489,10 +486,9 @@ class TestExponentialVector:
         flatB = SamplePath(grid, np.zeros(10))
         c = 0.4
         h = StepFunction.constant(c, 1.0)
-        zero = StepFunction.constant(0.0, 1.0)
         # theta = pi/2 reads the integrand against the martingale alone:
-        # E_t = exp(-c t) (1 + c)^{N_t}
-        (value,) = exponential_vector(h, zero, flatB, mart, [math.pi / 2], 1.0)
+        # E_T = exp(-c T) (1 + c)^{N_T}
+        (value,) = exponential_vector(h, flatB, mart, [math.pi / 2])
         assert value == pytest.approx(math.exp(-c) * (1 + c) ** 2, rel=1e-12)
 
     def test_zero_factor_flags(self):
@@ -502,43 +498,68 @@ class TestExponentialVector:
         mart = SamplePath(grid, jumps - grid.dt, jump_increments=jumps)
         flatB = SamplePath(grid, np.zeros(10))
         h = StepFunction.constant(-1.0, 1.0)  # factor 1 + h * jump = 0
-        zero = StepFunction.constant(0.0, 1.0)
         # the factor at the jump vanishes, so the value is 0 on this path
-        assert exponential_vector(h, zero, flatB, mart, [math.pi / 2], 1.0) == [0.0]
+        assert exponential_vector(h, flatB, mart, [math.pi / 2]) == [0.0]
 
-    def test_off_grid_time_rejected(self, unit_grid, brownian):
-        h = StepFunction.constant(1.0, 1.0)
-        flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
-                          jump_increments=np.zeros(unit_grid.n_steps))
-        with pytest.raises(ConfigurationError):
-            exponential_vector(h, h, brownian, flat, [0.0], 0.1234567)
+    def test_bracket_reads_h_on_the_horizon_only(self, unit_grid, brownian):
+        # h reaches outside [0, T] on both sides; its bracket is int_0^T h^2
+        h = StepFunction((-0.5, 0.5, 2.0), (1.0, -0.5))
+        flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps))
+        (value,) = exponential_vector(h, brownian, flat, [0.0])
+        manual = math.exp(stochastic_integral(h, brownian) - 0.5 * (0.5 * 1.0 + 0.5 * 0.25))
+        assert value == pytest.approx(manual, rel=1e-12)
 
 
-def dense_exponential_vector(h1, h2, brownian, martingale, theta, t):
-    """Reference: the per-angle closed product form, every step of every array."""
-    grid = brownian.grid
-    m = grid.index_of(t)
+def dense_exponential_vector(h, brownian, martingale, theta):
+    """Reference: the per-angle closed product form at T, every step of every array."""
     c, s = np.cos(theta), np.sin(theta)
-    bro = h1.combine(h2, c, -s)
-    mar = h1.combine(h2, s, c)
-    bro_g = bro.on_grid(grid)[:m]
-    mar_g = mar.on_grid(grid)[:m]
+    hg = h.on_grid(brownian.grid)
     jumps = martingale.jump_increments
     if jumps is None:
         jumps = np.zeros_like(martingale.increments)
     cont = martingale.increments - jumps
-    v_cont = np.sum(bro_g * brownian.increments[..., :m], axis=-1)
-    v_cont = v_cont + np.sum(mar_g * cont[..., :m], axis=-1)
-    product = np.prod(1.0 + mar_g * jumps[..., :m], axis=-1)
-    return np.exp(v_cont - 0.5 * bro.integral_sq(upto=t)) * product
+    v_cont = c * np.sum(hg * brownian.increments, axis=-1) + s * np.sum(hg * cont, axis=-1)
+    product = np.prod(1.0 + s * hg * jumps, axis=-1)
+    return np.exp(v_cont - 0.5 * c**2 * h.norm_sq) * product
+
+
+def two_function_exponential_vector(h, brownian, martingale, thetas):
+    """The stochastic exponential of int h dY^theta + int h2 dY^{theta + pi/2} at T with
+    h2 = 0, in plain numpy as the two-function form reduced it: four row sums, two of them
+    against h2's zeros, and h's pieces merged with those of h2 = 0 on [0, T]."""
+    grid = brownian.grid
+    T, n = grid.horizon, grid.n_steps
+    h1_g, h2_g = h.on_grid(grid), np.zeros(n)
+    bp = np.unique(np.concatenate([h.breakpoints, (0.0, T)]))
+    h1_left, h2_left = np.asarray(h(bp[:-1])), np.zeros(len(bp) - 1)
+    widths = np.clip(np.minimum(bp[1:], T) - bp[:-1], 0.0, None)
+    jumps = martingale.jump_increments
+    cont = martingale.increments
+    if jumps is not None:
+        cont = cont - jumps
+        jumps = jumps.reshape(-1, n)
+        rows, steps = np.nonzero(jumps)
+        sizes = jumps[rows, steps]
+    sb1, sb2, sm1, sm2 = (np.einsum("...j,j->...", x, g)
+                          for x in (brownian.increments, cont) for g in (h1_g, h2_g))
+    out = []
+    for theta in thetas:
+        c, s = _cos_sin(theta)
+        bracket = float(np.dot(widths, (c * h1_left + -s * h2_left) ** 2))
+        value = np.exp(c * (sb1 + sm2) + s * (sm1 - sb2) - 0.5 * bracket)
+        if jumps is not None:
+            product = np.ones(len(jumps))
+            np.multiply.at(product, rows, 1.0 + (s * h1_g + c * h2_g)[steps] * sizes)
+            value = value * product.reshape(cont.shape[:-1])[()]
+        out.append(value)
+    return out
 
 
 class TestExponentialVectorAngles:
-    # Every angle from four row reductions and the list of jumps before t,
-    # against the dense per-angle formula above.
+    # Every angle from two row reductions and the list of jumps, against the
+    # dense per-angle formula and the two-function form above.
     ANGLES = (0.0, 0.4, -1.1, math.pi / 3, math.pi / 2, 2.5)
-    H1 = StepFunction((0.0, 0.3, 1.0), (0.9, -0.6))
-    H2 = StepFunction((0.0, 0.55, 1.0), (-0.4, 0.7))
+    H = StepFunction((0.0, 0.3, 1.0), (0.9, -0.6))
 
     @staticmethod
     def _hand_drivers():
@@ -551,50 +572,63 @@ class TestExponentialVectorAngles:
         return SamplePath(grid, np.zeros((3, 10))), M
 
     @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
-    @pytest.mark.parametrize("t", [1.0, 0.6])
-    def test_matches_the_dense_formula(self, kind, t):
+    def test_matches_the_dense_formula(self, kind):
         grid = TimeGrid(1.0, 200)
         B, M = _drivers(kind, grid, 64)
-        if M.jump_increments is not None and t < 1.0:
-            assert np.any(M.jump_increments[:, grid.index_of(t):])  # jumps that must not enter
-        values = exponential_vector(self.H1, self.H2, B, M, self.ANGLES, t)
+        values = exponential_vector(self.H, B, M, self.ANGLES)
         assert len(values) == len(self.ANGLES)
         for theta, value in zip(self.ANGLES, values):
-            dense = dense_exponential_vector(self.H1, self.H2, B, M, theta, t)
+            dense = dense_exponential_vector(self.H, B, M, theta)
             np.testing.assert_allclose(value, dense, rtol=0,
                                        atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
+    @pytest.mark.parametrize("h, horizon", [
+        (H, 1.0), (StepFunction.constant(math.sqrt(2.0 / 2.5), 2.5), 2.5),
+        (StepFunction((0.2, 0.6, 3.0), (1.3, -0.4)), 2.5)],
+        ids=["two-piece", "constant", "from-inside-to-past-T"])
+    @pytest.mark.parametrize("shape", [(64,), (), (2, 3)])
+    def test_is_bitwise_the_two_function_form_at_h2_zero(self, kind, h, horizon, shape):
+        grid = TimeGrid(horizon, 200)
+        B, M = _drivers(kind, grid, math.prod(shape))
+        B, M = (SamplePath(grid, p.increments.reshape(shape + (200,)),
+                           None if p.jump_increments is None
+                           else p.jump_increments.reshape(shape + (200,))) for p in (B, M))
+        angles = (0.0, math.pi / 2, -1.0, 2.5, -math.pi / 2)
+        got = exponential_vector(h, B, M, angles)
+        want = two_function_exponential_vector(h, B, M, angles)
+        for value, expected in zip(got, want):
+            assert np.shape(value) == np.shape(expected) == shape
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
     @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
     def test_each_row_is_its_path_alone(self, kind):
         grid = TimeGrid(1.0, 200)
         B, M = _drivers(kind, grid, 12)
-        batch = exponential_vector(self.H1, self.H2, B, M, self.ANGLES, 0.6)
+        batch = exponential_vector(self.H, B, M, self.ANGLES)
         for i in (0, 5, 11):
-            single = exponential_vector(self.H1, self.H2, B.select(i), M.select(i),
-                                        self.ANGLES, 0.6)
-            outer = exponential_vector(self.H1, self.H2, B.select(i), M, self.ANGLES, 0.6)
+            single = exponential_vector(self.H, B.select(i), M.select(i), self.ANGLES)
+            outer = exponential_vector(self.H, B.select(i), M, self.ANGLES)
             for got, across, alone in zip(batch, outer, single):
                 assert np.shape(alone) == ()
                 assert got[i].tobytes() == alone.tobytes()
                 assert across[i].tobytes() == alone.tobytes()
 
     def test_sparse_product_is_the_dense_product(self):
-        # At pi/2 with h2 = 0, zero Brownian increments and a pure-jump M, the
+        # At pi/2, with zero Brownian increments and a pure-jump M, the
         # exponential part is exp(0) = 1, so the value is the product alone.
         B, M = self._hand_drivers()
-        h1 = StepFunction((0.0, 0.25, 0.65, 1.0), (0.37, -0.81, 0.23))
-        zero = StepFunction.constant(0.0, 1.0)
-        (value,) = exponential_vector(h1, zero, B, M, [math.pi / 2], 1.0)
-        dense = np.prod(1.0 + h1.on_grid(M.grid) * M.jump_increments, axis=-1)
+        h = StepFunction((0.0, 0.25, 0.65, 1.0), (0.37, -0.81, 0.23))
+        (value,) = exponential_vector(h, B, M, [math.pi / 2])
+        dense = np.prod(1.0 + h.on_grid(M.grid) * M.jump_increments, axis=-1)
         assert value.tobytes() == dense.tobytes()
         assert value[1] == 1.0
 
     def test_vanishing_factor_is_exactly_zero(self):
         B, M = self._hand_drivers()
-        h1 = StepFunction((0.0, 0.5, 1.0), (1.0 / 1.3, 0.2))  # 1 + h1 * (-1.3) = 0 at step 4
-        zero = StepFunction.constant(0.0, 1.0)
-        (value,) = exponential_vector(h1, zero, B, M, [math.pi / 2], 1.0)
-        assert 1.0 + h1.on_grid(M.grid)[4] * -1.3 == 0.0
+        h = StepFunction((0.0, 0.5, 1.0), (1.0 / 1.3, 0.2))  # 1 + h * (-1.3) = 0 at step 4
+        (value,) = exponential_vector(h, B, M, [math.pi / 2])
+        assert 1.0 + h.on_grid(M.grid)[4] * -1.3 == 0.0
         assert value[0] == 0.0
         assert value[1] != 0.0 and value[2] != 0.0
 
@@ -607,11 +641,11 @@ class TestExponentialVectorAngles:
 
         monkeypatch.setattr(np, "einsum", no_reduction)
         with pytest.raises(ConfigurationError, match="finite"):
-            exponential_vector(self.H1, self.H2, B, M, [0.0, 0.3, bad], 1.0)
+            exponential_vector(self.H, B, M, [0.0, 0.3, bad])
 
     def test_no_angles_give_no_values(self, unit_grid):
         B, M = _drivers("compound", unit_grid, 4)
-        assert exponential_vector(self.H1, self.H2, B, M, [], 1.0) == []
+        assert exponential_vector(self.H, B, M, []) == []
 
 
 class TestCovarianceCurve:

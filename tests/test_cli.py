@@ -225,6 +225,18 @@ class TestRun:
         assert message in result.output
         assert not (tmp_path / "bessel.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["supremum", "exp-vector-covariance"])
+    @pytest.mark.parametrize("flags", [["--grid-steps", "1" * 401],
+                                       ["--horizon", "5e-324", "--grid-steps", "2"]],
+                             ids=["n_steps-past-every-float", "step-underflows-to-0"])
+    def test_step_no_float_holds_exit_2(self, runner, tmp_path, experiment, flags):
+        result = runner.invoke(main, ["run", experiment, "--n-paths", "10", *flags,
+                                      "--output", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "horizon / n_steps must be a positive finite float" in result.output
+        assert not (tmp_path / f"{experiment}.json").exists()
+
     @pytest.mark.parametrize("experiment, param", [
         (name, param) for name, spec in EXPERIMENTS.items()
         for param, default in spec.param_defaults.items() if isinstance(default, tuple)
@@ -436,6 +448,15 @@ class TestExportPaths:
     def test_bad_grid_exit_2(self, runner):
         result = runner.invoke(main, ["export-paths", "--grid-steps", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [["--grid-steps", "1" * 401],
+                                       ["--horizon", "5e-324", "--grid-steps", "2"]],
+                             ids=["n_steps-past-every-float", "step-underflows-to-0"])
+    def test_step_no_float_holds_exit_2(self, runner, flags):
+        result = runner.invoke(main, ["export-paths", *flags])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "horizon / n_steps must be a positive finite float" in result.output
 
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
     def test_non_finite_horizon_exit_2(self, runner, horizon):

@@ -33,6 +33,15 @@ class TestConfig:
             make_config("supremum", master_seed=-1)
         make_config("supremum", master_seed=0)
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("horizon, n_steps", [(1.0, int("1" * 401)), (5e-324, 2)],
+                             ids=["n_steps-past-every-float", "step-underflows-to-0"])
+    def test_step_no_float_holds_rejected(self, name, horizon, n_steps):
+        # the grid's rule, also for bessel, which builds no grid
+        with pytest.raises(ConfigurationError,
+                           match="horizon / n_steps must be a positive finite float"):
+            make_config(name, horizon=horizon, n_steps=n_steps)
+
     @pytest.mark.parametrize("name", [
         "isometry", "covariance-decay", "bessel", "exp-vector-covariance", "ibp",
         "supremum", "reproducibility",

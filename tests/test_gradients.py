@@ -152,6 +152,18 @@ class TestPoissonSde:
         # additive SDE: d/dtheta X(Y^theta) at 0 = M_T for the additive flow
         assert est.value == pytest.approx(mart.values[-1], abs=1e-6)
 
+    @pytest.mark.parametrize("mark", [1.0, -1.0, 2.0])
+    def test_value_is_the_derivative_at_the_first_jump(self, unit_grid, brownian, mark):
+        # the difference tends to mark * D_{U_1} X_T; value divides the mark out
+        jumps = np.zeros(unit_grid.n_steps)
+        jumps[99] = mark
+        mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
+        est = lent_particle_sde_poisson(make_sde("gbm"), brownian, mart, 1.0)
+        assert est.value == pytest.approx(est.analytic, rel=1e-6)
+        flipped = SamplePath(unit_grid, -jumps, jump_increments=-jumps)
+        assert lent_particle_sde_poisson(make_sde("gbm"), brownian, flipped, 1.0).value \
+            == pytest.approx(est.value, rel=1e-6)
+
     def test_off_grid_t_rejected(self, unit_grid, brownian):
         jumps = np.zeros(unit_grid.n_steps)
         jumps[99] = 1.0

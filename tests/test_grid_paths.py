@@ -69,6 +69,13 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("horizon, n_steps", [(1.0, int("1" * 401)), (5e-324, 2)],
+                             ids=["n_steps-past-every-float", "step-underflows-to-0"])
+    def test_step_must_be_a_positive_finite_float(self, horizon, n_steps):
+        with pytest.raises(ConfigurationError,
+                           match="horizon / n_steps must be a positive finite float"):
+            TimeGrid(horizon, n_steps)
+
 
 class TestRngStream:
     def test_deterministic(self):
@@ -261,9 +268,8 @@ class TestSamplePath:
 
     def test_batch_select(self, unit_grid):
         batch = brownian_batch(unit_grid, SEED, 0, 4)
-        assert batch.is_batch and batch.increments.shape == (4, unit_grid.n_steps)
+        assert batch.increments.shape == (4, unit_grid.n_steps)
         one = batch.select(2)
-        assert not one.is_batch
         np.testing.assert_array_equal(one.increments, batch.increments[2])
 
     def test_require_same_grid(self, unit_grid):

@@ -75,15 +75,6 @@ def test_step_inner_product_axioms(f, g):
     assert f.inner(g) ** 2 <= f.norm_sq * g.norm_sq + 1e-9
 
 
-@given(f=step_functions(), g=step_functions(),
-       a=st.floats(-2, 2, allow_nan=False), b=st.floats(-2, 2, allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_step_combine_is_pointwise_linear(f, g, a, b):
-    c = f.combine(g, a, b)
-    ts = np.linspace(0.0, 2.0, 23, endpoint=False)
-    np.testing.assert_allclose(c(ts), a * f(ts) + b * g(ts), atol=1e-9)
-
-
 @given(x=st.floats(0.0, 20.0, allow_nan=False))
 @example(x=5e-324)  # x / 2 underflows to 0.0
 @settings(max_examples=30, deadline=None)

@@ -32,17 +32,9 @@ class TestStepFunction:
         assert f.inner(g) == pytest.approx(oracle, abs=1e-12)
         assert f.inner(g) == pytest.approx(g.inner(f), abs=1e-15)
 
-    def test_norm_and_integrals(self):
+    def test_norm_sq(self):
         f = StepFunction((0.0, 0.5, 1.0), (2.0, -1.0))
         assert f.norm_sq == pytest.approx(0.5 * 4 + 0.5 * 1)
-        assert f.integral_sq(upto=0.75) == pytest.approx(0.5 * 4 + 0.25 * 1)
-
-    def test_combine_is_pointwise(self):
-        f = StepFunction((0.0, 0.5, 1.0), (2.0, -1.0))
-        g = StepFunction((0.25, 0.75), (4.0,))
-        c = f.combine(g, 2.0, -0.5)
-        ts = np.linspace(0.0, 1.0, 37, endpoint=False)
-        np.testing.assert_allclose(c(ts), 2.0 * f(ts) - 0.5 * g(ts))
 
     def test_on_grid_uses_left_endpoints(self):
         grid = TimeGrid(1.0, 4)
