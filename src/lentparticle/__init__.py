@@ -26,7 +26,6 @@ from .gradients import (
     GradientEstimate,
     chaos_gradient_contraction,
     gradient_chaos,
-    gradient_cylindrical,
     lent_particle_sde,
     lent_particle_sde_poisson,
     supremum_gradient,
@@ -45,7 +44,7 @@ __all__ = [
     "add_unit_jump", "martingale_batch", "rotate",
     "ConfigurationError",
     "CylindricalFunctional", "evaluate_functional", "make_functional",
-    "GradientEstimate", "chaos_gradient_contraction", "gradient_chaos", "gradient_cylindrical",
+    "GradientEstimate", "chaos_gradient_contraction", "gradient_chaos",
     "lent_particle_sde", "lent_particle_sde_poisson", "supremum_gradient",
     "RngStream", "SamplePath", "TimeGrid",
     "ChaosVector", "SimplexKernel",

@@ -174,20 +174,22 @@ def _philox_keys(words: list) -> np.ndarray:
 def _keyed_generators(master_seed: int, channel: int, index, subindex):
     """Generators in the start state of RngStream(...).generator(), key by key.
 
-    One of ``index`` and ``subindex`` is a sorted sequence of keys (a ``range``
-    or an integer array), the other an int; key k takes the sequence's k-th
-    entry.  A generator is valid until the next one is requested: on the
-    vectorized route it is one Philox, reset to each key.
+    One of ``index`` and ``subindex`` is a sorted sequence of keys (a ``range``,
+    a list or an integer array), the other an int; key k takes the sequence's
+    k-th entry.  A generator is valid until the next one is requested: on the
+    vectorized route it is one Philox, reset to each key.  Keys past uint32 take
+    the per-key route as exact Python ints.
     """
-    words = [np.arange(w.start, w.stop) if isinstance(w, range) else w
-             for w in (master_seed, channel, index, subindex)]
-    n = next(len(w) for w in words if isinstance(w, np.ndarray))
-    fits = n > 0 and all(0 <= w[0] and w[-1] <= _MASK32 if isinstance(w, np.ndarray)
-                         else 0 <= w <= _MASK32 for w in words)
+    words = [master_seed, channel, index, subindex]
+    pos = next(p for p, w in enumerate(words) if not isinstance(w, (int, np.integer)))
+    seq = words[pos]
+    n = len(seq)
+    fits = n > 0 and 0 <= seq[0] and seq[-1] <= _MASK32 and all(
+        0 <= w <= _MASK32 for p, w in enumerate(words) if p != pos)
     if not fits:
-        keys = [[int(w[k]) if isinstance(w, np.ndarray) else w for w in words]
-                for k in range(n)]
+        keys = [words[:pos] + [int(key)] + words[pos + 1:] for key in seq]
         return (RngStream(seed, i, ch, sub).generator() for seed, ch, i, sub in keys)
+    words[pos] = np.arange(seq.start, seq.stop) if isinstance(seq, range) else seq
     return _reset_to_each(_philox_keys(words).tolist())
 
 
@@ -239,8 +241,9 @@ def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
     jumps = np.zeros((count, grid.n_steps))
     marks = np.ones_like(arrivals)
     redo = np.flatnonzero(n_kept > 0 if signed else unstopped)
+    keys = start + redo if start + count <= _MASK32 else [start + int(i) for i in redo]
     with _DRAW_LOCK:
-        for i, gen in zip(redo, _keyed_generators(master_seed, channel, start + redo, 0)):
+        for i, gen in zip(redo, _keyed_generators(master_seed, channel, keys, 0)):
             if unstopped[i]:
                 idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
                 jumps[i, idx - 1] = (gen.integers(0, 2, size=idx.size) * 2.0 - 1.0

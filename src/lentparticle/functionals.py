@@ -1,9 +1,8 @@
 """Cylindrical functionals and a shared registry of test functionals.
 
 A cylindrical functional is Phi(A_1, ..., A_k) where each argument A_i is a
-first-order integral int h_i dB (step function h_i) or, more generally, an
-iterated integral of an elementary-tensor kernel.  Phi and its gradient are
-supplied as vectorized callables.
+first-order integral int h_i dB of a step function h_i.  Phi and its gradient
+are supplied as vectorized callables.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chaos import evaluate_chaos, iterated_integral, stochastic_integral
+from .chaos import evaluate_chaos, stochastic_integral
 from .errors import ConfigurationError
 from .grid import SamplePath
 from .kernels import ChaosVector, SimplexKernel
@@ -21,28 +20,19 @@ from .stepfn import StepFunction
 
 @dataclass(frozen=True)
 class CylindricalFunctional:
-    """F = Phi(int h_1 dB, ..., int h_k dB); Phi assumed C^1 and Lipschitz.
-
-    Entries of h_list may be step functions (first-order integrals) or
-    simplex kernels (iterated integrals), covering the generalized
-    cylindrical form.
-    """
+    """F = Phi(int h_1 dB, ..., int h_k dB), each h_i a StepFunction; Phi assumed
+    C^1 and Lipschitz."""
 
     h_list: tuple
     phi: Callable
     phi_grad: Callable
-    name: str = ""
 
     def arguments(self, path: SamplePath) -> list[np.ndarray]:
-        out = []
         for h in self.h_list:
-            if isinstance(h, StepFunction):
-                out.append(stochastic_integral(h, path))
-            elif isinstance(h, SimplexKernel):
-                out.append(iterated_integral(h, path))
-            else:
-                raise ConfigurationError(f"unsupported argument type {type(h)!r}")
-        return out
+            if not isinstance(h, StepFunction):
+                raise ConfigurationError(
+                    f"a cylindrical argument must be a StepFunction, got {type(h)!r}")
+        return [stochastic_integral(h, path) for h in self.h_list]
 
     def __call__(self, path: SamplePath) -> np.ndarray:
         return self.phi(*self.arguments(path))
@@ -105,7 +95,6 @@ def make_square(horizon: float = 1.0) -> CylindricalFunctional:
         (h,),
         phi=lambda x: x**2,
         phi_grad=lambda x: (2.0 * x,),
-        name="square",
     )
 
 

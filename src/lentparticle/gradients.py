@@ -7,7 +7,6 @@ functionals; the default step is 1e-4, and 1e-3 for the rotation angle of
 ``gradient_chaos`` (on the rotation chaos.chaotic_extension returns).  Each
 estimator is paired with a route that does not go through the jump difference:
 
-* cylindrical functionals -- the chain-rule value sum_i dPhi_i * h_i(u-);
 * chaos vectors           -- the order-lowering kernel contraction integrated
                              against the martingale;
 * SDE solutions           -- the first-variation flow (sde.flow_form) from the
@@ -15,8 +14,9 @@ estimator is paired with a route that does not go through the jump difference:
 * running suprema         -- the closed-form indicator from the piecewise
                              linear structure of the max.
 
-The chain-rule value, the kernel contraction and the right-hand side of the
-integration-by-parts pair are one pairing <DF, phi> (``_derivative_pairing``).
+The kernel contraction and the right-hand side of the integration-by-parts
+pair are one pairing <DF, phi> (``_derivative_pairing``), which reads a
+cylindrical functional of first-order integrals by the chain rule.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import iterated_integrals, stochastic_integral
-from .drivers import add_unit_jump, rotate
+from .drivers import rotate
 from .errors import ConfigurationError
 from .functionals import CylindricalFunctional, evaluate_functional
 from .grid import SamplePath, reduce_rows, require_same_grid
@@ -40,8 +40,8 @@ DEFAULT_STEP = 1e-4
 
 @dataclass
 class GradientEstimate:
-    """A jump-difference estimate of D_u F or D_u X_t, with the value of the
-    independent route (chain rule or flow form) in ``analytic``."""
+    """A jump-difference estimate of D_u X_t, with the flow form (sde.flow_form)
+    from the same Euler pass in ``analytic``."""
 
     u: float
     t: float
@@ -55,42 +55,16 @@ def require_step(name: str, step: float) -> None:
         raise ConfigurationError(f"{name} must be positive and finite, got {step}")
 
 
-def gradient_cylindrical(
-    F: CylindricalFunctional, path: SamplePath, u: float, a0: float = DEFAULT_STEP
-) -> GradientEstimate:
-    """D_u F for F = Phi(...): jump difference plus the chain-rule value.
-
-    The perturbation lands in the increment of the snap step, so the analytic
-    value evaluates each h_i at the left endpoint of that step.
-    """
-    require_step("a0", a0)
-    grid = path.grid
-    k = grid.index_at_or_after(u)
-    u_left = grid.times[k - 1]
-
-    plus = evaluate_functional(F, add_unit_jump(path, u, a0))
-    minus = evaluate_functional(F, add_unit_jump(path, u, -a0))
-    diff = (plus - minus) / (2.0 * a0)
-
-    analytic = _derivative_pairing(F, path, lambda g: g(u_left))
-    return GradientEstimate(u=k * grid.dt, t=grid.horizon, value=diff, analytic=analytic)
-
-
 def _derivative_pairing(F, path: SamplePath, pair):
     """<DF, phi> on each path, where pair(g) = <g, phi> for a step function g.
 
     D_s I_n(g_1 ... g_n) = sum_i g_i(s) I_{n-1}(the others), the weight riding
-    on the reduced kernel; a cylindrical Phi(A_1, ...) sums dPhi_j times the
-    pairing of each argument, a kernel argument read as a one-kernel chaos.
+    on the reduced kernel; a cylindrical Phi(int h_1 dB, ...) sums dPhi_j <h_j, phi>.
     """
     if isinstance(F, CylindricalFunctional):
         total = 0.0
         for dphi, h in zip(F.phi_grad(*F.arguments(path)), F.h_list):
-            if isinstance(h, StepFunction):
-                paired = pair(h)
-            else:
-                paired = _derivative_pairing(ChaosVector(0.0, (h,)), path, pair)
-            total = total + dphi * paired
+            total = total + dphi * pair(h)
         return total
     if not isinstance(F, ChaosVector):
         raise ConfigurationError(f"unsupported functional type {type(F)!r}")

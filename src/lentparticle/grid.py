@@ -67,7 +67,9 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """The step k with t_k = t; ConfigurationError for a t that is no grid point."""
-        k = round(t / self.dt) if np.isfinite(t) else -1
+        # every grid time lies in [0, T]; a t outside [-T, 2T] (or NaN) is refused
+        # before t / dt, which can overflow
+        k = round(t / self.dt) if abs(t) - self.horizon <= self.horizon else -1
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > 1e-9 * self.horizon:
             raise ConfigurationError(
                 f"time {t} is not a point of the {self.n_steps}-step grid of [0, {self.horizon}]")

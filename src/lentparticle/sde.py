@@ -31,13 +31,13 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, require_kind
-from .grid import RngStream, SamplePath, TimeGrid
+from .grid import SamplePath, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,11 @@ class SdeSpec:
     array of shape (block, 1, ...) against x of shape (block, paths...).
     """
 
-    name: str
     x0: float
     sigma: Callable
     b: Callable
     sigma_x: Callable
     b_x: Callable
-    params: dict = field(default_factory=dict)
-
-    def check_derivatives(self, rng: RngStream, n_points: int = 25, tol: float = 1e-5) -> None:
-        """Spot-check sigma_x / b_x against central differences at random (t, x)."""
-        gen = rng.generator()
-        ts = gen.uniform(0.0, 1.0, n_points)
-        xs = gen.uniform(-2.0, 2.0, n_points) + self.x0
-        eps = 1e-6
-        for fn, dfn, label in ((self.sigma, self.sigma_x, "sigma"), (self.b, self.b_x, "b")):
-            fd = (fn(ts, xs + eps) - fn(ts, xs - eps)) / (2 * eps)
-            exact = dfn(ts, xs) * np.ones_like(xs)
-            scale = np.abs(exact) + 1.0
-            if np.any(np.abs(fd - exact) / scale > tol):
-                raise ConfigurationError(f"{label}_x inconsistent with finite differences")
 
 
 # name -> default parameters, each a number
@@ -91,13 +76,13 @@ def make_sde(name: str, **params) -> SdeSpec:
     p = {key: float(params.get(key, value)) for key, value in _SDE_DEFAULTS[name].items()}
     x0, sig, mu = p["x0"], p.get("sigma"), p.get("b")
     if name == "gbm":
-        return SdeSpec(name, x0, sigma=lambda t, x: sig * x, b=lambda t, x: mu * x,
-                       sigma_x=lambda t, x: sig, b_x=lambda t, x: mu, params=p)
+        return SdeSpec(x0, sigma=lambda t, x: sig * x, b=lambda t, x: mu * x,
+                       sigma_x=lambda t, x: sig, b_x=lambda t, x: mu)
     if name == "additive":
-        return SdeSpec(name, x0, sigma=lambda t, x: sig, b=lambda t, x: mu,
-                       sigma_x=lambda t, x: 0.0, b_x=lambda t, x: 0.0, params=p)
-    return SdeSpec(name, x0, sigma=lambda t, x: np.sin(x) + 2.0, b=lambda t, x: 0.0,
-                   sigma_x=lambda t, x: np.cos(x), b_x=lambda t, x: 0.0, params=p)
+        return SdeSpec(x0, sigma=lambda t, x: sig, b=lambda t, x: mu,
+                       sigma_x=lambda t, x: 0.0, b_x=lambda t, x: 0.0)
+    return SdeSpec(x0, sigma=lambda t, x: np.sin(x) + 2.0, b=lambda t, x: 0.0,
+                   sigma_x=lambda t, x: np.cos(x), b_x=lambda t, x: 0.0)
 
 
 # Steps per time-major copy of the increments: a few MB at batch shapes,

@@ -169,3 +169,53 @@ def test_verdict_is_written_per_metric(bench):
 def test_verdict(parent, change, better, expected):
     runs = {"parent": parent, "change": change}
     assert bench_pairs.verdict(runs, better, 0.24) == expected
+
+
+def test_paired_reading_is_written_per_metric(bench):
+    dirs, _, out = bench
+    _run(dirs)
+    wall = _entry(out)["metrics"]["wall_s"]
+    # ratios 0.5, 1.0, 3.5/3, 0.75: won, tied, lost, won; 2 of 3 is no sign
+    assert wall["pair_ratio"] == {"median": 0.875, "q1": 0.6875, "q3": 1.0417}
+    assert (wall["change_wins"], wall["change_losses"], wall["ties"]) == (2, 1, 1)
+    assert (wall["sign_test_p"], wall["paired_verdict"]) == (1.0, "none")
+    assert wall["verdict"] == "unresolved"  # the old verdict keeps its field and meaning
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 2 / 1024), (9, 1, 22 / 1024), (8, 2, 112 / 1024), (1, 9, 22 / 1024),
+    (3, 0, 0.25), (0, 0, 1.0), (5, 5, 1.0),
+])
+def test_sign_test_p_is_the_doubled_binomial_tail(wins, losses, p):
+    assert bench_pairs.sign_test_p(wins, losses) == pytest.approx(p)
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # 9 of 10 pairs in one direction reach the 5% level, 8 do not
+    ([1.0] * 10, [0.9] * 9 + [1.1], "lower", "better"),
+    ([1.0] * 10, [1.1] * 9 + [0.9], "lower", "worse"),
+    ([1.0] * 10, [0.9] * 8 + [1.1] * 2, "lower", "none"),
+    ([1.0] * 10, [1.1] * 9 + [0.9], "higher", "better"),
+    # ties are dropped: 9 wins and a tie is still 9 of 9
+    ([1.0] * 10, [0.9] * 9 + [1.0], "lower", "better"),
+    ([1.0] * 3, [0.5] * 3, "lower", "none"),
+])
+def test_paired_verdict(parent, change, better, expected):
+    assert bench_pairs.paired({"parent": parent, "change": change}, better)[
+        "paired_verdict"] == expected
+
+
+@pytest.mark.parametrize("tag, workload, wins, verdict, paired_verdict", [
+    ("row_blocks", "stream-scan", 10, "within_bound", "better"),
+    ("one_h", "stream-scan", 3, "within_bound", "none"),
+    ("one_h", "chaos-rotation", 3, "better", "none"),  # 3 of 3: p = 0.25
+    ("theta_param", "sde-flow", 8, "within_bound", "none"),  # 8 of 10: p = 0.11
+])
+def test_paired_verdict_of_recorded_runs(tag, workload, wins, verdict, paired_verdict):
+    with open(os.path.join(ROOT, f"BENCH_{tag}.json")) as fh:
+        recorded = json.load(fh)["end_to_end"][f"{workload}@20240901"]["metrics"]["wall_s"]
+    runs = {side: recorded[side]["runs"] for side in bench_pairs.SIDES}
+    reading = bench_pairs.paired(runs, "lower")
+    assert (reading["change_wins"], recorded["change_wins"]) == (wins, wins)
+    assert bench_pairs.verdict(runs, "lower", recorded["bound"]) == recorded["verdict"] == verdict
+    assert reading["paired_verdict"] == paired_verdict

@@ -271,13 +271,25 @@ class TestRun:
         assert message in result.output
         assert not (tmp_path / f"{experiment}.json").exists()
 
-    def test_off_grid_time_exit_2(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "run", "sde-lent-particle", "--grid-steps", "7", "--n-paths", "4",
-            "--output", str(tmp_path),
-        ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-steps", "7"], "0.76 is not a point of the 7-step grid"),
+        # t / dt overflows: the default t_grid past a tiny horizon, and a huge t
+        (["--horizon", "1e-310", "--grid-steps", "1000"],
+         "0.76 is not a point of the 1000-step grid"),
+        (["--param", "t_grid=[1e308]", "--grid-steps", "1000"],
+         "1e+308 is not a point of the 1000-step grid"),
+    ], ids=["off-grid", "tiny-horizon", "huge-t"])
+    def test_off_grid_time_exit_2(self, runner, tmp_path, monkeypatch, flags, message):
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        result = runner.invoke(main, ["run", "sde-lent-particle", *flags, "--n-paths", "4",
+                                      "--output", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
         assert result.exit_code == 2, result.output
-        assert "not a point of the 7-step grid" in result.output
+        assert message in result.output
+        assert drawn == []
         assert not (tmp_path / "sde-lent-particle.json").exists()
 
     @pytest.mark.parametrize("experiment, params, message", [
@@ -477,19 +489,24 @@ class TestExportPaths:
         assert result.exit_code == 2, result.output
         assert "rotation angle must be finite" in result.output
 
+    # keys past int64 once went through float64 (index 2**63 - 1 drew the path of key
+    # 2**63) or overflowed in the jump batch
+    @pytest.mark.parametrize("index", [3, 2**63 - 1, 2**63, 2**64])
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_rotated_column_is_the_combined_levels(self, runner, kind):
+    def test_columns_are_the_keyed_paths_and_their_rotation(self, runner, kind, index):
         import numpy as np
 
         from lentparticle.drivers import martingale_batch
-        from lentparticle.grid import TimeGrid
+        from lentparticle.grid import RngStream, SamplePath, TimeGrid
 
         result = runner.invoke(main, ["export-paths", "--kind", kind, "--grid-steps", "64",
-                                      "--seed", "5", "--index", "3", "--theta", "0.7"])
+                                      "--seed", "5", "--index", str(index), "--theta", "0.7"])
         assert result.exit_code == 0, result.output
         grid = TimeGrid(1.0, 64)
-        B = martingale_batch("brownian", grid, 5, 3, 1).select(0)
-        M = martingale_batch(kind, grid, 5, 3, 1).select(0)
+        B = SamplePath(grid, RngStream(5, index).generator().standard_normal(64)
+                       * np.sqrt(grid.dt))
+        M = martingale_batch(kind, grid, 5, index, 1).select(0)
         expected = np.cos(0.7) * B.values + np.sin(0.7) * M.values
-        rotated = [line.split(",")[3] for line in result.output.strip().split("\n")[1:]]
-        assert rotated == [repr(float(y)) for y in expected]
+        columns = list(zip(*(line.split(",") for line in result.output.strip().split("\n")[1:])))
+        assert columns[1:] == [tuple(repr(float(v)) for v in path)
+                               for path in (B.values, M.values, expected)]

@@ -364,15 +364,20 @@ class TestRunners:
         checks = {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
         assert checks == {"rerun_identical": True, "workers_identical": False}
 
-    def test_sde_off_grid_t_rejected_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize("overrides, message", [
+        # on 7 steps no default t but 1.0 is a grid time; 0.82 and 0.88 both round to 6/7
+        ({"n_steps": 7}, "0.76 is not a point"),
+        # t / dt overflows: the default t_grid past a tiny horizon, and a huge t
+        ({"n_steps": 1000, "horizon": 1e-310}, "0.76 is not a point"),
+        ({"n_steps": 1000, "params": {"t_grid": (1e308,)}}, r"1e\+308 is not a point"),
+    ], ids=["off-grid", "tiny-horizon", "huge-t"])
+    def test_sde_off_grid_t_rejected_before_drawing(self, monkeypatch, overrides, message):
         from lentparticle import experiments
 
         drawn = []
         monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
-        # on 7 steps no default t but 1.0 is a grid time; 0.82 and 0.88 both round to 6/7
-        cfg = make_config("sde-lent-particle", n_steps=7, n_paths=4)
-        with pytest.raises(ConfigurationError, match="0.76 is not a point"):
-            run_experiment(cfg)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(make_config("sde-lent-particle", n_paths=4, **overrides))
         assert drawn == []
 
     @pytest.mark.parametrize("u, message", [

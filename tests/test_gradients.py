@@ -15,7 +15,6 @@ from lentparticle.functionals import (
 from lentparticle.gradients import (
     chaos_gradient_contraction,
     gradient_chaos,
-    gradient_cylindrical,
     integration_by_parts_pair,
     lent_particle_sde,
     lent_particle_sde_poisson,
@@ -32,51 +31,46 @@ from lentparticle.stepfn import StepFunction
 SEED = 404
 
 
-class TestCylindricalGradient:
-    def test_square_matches_chain_rule(self, brownian):
-        F = make_square(1.0)
-        est = gradient_cylindrical(F, brownian, 0.4)
-        # D_u (int h dB)^2 = 2 (int h dB) h(u); the jump difference of a
-        # quadratic has no third-order bias term, so agreement is tight
-        assert est.value == pytest.approx(est.analytic, rel=1e-9)
+def jump_difference(F, path, u, a=1e-4):
+    """(F(path + a 1_{. >= u}) - F(path - a 1_{. >= u})) / 2a, u snapped forward to the grid."""
+    plus = evaluate_functional(F, add_unit_jump(path, u, a))
+    minus = evaluate_functional(F, add_unit_jump(path, u, -a))
+    return (plus - minus) / (2.0 * a)
 
-    def test_linear_functional_is_exact(self, brownian):
+
+class TestJumpDifference:
+    """The lent jump lands in the increment of the snap step k, so D_u F reads each
+    h at the left endpoint t_{k-1} of that step (the chain rule at u-)."""
+
+    def test_square_matches_chain_rule(self, brownian):
+        # D_u (int h dB)^2 = 2 (int h dB) h(u-) = 2 B_T for h = 1; the jump difference of
+        # a quadratic has no third-order bias term, so agreement is tight
+        B_T = brownian.values[-1]
+        assert jump_difference(make_square(1.0), brownian, 0.4) == pytest.approx(2.0 * B_T,
+                                                                                 rel=1e-9)
+
+    @pytest.mark.parametrize("u, h_left", [(0.25, 2.0), (0.5, 2.0), (0.5001, -1.0),
+                                           (0.75, -1.0)])
+    def test_linear_functional_reads_h_left_of_the_snap_step(self, brownian, u, h_left):
+        # u = 0.5 is a grid time: its step (0.498, 0.5] lies left of the breakpoint;
+        # u = 0.5001 snaps forward to 0.502, whose step lies right of it
         h = StepFunction((0.0, 0.5, 1.0), (2.0, -1.0))
         F = CylindricalFunctional((h,), phi=lambda x: x, phi_grad=lambda x: (1.0,))
-        est = gradient_cylindrical(F, brownian, 0.25)
-        assert est.analytic == pytest.approx(2.0)
-        assert est.value == pytest.approx(2.0, abs=1e-10)
-        est_late = gradient_cylindrical(F, brownian, 0.75)
-        assert est_late.analytic == pytest.approx(-1.0)
-
-    def test_snap_flag(self, brownian):
-        # u is the grid time the jump was lent at: u itself on the grid, else the next one
-        F = make_square(1.0)
-        assert gradient_cylindrical(F, brownian, 0.5).u == 0.5
-        assert gradient_cylindrical(F, brownian, 0.5001).u == brownian.grid.times[251]
+        assert jump_difference(F, brownian, u) == pytest.approx(h_left, abs=1e-10)
 
     def test_nonlinear_smooth_functional(self, brownian):
-        h = StepFunction.constant(1.0, 1.0)
-        F = CylindricalFunctional(
-            (h,), phi=np.sin, phi_grad=lambda x: (np.cos(x),)
-        )
-        est = gradient_cylindrical(F, brownian, 0.6)
-        assert est.value == pytest.approx(est.analytic, rel=1e-6)
+        F = CylindricalFunctional((StepFunction.constant(1.0, 1.0),), phi=np.sin,
+                                  phi_grad=lambda x: (np.cos(x),))
+        assert jump_difference(F, brownian, 0.6) == pytest.approx(np.cos(brownian.values[-1]),
+                                                                  rel=1e-6)
 
-    def test_kernel_argument(self, brownian):
-        h = StepFunction.constant(1.0, 1.0)
-        F = CylindricalFunctional(
-            (SimplexKernel.power(h, 2),), phi=lambda x: x, phi_grad=lambda x: (1.0,)
-        )
-        est = gradient_cylindrical(F, brownian, 0.5)
-        # the jump difference of the discrete I_2 excludes the self-pair of
-        # the perturbed step, so it equals the contraction value minus the
-        # diagonal term 2 h(u)^2 dB_u exactly
-        grid = brownian.grid
-        k = grid.index_at_or_after(0.5)
-        u_left = grid.times[k - 1]
-        diagonal = 2.0 * h(u_left) ** 2 * brownian.increments[k - 1]
-        assert est.value == pytest.approx(est.analytic - diagonal, abs=1e-9)
+    def test_second_chaos_drops_the_self_pair_of_the_snap_step(self, brownian):
+        # the discrete I_2(1 x 1) = 2 sum_{i<j} dB_i dB_j has no diagonal, so its jump
+        # difference is the contraction 2 B_T less 2 dB_{k-1}, exactly for a quadratic
+        F = ChaosVector(0.0, (SimplexKernel.power(StepFunction.constant(1.0, 1.0), 2),))
+        k = brownian.grid.index_at_or_after(0.5)
+        expected = 2.0 * brownian.values[-1] - 2.0 * brownian.increments[k - 1]
+        assert jump_difference(F, brownian, 0.5) == pytest.approx(expected, abs=1e-9)
 
 
 class TestChaosGradient:
@@ -188,7 +182,7 @@ class TestPoissonSde:
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
 @pytest.mark.parametrize("estimator", [
-    "gradient_cylindrical", "gradient_chaos", "lent_particle_sde_table",
+    "gradient_chaos", "lent_particle_sde_table",
     "lent_particle_sde_poisson", "supremum_gradient", "supremum_quotient"])
 def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step):
     B = martingale_batch("brownian", unit_grid, SEED, 0, 4)
@@ -197,8 +191,6 @@ def test_difference_step_must_be_positive_and_finite(unit_grid, estimator, step)
     B, M = B.select(jumped), M.select(jumped)  # the Poisson estimator needs a jump
     spec = make_sde("gbm")
     calls = {
-        "gradient_cylindrical": ("a0", lambda: gradient_cylindrical(make_square(1.0), B, 0.5,
-                                                                    step)),
         "gradient_chaos": ("theta0", lambda: gradient_chaos(
             chaotic_extension(make_square(1.0), B, M), step)),
         "lent_particle_sde_table": ("theta", lambda: lent_particle_sde_table(
@@ -250,16 +242,13 @@ class TestIntegrationByParts:
         with pytest.raises(ConfigurationError):
             integration_by_parts_pair(object(), G, brownian)
 
-    def test_kernel_argument_matches_chaos_vector(self, unit_grid):
-        # Phi = identity on one iterated integral is the one-kernel chaos vector
-        B = martingale_batch("brownian", unit_grid, SEED, 0, 16)
+    def test_kernel_argument_rejected(self, brownian):
+        # a cylindrical argument is a first-order integral; a kernel is a ChaosVector's
         k = SimplexKernel(2, (StepFunction.constant(1.0, 1.0), StepFunction.indicator(0.0, 0.5, 2.0)))
-        G = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
         F = CylindricalFunctional((k,), phi=lambda x: x, phi_grad=lambda x: (1.0,))
-        lhs, rhs = integration_by_parts_pair(F, G, B)
-        chaos_lhs, chaos_rhs = integration_by_parts_pair(ChaosVector(0.0, (k,)), G, B)
-        np.testing.assert_array_equal(lhs, chaos_lhs)
-        np.testing.assert_array_equal(rhs, chaos_rhs)
+        with pytest.raises(ConfigurationError,
+                           match="^a cylindrical argument must be a StepFunction, got "):
+            integration_by_parts_pair(F, StepFunction.constant(1.0, 1.0), brownian)
 
 
 class TestSupremum:

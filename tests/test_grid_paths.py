@@ -57,11 +57,21 @@ class TestTimeGrid:
         assert [grid.index_of(t) for t in (0.0, 0.76, 0.82, 1.0)] == [0, 38, 41, 50]
         assert grid.index_of(0.1 + 0.2) == 15  # representation error is not an offset
 
-    @pytest.mark.parametrize("t", [0.82, 0.88, -1.0 / 7, 8.0 / 7, float("nan"), float("inf")])
+    @pytest.mark.parametrize("t", [0.82, 0.88, -1.0 / 7, 8.0 / 7, float("nan"), float("inf"),
+                                   1e308, -1e308])
     def test_index_of_rejects_other_times(self, t):
-        # on 7 steps 0.82 and 0.88 both round to the step at 6/7
+        # on 7 steps 0.82 and 0.88 both round to the step at 6/7; for 1e308 t / dt is inf
         with pytest.raises(ConfigurationError, match="not a point of the 7-step grid"):
             TimeGrid(1.0, 7).index_of(t)
+
+    @pytest.mark.parametrize("horizon, n_steps", [(1.0, 7), (2.5, 37), (1e-310, 1000),
+                                                  (1e300, 3)])
+    def test_index_of_keeps_every_grid_time_and_its_tolerance(self, horizon, n_steps):
+        grid = TimeGrid(horizon, n_steps)
+        slack = 0.9e-9 * horizon
+        for k in range(n_steps + 1):
+            t = k * grid.dt
+            assert [grid.index_of(s) for s in (t - slack, t, t + slack)] == [k, k, k]
 
     def test_invalid_grid(self):
         with pytest.raises(ConfigurationError):
@@ -126,6 +136,8 @@ class TestKeyedGenerators:
         (2**32 - 1, 0, 5),
         (SEED, 2**32 - 3, 6),  # crosses from one key width to the next
         (2**32, 0, 3),
+        # keys past int64 are exact Python ints, not float64 arange entries
+        (SEED, 2**63 - 2, 4), (SEED, 2**63, 4), (SEED, 2**64, 4),
     ])
     @pytest.mark.parametrize("kind", ["brownian", "poisson", "compound"])
     def test_batch_rows_match_per_key_streams(self, kind, seed, start, count):

@@ -5,7 +5,7 @@ from lentparticle import experiments
 from lentparticle.drivers import martingale_batch
 from lentparticle.errors import ConfigurationError
 from lentparticle.gradients import lent_particle_sde
-from lentparticle.grid import RngStream, SamplePath, TimeGrid
+from lentparticle.grid import SamplePath, TimeGrid
 from lentparticle.sde import (
     STEP_BLOCK,
     SdeSpec,
@@ -32,16 +32,31 @@ def reference_euler(spec, grid, inc):
     return np.stack(xs, axis=-1), np.stack(ys, axis=-1)
 
 
+def inconsistent_derivatives(spec, seed, n_points=25, tol=1e-5):
+    """The names of sigma_x and b_x that central differences at random (t, x) contradict."""
+    gen = np.random.default_rng(seed)
+    ts = gen.uniform(0.0, 1.0, n_points)
+    xs = gen.uniform(-2.0, 2.0, n_points) + spec.x0
+    eps = 1e-6
+    bad = []
+    for fn, dfn, label in ((spec.sigma, spec.sigma_x, "sigma_x"), (spec.b, spec.b_x, "b_x")):
+        fd = (fn(ts, xs + eps) - fn(ts, xs - eps)) / (2 * eps)
+        exact = dfn(ts, xs) * np.ones_like(xs)
+        if np.any(np.abs(fd - exact) / (np.abs(exact) + 1.0) > tol):
+            bad.append(label)
+    return bad
+
+
 class TestRegistry:
-    def test_known_specs(self):
-        for name in ("gbm", "additive", "sine-diffusion"):
-            spec = make_sde(name)
-            spec.check_derivatives(RngStream(SEED, 0))
+    @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion"])
+    def test_known_specs(self, name):
+        assert inconsistent_derivatives(make_sde(name), SEED) == []
 
     def test_parameter_overrides(self):
         spec = make_sde("gbm", sigma=0.5, b=0.0, x0=2.0)
-        assert spec.params == {"sigma": 0.5, "b": 0.0, "x0": 2.0}
+        assert spec.x0 == 2.0
         assert spec.sigma(0.0, 4.0) == pytest.approx(2.0)
+        assert spec.b(0.0, 4.0) == 0.0
 
     def test_unknown_name_and_params(self):
         with pytest.raises(ConfigurationError):
@@ -61,14 +76,13 @@ class TestRegistry:
 
     def test_inconsistent_derivatives_detected(self):
         bad = SdeSpec(
-            "bad", 1.0,
+            1.0,
             sigma=lambda t, x: x**2,
             b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
             sigma_x=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),  # wrong
             b_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         )
-        with pytest.raises(ConfigurationError):
-            bad.check_derivatives(RngStream(SEED, 1))
+        assert inconsistent_derivatives(bad, SEED) == ["sigma_x"]
 
 
 class TestSolver:
@@ -97,7 +111,7 @@ class TestSolver:
 
     def test_single_path_blowup_returns_its_batch_row(self, unit_grid):
         exploding = SdeSpec(
-            "exploding", 1.0,
+            1.0,
             sigma=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
             b=lambda t, x: x**3 * 1e6,
             sigma_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -110,7 +124,7 @@ class TestSolver:
 
     def test_batch_blowup_returns_nonfinite(self, unit_grid):
         exploding = SdeSpec(
-            "exploding", 1.0,
+            1.0,
             sigma=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
             b=lambda t, x: x**3 * 1e6,
             sigma_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -170,7 +184,7 @@ class TestFlowOracle:
         grid = TimeGrid(1.0, 10)
         ones = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         zeros = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        spec = SdeSpec("affine", 1.0, sigma=lambda t, x: x + 1.0, b=zeros,
+        spec = SdeSpec(1.0, sigma=lambda t, x: x + 1.0, b=zeros,
                        sigma_x=ones, b_x=zeros)
         inc = np.zeros(10)
         inc[0] = -1.0
@@ -181,7 +195,7 @@ class TestFlowOracle:
 def time_dependent():
     """Coefficients that read t, unlike the built-in SDEs: a step that took the time of
     its neighbour would change every row."""
-    return SdeSpec("time-dependent", 1.0,
+    return SdeSpec(1.0,
                    sigma=lambda t, x: np.cos(3.0 * t) * np.sin(x) + t,
                    b=lambda t, x: np.exp(-t) * x,
                    sigma_x=lambda t, x: np.cos(3.0 * t) * np.cos(x),
@@ -190,7 +204,7 @@ def time_dependent():
 
 class TestEngine:
     def test_time_dependent_derivatives(self):
-        time_dependent().check_derivatives(RngStream(SEED, 2))
+        assert inconsistent_derivatives(time_dependent(), SEED) == []
 
     @pytest.mark.parametrize("name", ["gbm", "additive", "sine-diffusion", "time-dependent"])
     def test_rows_match_reference_loop(self, name):
@@ -239,7 +253,7 @@ class TestEngine:
             return np.sin(x) + 2.0
 
         base = make_sde("sine-diffusion")
-        spec = SdeSpec("counted", base.x0, sigma, base.b, base.sigma_x, base.b_x)
+        spec = SdeSpec(base.x0, sigma, base.b, base.sigma_x, base.b_x)
         grid = TimeGrid(1.0, STEP_BLOCK + 20)
         B = martingale_batch("brownian", grid, SEED, 0, 3)
         bumps = [(STEP_BLOCK + 5, 1e-3), (9, 1e-3), (9, -1e-3)]
@@ -268,7 +282,7 @@ class TestEngine:
     def test_exploding_path_stays_nonfinite(self, unit_grid):
         # dX = dB - X^3 dt is stable, but Euler diverges once X^2 dt > 2:
         # one kicked path explodes and the rest of the batch is untouched
-        spec = SdeSpec("cubic", 0.0, sigma=lambda t, x: 1.0, b=lambda t, x: -x**3,
+        spec = SdeSpec(0.0, sigma=lambda t, x: 1.0, b=lambda t, x: -x**3,
                        sigma_x=lambda t, x: 0.0, b_x=lambda t, x: -3.0 * x**2)
         inc = martingale_batch("brownian", unit_grid, SEED, 0, 3).increments.copy()
         inc[1, 10] = 50.0

@@ -11,9 +11,13 @@ the file are kept, so one file can collect several invocations.  For each
 end-to-end metric of ``BENCHMARK.json`` the file holds every run's value, each
 side's median and quartiles (numpy linear percentiles), their ratio and the
 number of pairs the change wins (ties count for neither) and a verdict (see
-``verdict``); it also holds the failed and attempted operations, the machine,
-and what was measured on each side: the git commit where the checkout is a
-clean git work tree, and always a SHA-256 digest of the files under ``src/``.
+``verdict``).  Beside them sits the paired reading (see ``paired``): the
+per-pair ratio change/parent (median and quartiles), the wins, losses and ties,
+a two-sided sign-test p over the pairs that are not ties, and a paired verdict
+at the level SIGN_TEST_LEVEL.  It also holds the failed and attempted
+operations, the machine, and what was measured on each side: the git commit
+where the checkout is a clean git work tree, and always a SHA-256 digest of the
+files under ``src/``.
 Under ``process`` it records, per side, the median and quartiles of each run's
 user and system CPU seconds and minor page faults of the benchmark's process
 tree (``getrusage(RUSAGE_CHILDREN)`` around the run), with no verdict.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -36,6 +41,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 # per-run counters of the benchmark's process tree: name -> getrusage field
 PROCESS = {"user_s": "ru_utime", "sys_s": "ru_stime", "minor_faults": "ru_minflt"}
+# two-sided, fixed before any run: at 10 pairs it takes 9 or more wins (or losses)
+SIGN_TEST_LEVEL = 0.05
 METHOD = (
     "Parent and change each run from their own checkout with identical benchmark files. "
     "Pairs alternate which side runs first (change first in odd pairs). Each run's metric "
@@ -44,7 +51,10 @@ METHOD = (
     "counts pairs in which the change reads better; verdict is better (every change run "
     "beats every parent run), else unresolved (parent quartile spread over its median "
     "above the bound), else regressed (change median worse than the parent's by more than "
-    "the bound), else within_bound."
+    "the bound), else within_bound. pair_ratio is the median and quartiles of the per-pair "
+    "ratio change/parent; sign_test_p is the two-sided sign test of change_wins against "
+    "change_losses (ties dropped), and paired_verdict is better or worse when sign_test_p is "
+    f"at most {SIGN_TEST_LEVEL} (the side with more pairs), else none."
 )
 
 
@@ -122,6 +132,37 @@ def verdict(runs: dict, better: str, bound: float) -> str:
     return "within_bound"
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided sign-test p: the exact binomial(wins + losses, 1/2) tail, doubled."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
+def paired(runs: dict, better: str) -> dict:
+    """One metric's reading pair by pair, so that drift shared by a pair's two runs cancels.
+
+    The per-pair ratio change/parent (median and quartiles), the pairs the change wins
+    and loses in the metric's direction and the ties, the sign-test p of wins against
+    losses, and ``paired_verdict``: ``better`` or ``worse`` when p is at most
+    SIGN_TEST_LEVEL, for the side with more pairs, else ``none``.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = (np.asarray(runs[side], dtype=float) for side in SIDES)
+    gain = sign * (parent - change)
+    wins, losses = int((gain > 0).sum()), int((gain < 0).sum())
+    p = sign_test_p(wins, losses)
+    q1, median, q3 = np.percentile(change / parent, [25, 50, 75])
+    return {
+        "pair_ratio": {"median": round(float(median), 4), "q1": round(float(q1), 4),
+                       "q3": round(float(q3), 4)},
+        "change_wins": wins, "change_losses": losses, "ties": len(gain) - wins - losses,
+        "sign_test_p": round(p, 4),
+        "paired_verdict": ("none" if p > SIGN_TEST_LEVEL
+                           else "better" if wins > losses else "worse"),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
@@ -162,14 +203,12 @@ def main(argv=None) -> int:
     for spec in contract["end_to_end"]:
         name = spec["name"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
-        sign = 1.0 if spec["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
         parent, change = summarize(runs["parent"]), summarize(runs["change"])
         metrics[name] = {
             "unit": spec["unit"], "bound": spec["bound"], "parent": parent, "change": change,
             "change_over_parent": round(change["median"] / parent["median"], 4),
-            "change_wins": wins,
             "verdict": verdict(runs, spec["better"], spec["bound"]),
+            **paired(runs, spec["better"]),
         }
     entry = {
         "seed": args.seed,
@@ -193,7 +232,8 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(", ".join(f"{name}: {m['verdict']}" for name, m in metrics.items()))
+    print(", ".join(f"{name}: {m['verdict']} (paired: {m['paired_verdict']})"
+                    for name, m in metrics.items()))
     print(f"wrote {path}")
     return 0
 
