@@ -17,7 +17,12 @@ k_i = i + max(1, running max of ceil(t_j / dt - 1e-9) - j), and a stop at the
 first arrival past T or past the last step.  A path whose block does not reach
 its stop is drawn again by ``_jump_step_indices``.  The marks of a compound
 path follow its gaps in the same stream, so a path with arrivals replays
-exactly its N + 1 gaps before its one ``integers`` call.
+exactly its N + 1 gaps before it draws its marks (``_fair_signs``, the draw of
+``integers(0, 2)`` read off raw words).  A batch keeps its jumps as the list of
+particles (row, step, mark) it snapped, sorted by row and then by step, with
+the drift between jumps (-dt for N~, 0 for M): ``SamplePath.particles``, which
+``select`` slices and ``rotate`` scales.  The dense jump array is that list
+scattered into zeros.
 
 Per-path draws hold the interpreter lock, one short call per path, while the
 vectorized reductions around them release it.  Every per-key loop therefore
@@ -28,6 +33,7 @@ handing the interpreter lock back and forth at every path.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 
@@ -39,6 +45,7 @@ from .grid import (
     CHANNEL_COMPOUND,
     CHANNEL_HAT,
     CHANNEL_POISSON,
+    Particles,
     RngStream,
     SamplePath,
     TimeGrid,
@@ -80,13 +87,15 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
 
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
     bit-for-bit at every grid point because the levels, computed on first
-    read, are combined directly; the jump part is c2 times that of p2.
+    read, are combined directly; the jump part is c2 times that of p2, and so
+    are the marks of a particle list p2 carries.
     """
     grid = require_same_grid(p1, p2)
     increments = c1 * p1.increments + c2 * p2.increments
     jumps = None if p2.jump_increments is None else c2 * p2.jump_increments
+    particles = None if p2._particles is None else p2._particles.scaled(c2)
     return SamplePath(grid, increments, jump_increments=jumps,
-                      _levels=lambda: c1 * p1.values + c2 * p2.values)
+                      _levels=lambda: c1 * p1.values + c2 * p2.values, _particles=particles)
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
@@ -99,20 +108,25 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
 
     Levels at every grid point t_k >= u are increased by exactly a (on first
     read); the increments are unchanged except at the snap step, whose
-    increment grows by a.
+    increment grows by a.  The lent jump is not one of the path's jumps: the
+    jump part and the particle list stay those of the path, the list without
+    its drift, which no longer gives every step without a jump.
     """
     grid = path.grid
     k = grid.index_at_or_after(u)
     inc = path.increments.copy()
     inc[..., k - 1] += a
     jumps = None if path.jump_increments is None else path.jump_increments.copy()
+    particles = path._particles
+    if particles is not None:
+        particles = dataclasses.replace(particles, drift=None)
 
     def levels():
         values = path.values.copy()
         values[..., k:] += a
         return values
 
-    return SamplePath(grid, inc, jumps, _levels=levels)
+    return SamplePath(grid, inc, jumps, _levels=levels, _particles=particles)
 
 
 # --- batch simulation -------------------------------------------------------
@@ -221,9 +235,25 @@ def _normal_batch(grid: TimeGrid, count: int, generators) -> SamplePath:
     return SamplePath(grid, inc)
 
 
+def _fair_signs(gen: np.random.Generator, n: int) -> list:
+    """``gen.integers(0, 2, size=n) * 2.0 - 1.0`` bit for bit, as a list of floats.
+
+    integers draws a range of 2 by Lemire's method on the generator's uint32s,
+    which keeps the top bit of each; Philox hands out the low half of a 64-bit
+    word, then the high half.  So the k-th mark is bit 31, then bit 63, of the
+    raw words, read without the per-call cost of integers (~5 us, most of it a
+    Python-level size computation).
+    """
+    out = []
+    for word in gen.bit_generator.random_raw((n + 1) // 2).tolist():
+        out += (float(word >> 30 & 2) - 1.0, float(word >> 62 & 2) - 1.0)
+    return out[:n]
+
+
 def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
-                channel: int, signed: bool) -> np.ndarray:
-    """Jump part of each path: unit marks, or fair +-1 marks when ``signed``."""
+                channel: int, signed: bool, drift: float) -> tuple[np.ndarray, Particles]:
+    """Jump part of each path, dense and as particles: unit marks, or fair +-1 marks
+    when ``signed``; ``drift`` is the path's increment between jumps."""
     gaps = np.empty((count, _GAP_BLOCK))
     with _DRAW_LOCK:
         for row, gen in zip(gaps, _keyed_generators(master_seed, channel,
@@ -238,22 +268,31 @@ def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
     n_kept = kept.sum(axis=1)
     unstopped = n_kept == _GAP_BLOCK  # drawn again, gap by gap
     kept[unstopped] = False
-    jumps = np.zeros((count, grid.n_steps))
-    marks = np.ones_like(arrivals)
+    rows, cols = np.nonzero(kept)
+    steps = steps[rows, cols].astype(np.intp) - 1
+    signs = []  # the marks of the kept jumps, in their order, when signed
+    redrawn = []  # (row, steps, marks) of each path drawn gap by gap
     redo = np.flatnonzero(n_kept > 0 if signed else unstopped)
     keys = start + redo if start + count <= _MASK32 else [start + int(i) for i in redo]
     with _DRAW_LOCK:
         for i, gen in zip(redo, _keyed_generators(master_seed, channel, keys, 0)):
             if unstopped[i]:
-                idx = np.asarray(_jump_step_indices(gen, grid), dtype=int)
-                jumps[i, idx - 1] = (gen.integers(0, 2, size=idx.size) * 2.0 - 1.0
-                                     if signed else 1.0)
+                idx = np.asarray(_jump_step_indices(gen, grid), dtype=np.intp) - 1
+                redrawn.append((i, idx, _fair_signs(gen, idx.size) if signed else 1.0))
             else:  # replay the gaps, up to the one past the stop, then draw the marks
                 gen.standard_exponential(n_kept[i] + 1)
-                marks[i, :n_kept[i]] = gen.integers(0, 2, size=n_kept[i]) * 2.0 - 1.0
-    rows, cols = np.nonzero(kept)
-    jumps[rows, steps[rows, cols].astype(np.intp) - 1] = marks[rows, cols]
-    return jumps
+                signs += _fair_signs(gen, n_kept[i])
+    marks = np.array(signs) if signed else np.ones(rows.size)
+    if redrawn:  # merged in by row; a row's steps come from one route, in order
+        rows = np.concatenate([rows] + [np.full(idx.size, i) for i, idx, _ in redrawn])
+        by_row = np.argsort(rows, kind="stable")
+        rows = rows[by_row]
+        steps = np.concatenate([steps] + [idx for _, idx, _ in redrawn])[by_row]
+        marks = np.concatenate([marks] + [np.broadcast_to(m, idx.shape)
+                                          for _, idx, m in redrawn])[by_row]
+    jumps = np.zeros((count, grid.n_steps))
+    jumps[rows, steps] = marks
+    return jumps, Particles((count,), rows, steps, marks, drift)
 
 
 def brownian_batch(
@@ -277,14 +316,16 @@ def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: i
 
 
 def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps = _jump_batch(grid, master_seed, start, count, CHANNEL_POISSON, signed=False)
-    return SamplePath(grid, jumps - grid.dt, jump_increments=jumps)
+    jumps, particles = _jump_batch(grid, master_seed, start, count, CHANNEL_POISSON,
+                                   signed=False, drift=-grid.dt)
+    return SamplePath(grid, jumps - grid.dt, jump_increments=jumps, _particles=particles)
 
 
 def compound_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps = _jump_batch(grid, master_seed, start, count, CHANNEL_COMPOUND, signed=True)
+    jumps, particles = _jump_batch(grid, master_seed, start, count, CHANNEL_COMPOUND,
+                                   signed=True, drift=0.0)
     # a pure-jump path: increments and jump part are one array, which nothing writes to
-    return SamplePath(grid, jumps, jump_increments=jumps)
+    return SamplePath(grid, jumps, jump_increments=jumps, _particles=particles)
 
 
 DRIVER_BATCHES = {

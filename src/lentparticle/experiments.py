@@ -430,7 +430,7 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
 
     def batch(start, count):
         M = martingale_batch("compound", grid, cfg.master_seed, start, count)
-        single = np.count_nonzero(M.jump_increments, axis=-1) == 1
+        single = M.particles.counts() == 1
         if not single.any():
             return {"single": single, "debiased": np.empty(0), "oracle": np.empty(0)}
         # the estimator runs on the single-jump paths alone, and only their B is drawn:

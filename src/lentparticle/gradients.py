@@ -148,21 +148,22 @@ def lent_particle_sde_poisson(
     With the symmetric compound driver on a single-jump path the difference's
     limit is J_1 * D_{U_1} X_t, so ``value`` is D_{U_1} X_t there; for a mark
     J_1 = +-1 the division is exact.  u is the first jump time U_1, J_1 its
-    mark and ``analytic`` the flow form of D_{U_1} X_t, per path on a batch, so
-    every path of M needs a jump.  B, Y^theta and Y^-theta are the rows of one
-    Euler pass.
+    mark (each path's first particle) and ``analytic`` the flow form of
+    D_{U_1} X_t, per path on a batch, so every path of M needs a jump.  B,
+    Y^theta and Y^-theta are the rows of one Euler pass.
     """
     require_step("theta", theta)
     grid = require_same_grid(brownian, martingale)
     m = grid.index_of(t)
     if m == 0:
         raise ConfigurationError(f"t={t} not a positive grid time")
-    jumps = martingale.jump_increments
-    jumped = np.zeros(1, bool) if jumps is None else jumps != 0.0
-    if not jumped.any(axis=-1).all():
+    jumps = martingale.particles
+    counts = np.zeros(1, int) if jumps is None else jumps.counts().ravel()
+    if not counts.all():
         raise ConfigurationError("every martingale path needs a jump")
-    k = np.argmax(jumped, axis=-1) + 1
-    mark = np.take_along_axis(jumps, np.expand_dims(k - 1, -1), axis=-1)[..., 0]
+    first = np.cumsum(counts) - counts  # each path's first particle
+    k = (jumps.steps[first] + 1).reshape(jumps.shape)[()]
+    mark = jumps.marks[first].reshape(jumps.shape)[()]
     rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
             rotate(brownian, martingale, -theta).increments]
     (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))

@@ -13,6 +13,7 @@ every operation in this package is written against the last axis.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -68,8 +69,12 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """The step k with t_k = t; ConfigurationError for a t that is no grid point."""
         # every grid time lies in [0, T]; a t outside [-T, 2T] (or NaN) is refused
-        # before t / dt, which can overflow
-        k = round(t / self.dt) if abs(t) - self.horizon <= self.horizon else -1
+        # before t / dt, which can overflow, and so is an int that no float holds
+        try:
+            near = abs(t) - self.horizon <= self.horizon
+        except OverflowError:
+            near = False
+        k = round(t / self.dt) if near else -1
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > 1e-9 * self.horizon:
             raise ConfigurationError(
                 f"time {t} is not a point of the {self.n_steps}-step grid of [0, {self.horizon}]")
@@ -95,17 +100,66 @@ class RngStream:
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+@dataclass(frozen=True, eq=False)
+class Particles:
+    """The jumps of a path or batch as a list of particles, N = sum_i eps_(u_i, J_i).
+
+    Particle i is a jump of size ``marks[i]`` over step ``steps[i]`` (the
+    increment over (t_s, t_{s+1}]) of path ``rows[i]``, a row of the batch's
+    leading axes ``shape`` flattened in C order (row 0 for a single path).  The
+    list is sorted by row, then by step, and holds no zero mark.  ``drift`` is
+    the increment of every step without a jump when the path is exactly its
+    jumps plus that constant, as a driver path is (-dt for the compensated
+    Poisson driver, 0 for the compound one); None on any other path.
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    steps: np.ndarray
+    marks: np.ndarray
+    drift: float | None = None
+
+    @classmethod
+    def of(cls, jumps: np.ndarray) -> "Particles":
+        """The list of the nonzero entries of a dense jump array."""
+        flat = jumps.reshape(-1, jumps.shape[-1])
+        rows, steps = np.nonzero(flat)
+        return cls(jumps.shape[:-1], rows, steps, flat[rows, steps])
+
+    def counts(self) -> np.ndarray:
+        """The number of jumps of each path, shaped as the batch."""
+        return np.bincount(self.rows, minlength=math.prod(self.shape)).reshape(self.shape)
+
+    def select(self, index) -> "Particles":
+        """The particles of the paths a batch index picks, renumbered in the picked order."""
+        n = math.prod(self.shape)
+        picked = np.arange(n).reshape(self.shape)[index]
+        starts = np.searchsorted(self.rows, np.arange(n + 1))
+        first, counts = starts[picked.ravel()], np.diff(starts)[picked.ravel()]
+        rows = np.repeat(np.arange(picked.size), counts)
+        take = np.arange(rows.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        return Particles(picked.shape, rows, self.steps[take], self.marks[take], self.drift)
+
+    def scaled(self, c: float) -> "Particles":
+        """The jumps times c, as on c * path plus a continuous part: no drift."""
+        marks = c * self.marks
+        kept = marks != 0.0
+        return Particles(self.shape, self.rows[kept], self.steps[kept], marks[kept])
+
+
 @dataclass
 class SamplePath:
     """One driver path (or a batch of them) on a shared grid.
 
     ``increments[..., j]`` is the change over (t_j, t_{j+1}];
     ``jump_increments`` is the pure-jump part of each increment (None for
-    continuous drivers, Brownian paths included); ``values`` holds the levels
-    at the grid points, with value 0 at t_0.  They are computed on first read
-    and cached: by ``_levels`` when a path built from others records how (so
-    the levels stay bit-exact at every grid point), else as the cumulative sum
-    of the increments.
+    continuous drivers, Brownian paths included), and ``particles`` the same
+    jumps as a list: the one a jump driver records as it draws them, or, on a
+    path built by hand, the nonzero jump increments, read on first use.
+    ``values`` holds the levels at the grid points, with value 0 at t_0.  They
+    are computed on first read and cached: by ``_levels`` when a path built
+    from others records how (so the levels stay bit-exact at every grid point),
+    else as the cumulative sum of the increments.
     """
 
     grid: TimeGrid
@@ -113,6 +167,7 @@ class SamplePath:
     jump_increments: np.ndarray | None = None
     _values: np.ndarray | None = field(default=None, repr=False)
     _levels: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _particles: Particles | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
@@ -135,10 +190,18 @@ class SamplePath:
                 np.cumsum(self.increments, axis=-1, out=self._values[..., 1:])
         return self._values
 
+    @property
+    def particles(self) -> Particles | None:
+        """The jumps as a list of particles; None for a continuous path."""
+        if self._particles is None and self.jump_increments is not None:
+            self._particles = Particles.of(self.jump_increments)
+        return self._particles
+
     def select(self, index) -> "SamplePath":
         """Extract one path (or a sub-batch) from a batch."""
         jumps = None if self.jump_increments is None else self.jump_increments[index]
-        path = SamplePath(self.grid, self.increments[index], jumps)
+        particles = None if self._particles is None else self._particles.select(index)
+        path = SamplePath(self.grid, self.increments[index], jumps, _particles=particles)
         if self._values is not None:
             path._values = self._values[index]
         elif self._levels is not None:  # stays lazy; one read fills this batch's cache

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lentparticle import chaos
 from lentparticle.chaos import (
     RotatedChaos,
     chaotic_extension,
@@ -402,6 +404,75 @@ class TestRotatedChaos:
             RotatedChaos(F, B, other)
         with pytest.raises(ConfigurationError, match="finite"):
             RotatedChaos(F, B, B)(math.nan)
+
+
+class TestParticleRoute:
+    """RotatedChaos on a driver's particle list against the dense mixed sums of the
+    same path, handed over without the list; the recursion tests above read the
+    list route too, since their jump drivers carry one."""
+
+    ANGLES = (0.0, math.pi / 2, 0.7)
+
+    @staticmethod
+    def _functional():
+        kernels = TestRotatedChaos._kernels
+        return ChaosVector(0.25, tuple(make_functional("three-term").kernels)
+                           + tuple(k for n in range(1, 6) for k in kernels(n)))
+
+    @classmethod
+    def _largest_gap(cls, F, B, M, particles):
+        """max |list route - dense route| over kernels and angles, over the largest |value|."""
+        dense = RotatedChaos(F, B, SamplePath(M.grid, M.increments, M.jump_increments))
+        listed = RotatedChaos(F, B, SamplePath(M.grid, M.increments, M.jump_increments,
+                                               _particles=particles))
+        pairs = [(got, want) for theta in cls.ANGLES
+                 for got, want in zip(listed.integrals(theta), dense.integrals(theta))]
+        scale = max(np.max(np.abs(want)) for _, want in pairs)
+        return max(np.max(np.abs(got - want)) for got, want in pairs) / scale
+
+    @pytest.mark.parametrize("rows", ["all", "jump-free"])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_matches_the_dense_sums(self, monkeypatch, kind, rows):
+        grid = TimeGrid(1.0, 200)
+        B, M = _drivers(kind, grid, 64)
+        counts = M.particles.counts()
+        assert set(np.minimum(counts, 3).tolist()) == {0, 1, 2, 3}
+        if rows == "jump-free":
+            B, M = B.select(counts == 0), M.select(counts == 0)
+            assert M.particles.rows.size == 0 and M.increments.shape[0] > 0
+        F = self._functional()
+        dense_sums = chaos._mixed_sums
+
+        def dense_only_without_a_list(weights, b, m):
+            raise AssertionError("a driver path took the dense route")
+
+        monkeypatch.setattr(chaos, "_mixed_sums", dense_only_without_a_list)
+        listed = RotatedChaos(F, B, M)
+        monkeypatch.setattr(chaos, "_mixed_sums", dense_sums)
+        assert listed(0.7).shape == (M.increments.shape[0],)
+        assert self._largest_gap(F, B, M, M.particles) <= 1e-12
+
+    def test_a_list_without_the_compensator_fails(self):
+        grid = TimeGrid(1.0, 200)
+        B, N = _drivers("poisson", grid, 64)
+        assert N.particles.drift == -grid.dt
+        dropped = dataclasses.replace(N.particles, drift=0.0)  # N~ read as N alone
+        assert self._largest_gap(self._functional(), B, N, dropped) > 1e-3
+
+    @pytest.mark.parametrize("how", ["hand-built", "rotated", "single-M-batch-B"])
+    def test_other_martingales_take_the_dense_route(self, monkeypatch, how):
+        grid = TimeGrid(1.0, 50)
+        B, M = _drivers("poisson", grid, 6)
+        martingale = {"hand-built": SamplePath(grid, M.increments, M.jump_increments),
+                      "rotated": rotate(B, M, 0.7), "single-M-batch-B": M.select(2)}[how]
+        called = []
+
+        def particle_sums(*args):
+            called.append(1)
+
+        monkeypatch.setattr(chaos, "_particle_sums", particle_sums)
+        RotatedChaos(make_functional("three-term"), B, martingale)
+        assert not called
 
 
 class TestChaosEvaluation:

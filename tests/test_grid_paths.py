@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from lentparticle.grid import (
     CHANNEL_COMPOUND,
     CHANNEL_HAT,
     CHANNEL_POISSON,
+    Particles,
     RngStream,
     SamplePath,
     TimeGrid,
@@ -58,9 +60,12 @@ class TestTimeGrid:
         assert grid.index_of(0.1 + 0.2) == 15  # representation error is not an offset
 
     @pytest.mark.parametrize("t", [0.82, 0.88, -1.0 / 7, 8.0 / 7, float("nan"), float("inf"),
-                                   1e308, -1e308])
+                                   1e308, -1e308,
+                                   pytest.param(10**400, id="int-past-every-float"),
+                                   pytest.param(-10**400, id="negative-int-past-every-float")])
     def test_index_of_rejects_other_times(self, t):
-        # on 7 steps 0.82 and 0.88 both round to the step at 6/7; for 1e308 t / dt is inf
+        # on 7 steps 0.82 and 0.88 both round to the step at 6/7; for 1e308 t / dt is inf,
+        # and 10**400 converts to no float at all
         with pytest.raises(ConfigurationError, match="not a point of the 7-step grid"):
             TimeGrid(1.0, 7).index_of(t)
 
@@ -290,6 +295,78 @@ class TestSamplePath:
         b = SamplePath(other, np.zeros(other.n_steps))
         with pytest.raises(ConfigurationError):
             require_same_grid(a, b)
+
+
+class TestParticles:
+    """A jump driver's own particle list against the nonzero entries of its dense jumps."""
+
+    @staticmethod
+    def _assert_lists_the_jumps(path):
+        got, want = path._particles, Particles.of(path.jump_increments)
+        assert got is not None and got.shape == path.jump_increments.shape[:-1]
+        for name in ("rows", "steps", "marks"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("horizon, n_steps, seed, start, count", [
+        (12.0, 400, SEED, 0, 60),  # N_T + 1 > 6 gaps on most paths: the gap-by-gap route
+        (1.0, 1000, SEED, 0, 400),
+        (2.0, 40, SEED, 2**32 - 3, 6),  # crosses to the per-key route
+        (2.0, 40, 2**32, 0, 5), (12.0, 400, SEED, 2**64, 60),  # keys past uint32
+    ])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_driver_list_is_the_nonzero_jumps(self, kind, horizon, n_steps, seed, start, count):
+        grid = TimeGrid(horizon, n_steps)
+        M = martingale_batch(kind, grid, seed, start, count)
+        self._assert_lists_the_jumps(M)
+        counts = M.particles.counts()
+        assert counts.tolist() == np.count_nonzero(M.jump_increments, axis=-1).tolist()
+        if horizon == 12.0:  # most rows drawn gap by gap, merged by row with the rest
+            assert (counts > 5).sum() > count / 2
+        # the path is exactly its particles plus the drift
+        drift = {"poisson": -grid.dt, "compound": 0.0}[kind]
+        assert M.particles.drift == drift
+        expected = np.zeros(M.increments.shape) + drift
+        expected[M.particles.rows, M.particles.steps] = M.particles.marks + drift
+        assert M.increments.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_select_rotate_and_lent_jump_keep_the_list(self, kind):
+        grid = TimeGrid(3.0, 300)
+        B = martingale_batch("brownian", grid, SEED, 0, 12)
+        M = martingale_batch(kind, grid, SEED, 0, 12)
+        counts = M.particles.counts()
+        for index in (3, -1, slice(2, 9), slice(None, None, -2), counts == 1, counts > 2,
+                      [7, 0, 7, 4], np.array([], dtype=int)):
+            sub = M.select(index)
+            self._assert_lists_the_jumps(sub)
+            assert sub.particles.drift == M.particles.drift
+            if np.size(sub.increments) > grid.n_steps:  # a batch of more than one path
+                self._assert_lists_the_jumps(sub.select(1))
+        for theta in (0.0, 0.7, math.pi / 2, -2.0):  # none left at 0, where c2 = 0
+            Y = rotate(B, M, theta)
+            self._assert_lists_the_jumps(Y)
+            assert Y.particles.drift is None  # Y has a continuous part
+        bumped = add_unit_jump(M, 0.4, 0.25)
+        self._assert_lists_the_jumps(bumped)
+        assert bumped.particles.drift is None  # the lent jump's step is not the drift
+
+    def test_hand_built_path_reads_its_list_off_the_dense_jumps(self):
+        grid = TimeGrid(1.0, 10)
+        jumps = np.zeros((2, 3, 10))
+        jumps[0, 1, [2, 7]] = (0.5, -1.5)
+        jumps[1, 2, 0] = 2.0
+        path = SamplePath(grid, jumps, jump_increments=jumps)
+        assert path._particles is None
+        particles = path.particles
+        assert particles.shape == (2, 3) and particles.drift is None
+        assert particles.rows.tolist() == [1, 1, 5]
+        assert particles.steps.tolist() == [2, 7, 0]
+        assert particles.marks.tolist() == [0.5, -1.5, 2.0]
+        assert particles.counts().tolist() == [[0, 2, 0], [0, 0, 1]]
+        one = particles.select((0, 1))
+        assert one.shape == () and one.steps.tolist() == [2, 7]
+        assert SamplePath(grid, np.zeros(10)).particles is None
 
 
 class TestDrivers:
