@@ -231,7 +231,8 @@ class RotatedChaos:
 
     The mixed sums of every block of every kernel of F are reduced once, at
     construction: over the martingale's particles when it is a driver path
-    spanning the batch (``_particle_sums``), else dense (``_mixed_sums``).
+    spanning the batch (``_particle_sums``), which never builds its dense
+    arrays, else dense (``_mixed_sums``).
     Each angle then costs a polynomial in (cos, sin) per block and the
     partition terms per kernel.  (cos, sin) are those of drivers.rotate,
     clamped at multiples of pi/2.
@@ -239,9 +240,10 @@ class RotatedChaos:
 
     def __init__(self, F: ChaosVector, brownian: SamplePath, martingale: SamplePath):
         require_same_grid(brownian, martingale)
-        b, m = brownian.increments, martingale.increments
+        b, jumps = brownian.increments, martingale.particles
         self.constant = float(F.constant)
-        self.shape = np.broadcast_shapes(b.shape, m.shape)[:-1]
+        self.shape = np.broadcast_shapes(
+            b.shape[:-1], martingale.increments.shape[:-1] if jumps is None else jumps.shape)
         self._terms = []  # per kernel: (weight, [(coefficient, block keys)])
         weights = {}  # block key -> (block size, block weight on the grid)
         for kernel in F.kernels:
@@ -260,11 +262,10 @@ class RotatedChaos:
                     keys.append(key)
                 terms.append((coef, keys))
             self._terms.append((kernel.weight, terms))
-        jumps = martingale.particles
         if not weights:
             self._sums = {}
         elif jumps is None or jumps.drift is None or jumps.shape != self.shape:
-            self._sums = _mixed_sums(weights, b, m)
+            self._sums = _mixed_sums(weights, b, martingale.increments)
         else:  # a driver's particles spanning the batch
             self._sums = _particle_sums(weights, b, jumps)
 
@@ -328,9 +329,11 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     continuous drift of the martingale (the compensator of a compensated Poisson
     driver) rides in V through the plain increment sums.  V's continuous part is
     c sum h b + s sum h m_c for (c, s) those of drivers.rotate, so two fixed-order
-    row reductions serve every angle.  The product runs over the particles
-    only, in step order: a step without a jump has the factor 1.0 exactly, so it
-    is bit for bit the product over every step.
+    row reductions serve every angle.  On a driver's list m_c is built directly:
+    the drift d at every step and (J + d) - J at each particle, the values of
+    increments - jump_increments without building either.  The product runs over
+    the particles only, in step order: a step without a jump has the factor 1.0
+    exactly, so it is bit for bit the product over every step.
 
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
@@ -338,10 +341,15 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     grid = require_same_grid(brownian, martingale)
     h_grid = h.on_grid(grid)
     widths, values = np.diff(np.clip(h.breakpoints, 0.0, grid.horizon)), np.asarray(h.values)
-    cont, jumps = martingale.increments, martingale.particles
-    if jumps is not None:
-        cont = cont - martingale.jump_increments
-        h_at = h_grid[jumps.steps]
+    jumps = martingale.particles
+    if jumps is None:
+        cont = martingale.increments
+    elif jumps.drift is None:
+        cont = martingale.increments - martingale.jump_increments
+    else:  # a driver's increments - jump_increments, value for value, from its list
+        d = jumps.drift
+        cont = jumps.scatter(grid.n_steps, (jumps.marks + d) - jumps.marks, d)
+    h_at = None if jumps is None else h_grid[jumps.steps]
     sb, sm = (np.einsum("...j,j->...", x, h_grid) for x in (brownian.increments, cont))
     out = []
     for c, s in angles:

@@ -18,11 +18,11 @@ first arrival past T or past the last step.  A path whose block does not reach
 its stop is drawn again by ``_jump_step_indices``.  The marks of a compound
 path follow its gaps in the same stream, so a path with arrivals replays
 exactly its N + 1 gaps before it draws its marks (``_fair_signs``, the draw of
-``integers(0, 2)`` read off raw words).  A batch keeps its jumps as the list of
-particles (row, step, mark) it snapped, sorted by row and then by step, with
-the drift between jumps (-dt for N~, 0 for M): ``SamplePath.particles``, which
-``select`` slices and ``rotate`` scales.  The dense jump array is that list
-scattered into zeros.
+``integers(0, 2)`` read off raw words).  A batch is the list of particles
+(row, step, mark) it snapped, sorted by row and then by step, with the drift
+between jumps (-dt for N~, 0 for M): ``SamplePath.particles``, which ``select``
+slices and ``rotate`` scales.  Its dense jump and increment arrays are built
+from that list on first read.
 
 Per-path draws hold the interpreter lock, one short call per path, while the
 vectorized reductions around them release it.  Every per-key loop therefore
@@ -87,15 +87,14 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
 
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
     bit-for-bit at every grid point because the levels, computed on first
-    read, are combined directly; the jump part is c2 times that of p2, and so
-    are the marks of a particle list p2 carries.
+    read, are combined directly; the jump part is p2's particle list with its
+    marks times c2, scattered into zeros on first read.
     """
     grid = require_same_grid(p1, p2)
     increments = c1 * p1.increments + c2 * p2.increments
-    jumps = None if p2.jump_increments is None else c2 * p2.jump_increments
-    particles = None if p2._particles is None else p2._particles.scaled(c2)
-    return SamplePath(grid, increments, jump_increments=jumps,
-                      _levels=lambda: c1 * p1.values + c2 * p2.values, _particles=particles)
+    particles = None if p2.particles is None else p2.particles.scaled(c2)
+    return SamplePath(grid, increments, _levels=lambda: c1 * p1.values + c2 * p2.values,
+                      _particles=particles)
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
@@ -109,14 +108,13 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
     Levels at every grid point t_k >= u are increased by exactly a (on first
     read); the increments are unchanged except at the snap step, whose
     increment grows by a.  The lent jump is not one of the path's jumps: the
-    jump part and the particle list stay those of the path, the list without
-    its drift, which no longer gives every step without a jump.
+    jump part (shared, if built) and the particle list stay those of the path,
+    the list without its drift, which no longer gives every step without a jump.
     """
     grid = path.grid
     k = grid.index_at_or_after(u)
     inc = path.increments.copy()
     inc[..., k - 1] += a
-    jumps = None if path.jump_increments is None else path.jump_increments.copy()
     particles = path._particles
     if particles is not None:
         particles = dataclasses.replace(particles, drift=None)
@@ -126,7 +124,7 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
         values[..., k:] += a
         return values
 
-    return SamplePath(grid, inc, jumps, _levels=levels, _particles=particles)
+    return SamplePath(grid, inc, path._jump_increments, _levels=levels, _particles=particles)
 
 
 # --- batch simulation -------------------------------------------------------
@@ -251,9 +249,9 @@ def _fair_signs(gen: np.random.Generator, n: int) -> list:
 
 
 def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
-                channel: int, signed: bool, drift: float) -> tuple[np.ndarray, Particles]:
-    """Jump part of each path, dense and as particles: unit marks, or fair +-1 marks
-    when ``signed``; ``drift`` is the path's increment between jumps."""
+                channel: int, signed: bool, drift: float) -> Particles:
+    """The jumps of each path as particles: unit marks, or fair +-1 marks when
+    ``signed``; ``drift`` is the path's increment between jumps."""
     gaps = np.empty((count, _GAP_BLOCK))
     with _DRAW_LOCK:
         for row, gen in zip(gaps, _keyed_generators(master_seed, channel,
@@ -290,9 +288,7 @@ def _jump_batch(grid: TimeGrid, master_seed: int, start: int, count: int,
         steps = np.concatenate([steps] + [idx for _, idx, _ in redrawn])[by_row]
         marks = np.concatenate([marks] + [np.broadcast_to(m, idx.shape)
                                           for _, idx, m in redrawn])[by_row]
-    jumps = np.zeros((count, grid.n_steps))
-    jumps[rows, steps] = marks
-    return jumps, Particles((count,), rows, steps, marks, drift)
+    return Particles((count,), rows, steps, marks, drift)
 
 
 def brownian_batch(
@@ -316,16 +312,14 @@ def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: i
 
 
 def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps, particles = _jump_batch(grid, master_seed, start, count, CHANNEL_POISSON,
-                                   signed=False, drift=-grid.dt)
-    return SamplePath(grid, jumps - grid.dt, jump_increments=jumps, _particles=particles)
+    return SamplePath(grid, _particles=_jump_batch(grid, master_seed, start, count,
+                                                   CHANNEL_POISSON, signed=False, drift=-grid.dt))
 
 
 def compound_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    jumps, particles = _jump_batch(grid, master_seed, start, count, CHANNEL_COMPOUND,
-                                   signed=True, drift=0.0)
-    # a pure-jump path: increments and jump part are one array, which nothing writes to
-    return SamplePath(grid, jumps, jump_increments=jumps, _particles=particles)
+    # a pure-jump path: once built, increments and jump part are one array
+    return SamplePath(grid, _particles=_jump_batch(grid, master_seed, start, count,
+                                                   CHANNEL_COMPOUND, signed=True, drift=0.0))
 
 
 DRIVER_BATCHES = {

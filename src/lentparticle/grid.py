@@ -2,9 +2,10 @@
 
 All driving processes live on a shared uniform grid of [0, T].  A path is
 stored as per-step increments; its levels at the grid points are computed on
-first read and cached.  Jump-type drivers additionally carry the pure-jump
-part of each increment so that downstream code can separate jumps from
-continuous drift.
+first read and cached.  A jump-type driver is stored as its list of particles
+and the drift between them, from which its increments and their pure-jump
+part are built on first read, so that downstream code can separate jumps from
+continuous drift without either.
 
 Arrays may carry a leading batch dimension: ``increments`` has shape
 ``(n_steps,)`` for a single path or ``(n_paths, n_steps)`` for a batch, and
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,6 +141,12 @@ class Particles:
         take = np.arange(rows.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         return Particles(picked.shape, rows, self.steps[take], self.marks[take], self.drift)
 
+    def scatter(self, n_steps: int, values, fill: float = 0.0) -> np.ndarray:
+        """The (shape..., n_steps) array of ``fill`` with ``values`` at the particles."""
+        out = np.full(self.shape + (n_steps,), fill)
+        out.reshape(-1, n_steps)[self.rows, self.steps] = values
+        return out
+
     def scaled(self, c: float) -> "Particles":
         """The jumps times c, as on c * path plus a continuous part: no drift."""
         marks = c * self.marks
@@ -147,38 +154,57 @@ class Particles:
         return Particles(self.shape, self.rows[kept], self.steps[kept], marks[kept])
 
 
-@dataclass
 class SamplePath:
     """One driver path (or a batch of them) on a shared grid.
 
     ``increments[..., j]`` is the change over (t_j, t_{j+1}];
     ``jump_increments`` is the pure-jump part of each increment (None for
     continuous drivers, Brownian paths included), and ``particles`` the same
-    jumps as a list: the one a jump driver records as it draws them, or, on a
-    path built by hand, the nonzero jump increments, read on first use.
+    jumps as a list.  A jump driver's path is its list alone: the particles it
+    drew and the drift between them.  Its dense ``jump_increments`` (the list
+    scattered into zeros) and ``increments`` (the list scattered onto the drift,
+    the jump part itself when the drift is 0) are built on first read and
+    cached, and ``select`` slices the list, so a selection builds only its own
+    rows.  A path built from others takes its increments as given and its jump
+    part from its list the same way; on a path built by hand from dense
+    arrays the list is the nonzero jump increments, read on first use.
     ``values`` holds the levels at the grid points, with value 0 at t_0.  They
     are computed on first read and cached: by ``_levels`` when a path built
     from others records how (so the levels stay bit-exact at every grid point),
     else as the cumulative sum of the increments.
     """
 
-    grid: TimeGrid
-    increments: np.ndarray
-    jump_increments: np.ndarray | None = None
-    _values: np.ndarray | None = field(default=None, repr=False)
-    _levels: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _particles: Particles | None = field(default=None, repr=False, compare=False)
+    def __init__(self, grid: TimeGrid, increments=None, jump_increments=None, *,
+                 _values: np.ndarray | None = None,
+                 _levels: Callable[[], np.ndarray] | None = None,
+                 _particles: Particles | None = None):
+        self.grid, self._particles = grid, _particles
+        self._values, self._levels = _values, _levels
+        self._increments, self._jump_increments = (None if a is None else np.asarray(a, dtype=float)
+                                                   for a in (increments, jump_increments))
+        if self._increments is None and (_particles is None or _particles.drift is None):
+            raise ConfigurationError("a path needs increments or a driver's particle list")
+        shape = (_particles.shape + (grid.n_steps,) if self._increments is None
+                 else self._increments.shape)
+        if shape[-1] != grid.n_steps:
+            raise ConfigurationError(f"increments last axis {shape[-1]} != n_steps {grid.n_steps}")
+        if self._jump_increments is not None and self._jump_increments.shape != shape:
+            raise ConfigurationError("jump_increments shape mismatch")
 
-    def __post_init__(self):
-        self.increments = np.asarray(self.increments, dtype=float)
-        if self.increments.shape[-1] != self.grid.n_steps:
-            raise ConfigurationError(
-                f"increments last axis {self.increments.shape[-1]} != n_steps {self.grid.n_steps}"
-            )
-        if self.jump_increments is not None:
-            self.jump_increments = np.asarray(self.jump_increments, dtype=float)
-            if self.jump_increments.shape != self.increments.shape:
-                raise ConfigurationError("jump_increments shape mismatch")
+    @property
+    def increments(self) -> np.ndarray:
+        if self._increments is None:  # a driver's path: its particles plus the drift d
+            jumps, d = self._particles, self._particles.drift
+            self._increments = (self.jump_increments if d == 0.0
+                                else jumps.scatter(self.grid.n_steps, jumps.marks + d, d))
+        return self._increments
+
+    @property
+    def jump_increments(self) -> np.ndarray | None:
+        jumps = self._particles
+        if self._jump_increments is None and jumps is not None:
+            self._jump_increments = jumps.scatter(self.grid.n_steps, jumps.marks)
+        return self._jump_increments
 
     @property
     def values(self) -> np.ndarray:
@@ -193,15 +219,16 @@ class SamplePath:
     @property
     def particles(self) -> Particles | None:
         """The jumps as a list of particles; None for a continuous path."""
-        if self._particles is None and self.jump_increments is not None:
-            self._particles = Particles.of(self.jump_increments)
+        if self._particles is None and self._jump_increments is not None:
+            self._particles = Particles.of(self._jump_increments)
         return self._particles
 
     def select(self, index) -> "SamplePath":
-        """Extract one path (or a sub-batch) from a batch."""
-        jumps = None if self.jump_increments is None else self.jump_increments[index]
+        """Extract one path (or a sub-batch) from a batch; only its built arrays are sliced."""
+        increments, jumps = (None if a is None else a[index]
+                             for a in (self._increments, self._jump_increments))
         particles = None if self._particles is None else self._particles.select(index)
-        path = SamplePath(self.grid, self.increments[index], jumps, _particles=particles)
+        path = SamplePath(self.grid, increments, jumps, _particles=particles)
         if self._values is not None:
             path._values = self._values[index]
         elif self._levels is not None:  # stays lazy; one read fills this batch's cache

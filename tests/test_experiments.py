@@ -564,6 +564,53 @@ class TestRunners:
         assert not with_single.all()
         assert len(drawn) == with_single.sum()
 
+    @staticmethod
+    def _record_jump_batches(monkeypatch):
+        """The jump-driver paths the experiments draw, recorded as they are drawn."""
+        from lentparticle import experiments
+        from lentparticle.drivers import martingale_batch
+
+        drawn = []
+
+        def recorded(kind, *args):
+            path = martingale_batch(kind, *args)
+            if kind != "brownian":
+                drawn.append(path)
+            return path
+
+        monkeypatch.setattr(experiments, "martingale_batch", recorded)
+        return drawn
+
+    @pytest.mark.parametrize("name", ["covariance-decay", "chaos-energy"])
+    def test_rotated_chaos_builds_no_dense_jump_array(self, monkeypatch, name):
+        # RotatedChaos reduces over the particle list: the driver's dense increments and
+        # jump part are never built
+        drawn = self._record_jump_batches(monkeypatch)
+        run_experiment(make_config(name, n_steps=200, n_paths=300))
+        assert len(drawn) == (1 if name == "covariance-decay" else 2)  # one batch per driver
+        for path in drawn:
+            assert path._increments is None and path._jump_increments is None
+
+    def test_sde_poisson_builds_dense_rows_of_its_selection_only(self, monkeypatch):
+        from lentparticle import experiments
+
+        drawn, selected = self._record_jump_batches(monkeypatch), []
+        original = experiments.lent_particle_sde_poisson
+
+        def recorded(spec, brownian, martingale, *args):
+            selected.append(martingale)
+            return original(spec, brownian, martingale, *args)
+
+        monkeypatch.setattr(experiments, "lent_particle_sde_poisson", recorded)
+        run_experiment(make_config("sde-poisson", n_steps=400, n_paths=300))
+        (M,), (single,) = drawn, selected
+        assert M._increments is None and M._jump_increments is None
+        n_single = int((M.particles.counts() == 1).sum())
+        assert 0 < n_single < 300
+        # rotate read the selection's increments, which on M are its jump array
+        assert single._increments.shape == (n_single, 400)
+        assert single._jump_increments is single._increments
+
     def test_mehler_joins_its_outer_paths_in_one_batch(self, monkeypatch):
         # the outer-path work holds the interpreter lock: more batches only add workers' CPU
         from lentparticle import experiments

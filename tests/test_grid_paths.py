@@ -369,6 +369,112 @@ class TestParticles:
         assert SamplePath(grid, np.zeros(10)).particles is None
 
 
+class TestLazyDenseArrays:
+    """A jump path's dense arrays, built from its list on first read, against the eager
+    scatter a jump batch used to make: the list scattered into zeros, then minus dt for
+    N~; the compound path's increments were its jump array itself."""
+
+    @staticmethod
+    def _eager(path, kind):
+        """(increments, jump increments) of the path, scattered eagerly from its list."""
+        particles, n_steps = path.particles, path.grid.n_steps
+        jumps = np.zeros((math.prod(particles.shape), n_steps))
+        jumps[particles.rows, particles.steps] = particles.marks
+        jumps = jumps.reshape(particles.shape + (n_steps,))
+        return (jumps - path.grid.dt if kind == "poisson" else jumps), jumps
+
+    @staticmethod
+    def _unbuilt(path):
+        return path._increments is None and path._jump_increments is None
+
+    @pytest.mark.parametrize("horizon, n_steps, seed, start, count", [
+        (12.0, 400, SEED, 0, 60),  # most rows drawn gap by gap
+        (1.0, 1000, SEED, 0, 400),
+        (2.0, 40, SEED, 2**32 - 3, 6), (2.0, 40, 2**32, 0, 5),
+        (12.0, 400, SEED, 2**64, 60),  # keys past uint32
+    ])
+    @pytest.mark.parametrize("first", ["increments", "jump_increments"])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_built_on_first_read_bit_for_bit(self, kind, first, horizon, n_steps, seed, start,
+                                             count):
+        M = martingale_batch(kind, TimeGrid(horizon, n_steps), seed, start, count)
+        assert self._unbuilt(M)
+        inc, jumps = self._eager(M, kind)
+        getattr(M, first)
+        # N~'s increments are scattered onto -dt directly; M's increments are its jump array
+        assert (M._jump_increments is None) == ((kind, first) == ("poisson", "increments"))
+        assert M.increments.tobytes() == inc.tobytes()
+        assert M.jump_increments.tobytes() == jumps.tobytes()
+        assert M.increments.shape == jumps.shape == (count, n_steps)
+        assert (M.increments is M.jump_increments) == (kind == "compound")
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_select_slices_the_list_and_builds_only_its_rows(self, kind):
+        grid = TimeGrid(3.0, 300)
+        inc, jumps = self._eager(martingale_batch(kind, grid, SEED, 0, 12), kind)
+        M = martingale_batch(kind, grid, SEED, 0, 12)
+        counts = M.particles.counts()
+        for index in (3, -1, slice(2, 9), counts == 1, np.array([7, 0, 7, 4])):
+            sub = M.select(index)
+            assert self._unbuilt(sub) and self._unbuilt(M)
+            assert sub.jump_increments.tobytes() == jumps[index].tobytes()
+            assert sub.increments.tobytes() == inc[index].tobytes()
+            assert self._unbuilt(M)
+        # a built batch hands its selections slices of its arrays
+        built = M.increments, M.jump_increments
+        one = M.select(-2)
+        assert M._increments is built[0] and M._jump_increments is built[1]
+        assert one._increments is not None and one._jump_increments is not None
+        assert one.increments.tobytes() == inc[-2].tobytes()
+        assert one.jump_increments.tobytes() == jumps[-2].tobytes()
+
+    @pytest.mark.parametrize("theta", [0.7, -0.7, math.pi / 2])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_rotated_jump_part_is_the_scaled_list(self, kind, theta):
+        grid = TimeGrid(3.0, 300)
+        B = martingale_batch("brownian", grid, SEED, 0, 12)
+        M = martingale_batch(kind, grid, SEED, 0, 12)
+        inc, jumps = self._eager(M, kind)
+        c, s = drivers._cos_sin(theta)
+        Y = rotate(B, M, theta)
+        assert Y._jump_increments is None
+        assert Y.increments.tobytes() == (c * B.increments + s * inc).tobytes()
+        eager = s * jumps  # the jump part _combine used to build
+        assert np.array_equal(Y.jump_increments, eager)
+        on = jumps != 0.0
+        assert Y.jump_increments[on].tobytes() == eager[on].tobytes()
+        # off the jumps the list scatters +0.0; s * 0.0 was -0.0 at negative angles.
+        # The two compare equal, and no report reads the sign of a zero jump.
+        assert not np.signbit(Y.jump_increments[~on]).any()
+        assert np.signbit(eager[~on]).all() == (theta < 0)
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_lent_jump_keeps_the_jump_part(self, kind):
+        grid = TimeGrid(3.0, 300)
+        M = martingale_batch(kind, grid, SEED, 0, 12)
+        inc, jumps = self._eager(M, kind)
+        bumped = add_unit_jump(M, 0.4, 0.25)
+        # add_unit_jump reads the increments, which on M are its jump array
+        assert (bumped._jump_increments is None) == (kind == "poisson")
+        expected = inc.copy()
+        expected[:, grid.index_at_or_after(0.4) - 1] += 0.25
+        assert bumped.increments.tobytes() == expected.tobytes()
+        assert bumped.jump_increments.tobytes() == jumps.tobytes()
+        # a built jump part is shared, not copied
+        built = M.jump_increments
+        assert add_unit_jump(M, 0.4, 0.25)._jump_increments is built
+
+    def test_a_path_needs_increments_or_a_driver_list(self, unit_grid):
+        particles = martingale_batch("poisson", unit_grid, SEED, 0, 3).particles
+        with pytest.raises(ConfigurationError, match="needs increments"):
+            SamplePath(unit_grid)
+        with pytest.raises(ConfigurationError, match="needs increments"):
+            SamplePath(unit_grid, _particles=particles.scaled(0.5))  # no drift
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            SamplePath(unit_grid, jump_increments=np.zeros((2, unit_grid.n_steps)),
+                       _particles=particles)
+
+
 class TestDrivers:
     def test_brownian_moments(self, unit_grid):
         batch = martingale_batch("brownian", unit_grid, SEED, 0, 2000)

@@ -49,9 +49,33 @@ def test_numeric_drift_names_the_largest_change(tmp_path, base, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("seed-1/x.csv: largest relative change 4e-10 at column empirical, "
                       "row 2: 0.25 -> 0.2500000001")
-    assert out[1] == ("seed-1/x.json: largest relative change 2e-07 at column z_score, "
-                      "row checks[1](b): -1.5 -> -1.5000003")
-    assert out[2] == "0 of 2 files byte-identical"
+    assert out[1] == ("seed-1/x.csv: largest absolute change of a z score 1e-11 at column "
+                      "z_score, row 1: 0.5 -> 0.50000000001")
+    assert out[2] == ("seed-1/x.json: largest absolute change of a z score 3e-07 at column "
+                      "z_score, row checks[1](b): -1.5 -> -1.5000003")
+    assert out[3] == "0 of 2 files byte-identical"
+
+
+def test_a_z_score_near_zero_is_read_by_its_absolute_change(tmp_path, capsys):
+    """z = (mean - target) / SE near 0 turns a 1e-14 move of its mean into a large
+    relative change; it is reported apart, by its absolute change."""
+    base = _write(tmp_path / "base", {"seed-1/x.csv": "empirical,z_score,freq_z_score\n"
+                                                      "0.5,1e-3,2.0\n"})
+    head = _write(tmp_path / "head", {"seed-1/x.csv": "empirical,z_score,freq_z_score\n"
+                                                      "0.50000000000005,0.001000000001,2.0\n"})
+    assert report_drift.main([base, head]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("seed-1/x.csv: largest relative change 1e-13 at column empirical, "
+                      "row 1: 0.5 -> 0.50000000000005")
+    assert out[1] == ("seed-1/x.csv: largest absolute change of a z score 1e-12 at column "
+                      "z_score, row 1: 1e-3 -> 0.001000000001")
+    # alone, the z cell names no relative change at all
+    z_only = _write(tmp_path / "z-only", {"seed-1/x.csv": "empirical,z_score,freq_z_score\n"
+                                                         "0.5,1e-3,2.000000000001\n"})
+    assert report_drift.main([base, z_only]) == 0
+    out = capsys.readouterr().out
+    assert "relative" not in out
+    assert "largest absolute change of a z score 1e-12 at column freq_z_score" in out
 
 
 def test_a_changed_verdict_fails(tmp_path, base, capsys):

@@ -5,8 +5,12 @@
 Run it on two outputs of ``tools/render_reports.py``.  Files are matched by
 their path relative to each directory.  For every file whose bytes differ it
 prints the largest relative change |head - base| / |base| of any numeric cell
-(a CSV cell, or a number in a JSON report), with its column, its row and both
-values.  A base value of 0 against a nonzero head value reads as inf.
+(a CSV cell, or a number in a JSON report) other than a z score, with its
+column, its row and both values.  A base value of 0 against a nonzero head
+value reads as inf.  The z-score cells (columns in Z_SCORES) follow on their own
+line, by their largest absolute change |head - base|: z = (mean - target) / SE
+is a difference of near-equal numbers wherever it is near 0, so a relative
+change there multiplies a mean's drift by mean / (mean - target).
 
 It exits 1 if a check verdict changed (any cell named ``passed``), if a file
 is present on one side only, or if two differing files do not line up cell
@@ -24,6 +28,7 @@ import os
 import sys
 
 VERDICT = "passed"
+Z_SCORES = ("z_score", "freq_z_score", "worst_z")
 
 
 def _files(root: str) -> set[str]:
@@ -85,10 +90,13 @@ def _relative(base: float, head: float) -> float:
     return abs(head - base) / abs(base)
 
 
-def compare(base_text: str, head_text: str, is_json: bool) -> tuple[tuple | None, list[str]]:
-    """(largest relative change as (rel, column, row, base, head), problems) of two reports.
+def compare(base_text: str, head_text: str, is_json: bool) -> tuple[dict, list[str]]:
+    """(largest changes, problems) of two reports.
 
-    A problem is a changed verdict or a cell that has no numeric counterpart.
+    The largest changes map "relative" (any cell but a z score) and "absolute"
+    (the z scores) to (change, column, row, base, head), each when some such
+    cell differs.  A problem is a changed verdict or a cell that has no numeric
+    counterpart.
     """
     if is_json:
         base_cells = _json_cells(json.loads(base_text))
@@ -96,8 +104,8 @@ def compare(base_text: str, head_text: str, is_json: bool) -> tuple[tuple | None
     else:
         base_cells, head_cells = _csv_cells(base_text), _csv_cells(head_text)
     if [c[:2] for c in base_cells] != [c[:2] for c in head_cells]:
-        return None, ["the two reports do not line up cell for cell"]
-    worst, problems = None, []
+        return {}, ["the two reports do not line up cell for cell"]
+    worst, problems = {}, []
     for (column, row, base), (_, _, head) in zip(base_cells, head_cells):
         if base == head:
             continue
@@ -107,9 +115,10 @@ def compare(base_text: str, head_text: str, is_json: bool) -> tuple[tuple | None
         elif b is None or h is None:
             problems.append(f"text changed at column {column}, row {row}: {base!r} -> {head!r}")
         else:
-            rel = _relative(b, h)
-            if worst is None or rel > worst[0]:
-                worst = (rel, column, row, base, head)
+            kind = "absolute" if column in Z_SCORES else "relative"
+            change = abs(h - b) if kind == "absolute" else _relative(b, h)
+            if kind not in worst or change > worst[kind][0]:
+                worst[kind] = (change, column, row, base, head)
     return worst, problems
 
 
@@ -134,11 +143,13 @@ def main(argv: list[str]) -> int:
             identical += 1
             continue
         worst, problems = compare(base_text, head_text, rel.endswith(".json"))
-        if worst is not None:
-            value, column, row, base, head = worst
-            print(f"{rel}: largest relative change {value:.2g} at column {column}, "
-                  f"row {row}: {base} -> {head}")
-        elif not problems:
+        for kind, label in (("relative", "relative change"),
+                            ("absolute", "absolute change of a z score")):
+            if kind in worst:
+                value, column, row, base, head = worst[kind]
+                print(f"{rel}: largest {label} {value:.2g} at column {column}, "
+                      f"row {row}: {base} -> {head}")
+        if not worst and not problems:
             print(f"{rel}: the bytes differ but no cell does")
         for problem in problems:
             print(f"{rel}: {problem}")
