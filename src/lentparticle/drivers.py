@@ -88,10 +88,20 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
     bit-for-bit at every grid point because the levels, computed on first
     read, are combined directly; the jump part is p2's particle list with its
-    marks times c2, scattered into zeros on first read.
+    marks times c2, scattered into zeros on first read.  A driver's p2 of p1's
+    shape is read off its list, and its dense increments stay unbuilt: c2 * d
+    off the jumps and c2 * (J + d) at each particle, the very sums of the
+    dense formula.
     """
     grid = require_same_grid(p1, p2)
-    increments = c1 * p1.increments + c2 * p2.increments
+    jumps, b = p2._particles, p1.increments
+    if p2._increments is None and b.shape == jumps.shape + (grid.n_steps,):
+        increments = c1 * b + c2 * jumps.drift
+        at = jumps.rows, jumps.steps
+        increments.reshape(-1, grid.n_steps)[at] = (c1 * b.reshape(-1, grid.n_steps)[at]
+                                                    + c2 * (jumps.marks + jumps.drift))
+    else:
+        increments = c1 * b + c2 * p2.increments
     particles = None if p2.particles is None else p2.particles.scaled(c2)
     return SamplePath(grid, increments, _levels=lambda: c1 * p1.values + c2 * p2.values,
                       _particles=particles)

@@ -29,6 +29,8 @@ CHANNEL_COMPOUND = 2
 CHANNEL_HAT = 3  # independent Brownian copy (inner / rotation streams)
 
 ROW_BLOCK = 256  # rows per block of reduce_rows: each row reduces as it would alone
+BATCH_BYTES = 16 * 2**20  # bytes of one paths x steps float64 array of a Monte Carlo batch
+MAX_BATCH_ROWS = 4096  # paths per batch on a grid small enough that the budget allows more
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,20 @@ class TimeGrid:
         if not dt > 0.0:  # finite, as the horizon is
             raise ConfigurationError(f"the step horizon / n_steps must be a positive finite "
                                      f"float, got {self.horizon} / {self.n_steps}")
+        if self.n_steps > BATCH_BYTES // 8:  # not one path fits the batch budget
+            raise ConfigurationError(f"n_steps must be at most {BATCH_BYTES // 8}, so that one "
+                                     f"path of float64 steps fits the {BATCH_BYTES}-byte batch "
+                                     f"budget; got {self.n_steps}")
 
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
+
+    @property
+    def batch_rows(self) -> int:
+        """Paths per Monte Carlo batch: as many as keep one paths x steps float64 array
+        within BATCH_BYTES, and at most MAX_BATCH_ROWS."""
+        return min(MAX_BATCH_ROWS, BATCH_BYTES // (8 * self.n_steps))
 
     @property
     def times(self) -> np.ndarray:

@@ -237,6 +237,14 @@ class TestRun:
         assert "horizon / n_steps must be a positive finite float" in result.output
         assert not (tmp_path / f"{experiment}.json").exists()
 
+    def test_grid_past_the_batch_budget_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["run", "supremum", "--grid-steps", "2097153",
+                                      "--output", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "n_steps must be at most 2097152" in result.output
+        assert not (tmp_path / "supremum.json").exists()
+
     @pytest.mark.parametrize("experiment, param", [
         (name, param) for name, spec in EXPERIMENTS.items()
         for param, default in spec.param_defaults.items() if isinstance(default, tuple)
@@ -469,6 +477,12 @@ class TestExportPaths:
         assert isinstance(result.exception, SystemExit), result.exception  # no traceback
         assert result.exit_code == 2, result.output
         assert "horizon / n_steps must be a positive finite float" in result.output
+
+    def test_grid_past_the_batch_budget_exit_2(self, runner):
+        result = runner.invoke(main, ["export-paths", "--grid-steps", "2097153"])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "n_steps must be at most 2097152" in result.output
 
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
     def test_non_finite_horizon_exit_2(self, runner, horizon):

@@ -176,6 +176,86 @@ class TestParallelBatches:
             parallel_batches(lambda s, c: {"x": np.zeros(c)}, 0, 1)
 
 
+class TestBatchBudget:
+    """Every runner sizes its batches from the grid's byte budget, here cut to 64 KiB."""
+
+    BUDGET = 64 * 2**10
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        from lentparticle import grid
+
+        monkeypatch.setattr(grid, "BATCH_BYTES", self.BUDGET)
+
+    # every experiment that calls parallel_batches, past one batch at the small budget
+    @pytest.mark.parametrize("name, overrides", [
+        *[pytest.param(name, {"n_paths": 300, "n_steps": 50}, id=name) for name in (
+            "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
+            "ibp", "supremum", "sde-lent-particle", "sde-poisson")],
+        pytest.param("mehler", {"n_steps": 50, "params": {
+            "n_outer": 8, "n_inner": 16, "n_eigen_paths": 2}}, id="mehler"),
+    ])
+    def test_every_batch_fits_the_budget(self, small_budget, monkeypatch, name, overrides):
+        from lentparticle import experiments
+
+        original, calls = experiments.parallel_batches, []
+
+        def recorded(fn, n_paths, workers, chunk=None):
+            calls.append((n_paths, chunk))
+            return original(fn, n_paths, workers, chunk=chunk)
+
+        monkeypatch.setattr(experiments, "parallel_batches", recorded)
+        cfg = make_config(name, **overrides)
+        run_experiment(cfg)
+        assert calls
+        for n_paths, chunk in calls:
+            assert chunk is not None and chunk * cfg.n_steps * 8 <= self.BUDGET
+            assert n_paths > chunk or name == "mehler"
+
+    def test_ibp_peak_does_not_grow_with_the_grid(self, small_budget):
+        import tracemalloc
+
+        run_experiment(make_config("ibp", n_paths=16, n_steps=64))  # first-call allocations
+        peaks = []
+        for n_steps in (64, 256):
+            cfg = make_config("ibp", n_paths=1024, n_steps=n_steps)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    # the benchmark's shapes: chaos-rotation (500 steps), sde-flow (4000 steps) and
+    # ou-nested (32 outer paths) keep the batches of the fixed 4096 rows (512 for the
+    # SDEs) that preceded the budget; stream-scan's 1000 steps take 2097 rows
+    @pytest.mark.parametrize("name, overrides, batches", [
+        pytest.param(*case, id=case[0]) for case in [
+            ("covariance-decay", {"n_paths": 8192, "n_steps": 500}, [4096, 4096]),
+            ("chaos-energy", {"n_paths": 8192, "n_steps": 500}, [4096, 4096]),
+            ("sde-lent-particle", {"n_paths": 128, "n_steps": 4000}, [128]),
+            ("sde-poisson", {"n_paths": 512, "n_steps": 4000}, [512]),
+            ("mehler", {"params": {"n_outer": 32}}, [32]),
+            ("supremum", {"n_paths": 8192}, [2097, 2097, 2097, 1901]),
+            ("ibp", {"n_paths": 4096}, [2097, 1999]),
+            ("exp-vector-covariance", {"n_paths": 4096}, [2097, 1999]),
+        ]])
+    def test_batches_of_the_benchmark_shapes(self, monkeypatch, name, overrides, batches):
+        from lentparticle import experiments
+
+        class Batched(Exception):
+            pass
+
+        def recorded(fn, n_paths, workers, chunk=None):
+            raise Batched([min(chunk, n_paths - s) for s in range(0, n_paths, chunk)])
+
+        monkeypatch.setattr(experiments, "parallel_batches", recorded)
+        with pytest.raises(Batched) as raised:
+            run_experiment(make_config(name, **overrides))
+        assert raised.value.args[0] == batches
+
+
 class TestReporting:
     def test_csv_column_order_and_floats(self):
         rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.0, "c": True}]
@@ -264,8 +344,8 @@ class TestRunners:
         *[pytest.param(name, {"n_paths": 4097, "n_steps": 20}, id=name) for name in (
             "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
             "ibp", "supremum")],
-        # 512-path batches; on 50 steps the default t_grid lies on the grid
-        *[pytest.param(name, {"n_paths": 513, "n_steps": 50}, id=name)
+        # 4096-path batches; on 50 steps the default t_grid lies on the grid
+        *[pytest.param(name, {"n_paths": 4097, "n_steps": 50}, id=name)
           for name in ("sde-lent-particle", "sde-poisson")],
         # 32 outer paths fill one default batch, so this case runs 8-path batches
         pytest.param("mehler", {"n_steps": 20, "params": {"n_outer": 32}}, id="mehler"),
@@ -359,7 +439,11 @@ class TestRunners:
             return {key: np.concatenate([v[s:s + chunk] for s in starts])
                     for key, v in joined.items()}
 
-        # the default target_n_paths spans two batches, so their order shows
+        # the default target_n_paths spans two batches, so their order shows; at the
+        # default grid too
+        default = make_config("reproducibility")
+        for grid in (cfg.grid, default.grid):
+            assert default.param("target_n_paths") > grid.batch_rows
         monkeypatch.setattr(experiments, "parallel_batches", reversed_when_threaded)
         checks = {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
         assert checks == {"rerun_identical": True, "workers_identical": False}
@@ -591,7 +675,7 @@ class TestRunners:
         for path in drawn:
             assert path._increments is None and path._jump_increments is None
 
-    def test_sde_poisson_builds_dense_rows_of_its_selection_only(self, monkeypatch):
+    def test_sde_poisson_builds_no_dense_jump_array(self, monkeypatch):
         from lentparticle import experiments
 
         drawn, selected = self._record_jump_batches(monkeypatch), []
@@ -604,12 +688,12 @@ class TestRunners:
         monkeypatch.setattr(experiments, "lent_particle_sde_poisson", recorded)
         run_experiment(make_config("sde-poisson", n_steps=400, n_paths=300))
         (M,), (single,) = drawn, selected
-        assert M._increments is None and M._jump_increments is None
         n_single = int((M.particles.counts() == 1).sum())
         assert 0 < n_single < 300
-        # rotate read the selection's increments, which on M are its jump array
-        assert single._increments.shape == (n_single, 400)
-        assert single._jump_increments is single._increments
+        assert single.particles.shape == (n_single,)
+        # rotate reads the selection's particle list: no dense row of M is built
+        for path in (M, single):
+            assert path._increments is None and path._jump_increments is None
 
     def test_mehler_joins_its_outer_paths_in_one_batch(self, monkeypatch):
         # the outer-path work holds the interpreter lock: more batches only add workers' CPU
@@ -724,6 +808,17 @@ class TestRunners:
         monkeypatch.setattr(experiments, "martingale_batch", drawn)
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(make_config(name, n_steps=20, n_paths=8, params=params))
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_grid_past_the_batch_budget_rejected_before_drawing(self, monkeypatch, name):
+        # not one path of 2**21 + 1 float64 steps fits the 16 MiB batch budget
+        from lentparticle import experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "martingale_batch", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigurationError, match="n_steps must be at most 2097152"):
+            run_experiment(make_config(name, n_steps=2**21 + 1, n_paths=8))
+        assert drawn == []
 
     @pytest.mark.parametrize("name, param", [
         (name, param) for name, spec in EXPERIMENTS.items()

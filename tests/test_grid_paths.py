@@ -19,6 +19,7 @@ from lentparticle.chaos import evaluate_chaos
 from lentparticle.experiments import DEFAULT_SEED
 from lentparticle.functionals import make_functional
 from lentparticle.grid import (
+    BATCH_BYTES,
     CHANNEL_BROWNIAN,
     CHANNEL_COMPOUND,
     CHANNEL_HAT,
@@ -90,6 +91,17 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError,
                            match="horizon / n_steps must be a positive finite float"):
             TimeGrid(horizon, n_steps)
+
+    @pytest.mark.parametrize("n_steps, rows", [
+        (1, 4096), (500, 4096), (1000, 2097), (4000, 524), (10_000, 209), (2**21, 1)])
+    def test_batch_rows_from_the_byte_budget(self, n_steps, rows):
+        # min(4096, BATCH_BYTES // (8 * n_steps)): 16 MiB per paths x steps float64 array
+        assert TimeGrid(1.0, n_steps).batch_rows == rows
+
+    def test_grid_past_the_batch_budget_rejected(self):
+        assert BATCH_BYTES // 8 == 2**21 == 2_097_152
+        with pytest.raises(ConfigurationError, match="n_steps must be at most 2097152"):
+            TimeGrid(1.0, 2**21 + 1)
 
 
 class TestRngStream:
@@ -447,6 +459,24 @@ class TestLazyDenseArrays:
         # The two compare equal, and no report reads the sign of a zero jump.
         assert not np.signbit(Y.jump_increments[~on]).any()
         assert np.signbit(eager[~on]).all() == (theta < 0)
+
+    @pytest.mark.parametrize("theta", [0.7, -1e-4, math.pi / 2, 2.0])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_rotation_reads_the_driver_list(self, kind, theta):
+        # c1 b + c2 d off the jumps and c1 b + c2 (J + d) at each particle: the dense
+        # formula's sums bit for bit, while the driver's dense arrays stay unbuilt
+        grid = TimeGrid(1.0, 1000)
+        B = martingale_batch("brownian", grid, SEED, 0, 256)
+        M = martingale_batch(kind, grid, SEED, 0, 256)
+        inc, _ = self._eager(M, kind)
+        c, s = drivers._cos_sin(theta)
+        for b, m, dense in ((B, M, inc), (B.select(5), M.select(5), inc[5])):
+            Y = rotate(b, m, theta)
+            assert self._unbuilt(m)
+            assert Y.increments.tobytes() == (c * b.increments + s * dense).tobytes()
+        # one driver path against a batch broadcasts through its dense increments
+        Y = rotate(B, M.select(5), theta)
+        assert Y.increments.tobytes() == (c * B.increments + s * inc[5]).tobytes()
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
     def test_lent_jump_keeps_the_jump_part(self, kind):
