@@ -46,6 +46,14 @@ against values of ~1e-4).
 set of sums: the continuous part of V = int h dY^theta is linear in
 (cos theta, sin theta) with two row sums for coefficients, and its jump product
 reads the martingale's particles.  It serves exp-vector-covariance.
+
+Every batch reduction here runs one grid.ROW_BLOCK of rows at a time
+(``_reduce_blocks``, on grid.reduce_rows; a single path is one block of one
+row): the recursion's states, the powers b^a, m^r of the mixed sums and a
+driver's continuous part exist for one block only, and a jump driver's block is
+scattered from its particle list, so its dense arrays stay unbuilt.  The only
+paths x steps arrays a batch holds are its drivers' own increments and
+rotations.  Each row is reduced exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -69,6 +77,31 @@ def _factor_classes(kernel: SimplexKernel, grid: TimeGrid) -> tuple[list, tuple,
     return classes, tuple(map(kernel.factors.count, classes)), [g.on_grid(grid) for g in classes]
 
 
+def _reduce_blocks(shape: tuple, reduce, sources, count: int = 1) -> list:
+    """``count`` per-row results of reduce(*blocks) over the batch ``shape``, one
+    grid.ROW_BLOCK of flat rows at a time, so no temporary outlives its block.
+
+    A source is a pair (block, own): block(rows) gives the (rows, n_steps) rows of
+    a batch with leading axes ``own`` that broadcasts to ``shape`` (a path's
+    ``block`` and ``shape``).  A source of one path gives that row, which
+    broadcasts against the block's rows.
+    """
+    def reduce_block(rows, _):
+        blocks = []
+        for block, own in sources:
+            size = math.prod(own)
+            if own == shape:
+                blocks.append(block(rows))
+            elif size == 1:
+                blocks.append(block(slice(0, 1)))
+            else:  # a batch broadcast along some axes: its rows under those of the block
+                index = np.broadcast_to(np.arange(size).reshape(own), shape).reshape(-1)
+                blocks.append(block(slice(0, size))[index[rows]])
+        return reduce(*blocks)
+
+    return reduce_rows(shape, 0, reduce_block, count)
+
+
 def iterated_integrals(kernels, driver: SamplePath) -> list:
     """I_n(f_n) of each kernel against the driver path(s), in order; a scalar or batch array each.
 
@@ -76,38 +109,49 @@ def iterated_integrals(kernels, driver: SamplePath) -> list:
     level k - 1 alone, which it pops as it goes; a power kernel is the simplex chain.
     A state no further state needs is J(T) alone, its products summed in order from
     +0.0: the cumsum's last entry bit for bit, but +0.0 where a row's are all -0.0.
+    The walks run one row block at a time (``_reduce_blocks``), so a state holds
+    (block, n_steps + 1) floats.
     """
-    inc = driver.increments
-    shape = inc.shape[:-1]
+    shape = driver.shape
     walks: dict = {}  # class list -> (classes on the grid, {counts: kernels read there})
     for kernel in dict.fromkeys(k for k in kernels if k.order):
         classes, full, gvals = _factor_classes(kernel, driver.grid)
         walks.setdefault(tuple(classes), (gvals, {}))[1].setdefault(full, []).append(kernel)
-    values = {}
-    for gvals, reads in walks.values():
-        level = {(0,) * len(gvals): np.ones(inc.shape[-1] + 1)}
-        while level:
-            nxt: dict[tuple[int, ...], np.ndarray] = {}
-            for m in list(level):
-                J = level.pop(m)
-                for kernel in reads.get(m, ()):
-                    values[kernel] = kernel.weight * math.prod(map(math.factorial, m)) * J[..., -1]
-                for c, g in enumerate(gvals):
-                    target = m[:c] + (m[c] + 1,) + m[c + 1 :]
-                    if not (reaching := [f for f in reads if all(map(operator.le, target, f))]):
-                        continue
-                    if reaching == [target]:  # no further state needs it: J(T) alone
-                        out = np.einsum("...j,j,...j->...", J[..., :-1], g, inc)[..., None]
-                    else:
-                        out = np.empty(shape + (inc.shape[-1] + 1,))
-                        out[..., 0] = 0.0
-                        tail = out[..., 1:]
-                        jg = J[:-1] * g if J.ndim == 1 else np.multiply(J[..., :-1], g, out=tail)
-                        np.cumsum(np.multiply(jg, inc, out=tail), axis=-1, out=tail)
-                    if target in nxt:
-                        out += nxt[target]  # addition commutes: the bits of a one-kernel walk
-                    nxt[target] = out
-            level = nxt
+    read = [k for _, reads in walks.values() for ks in reads.values() for k in ks]
+
+    def walk(inc):
+        values = {}
+        for gvals, reads in walks.values():
+            level = {(0,) * len(gvals): np.ones(inc.shape[-1] + 1)}
+            while level:
+                nxt: dict[tuple[int, ...], np.ndarray] = {}
+                for m in list(level):
+                    J = level.pop(m)
+                    for kernel in reads.get(m, ()):
+                        values[kernel] = (kernel.weight * math.prod(map(math.factorial, m))
+                                          * J[..., -1])
+                    for c, g in enumerate(gvals):
+                        target = m[:c] + (m[c] + 1,) + m[c + 1 :]
+                        if not (reaching := [f for f in reads
+                                             if all(map(operator.le, target, f))]):
+                            continue
+                        if reaching == [target]:  # no further state needs it: J(T) alone
+                            out = np.einsum("...j,j,...j->...", J[..., :-1], g, inc)[..., None]
+                        else:
+                            out = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,))
+                            out[..., 0] = 0.0
+                            tail = out[..., 1:]
+                            jg = (J[:-1] * g if J.ndim == 1
+                                  else np.multiply(J[..., :-1], g, out=tail))
+                            np.cumsum(np.multiply(jg, inc, out=tail), axis=-1, out=tail)
+                        if target in nxt:
+                            out += nxt[target]  # addition commutes: the bits of a one-kernel walk
+                        nxt[target] = out
+                level = nxt
+        return [values[k] for k in read]
+
+    values = (dict(zip(read, _reduce_blocks(shape, walk, [(driver.block, shape)], len(read))))
+              if read else {})
     return [values[k] if k.order else np.full(shape, k.weight) if shape else k.weight
             for k in kernels]
 
@@ -160,42 +204,68 @@ def _powers(x: np.ndarray, top: int) -> list:
     return out
 
 
-def _mixed_sums(weights: dict, b: np.ndarray, m: np.ndarray) -> dict:
+def _dense_sums(sums: dict, paths: tuple, shape: tuple) -> dict:
+    """{key: sum_j w_j x_j [y_j]} for each key: (w, factors) of ``sums``, in one blocked pass.
+
+    A factor (i, a) is paths[i]'s increments to the power a.  One factor is the
+    einsum "...j,j->...", two are "...j,...j,j->...": the two forms round
+    differently, so a sum keeps its form.  Each is one fixed-order row reduction
+    (never BLAS), run one row block at a time (``_reduce_blocks``) with the
+    powers built per block by repeated multiplication, so each row is bit for
+    bit that of its path alone whatever the batch.
+    """
+    top = [1 + max((a for _, factors in sums.values() for j, a in factors if j == i), default=0)
+           for i in range(len(paths))]
+
+    def block(*incs):
+        pows = [_powers(x, t) for x, t in zip(incs, top)]
+        return [np.einsum("...j,j->..." if len(factors) == 1 else "...j,...j,j->...",
+                          *(pows[i][a] for i, a in factors), w)
+                for w, factors in sums.values()]
+
+    values = _reduce_blocks(shape, block, [(p.block, p.shape) for p in paths], len(sums))
+    return dict(zip(sums, values))
+
+
+def _mixed_sums(weights: dict, brownian: SamplePath, martingale: SamplePath, shape: tuple) -> dict:
     """{key: [sum_j w(t_j) b_j^a m_j^(k-a) for a = 0..k]} for each key: (k, w) of ``weights``.
 
-    Every sum is one fixed-order row reduction (einsum of at most three
-    operands, never BLAS), so each row is bit for bit that of the path alone
-    whatever the batch.  Powers up to the largest block size less one come
-    from repeated multiplication; the last factor rides in the reduction.
+    All of them come from one blocked pass (``_dense_sums``), rows of the batch
+    ``shape``.  A sum of a block of size 1 is the two-operand form; a larger
+    block's splits its product in two, the last factor riding in the reduction:
+    (m^(k-1), m), (b^a, m^(k-a)) and (b^(k-1), b), each in the three-operand form.
     """
-    top = max(k for k, _ in weights.values())
-    bpow, mpow = _powers(b, top), _powers(m, top)
-    out = {}
+    B, M = 0, 1
+    sums = {}
     for key, (k, w) in weights.items():
         if k == 1:
-            out[key] = [np.einsum("...j,j->...", m, w), np.einsum("...j,j->...", b, w)]
-            continue
-        pairs = [(mpow[k - 1], m)] + [(bpow[a], mpow[k - a]) for a in range(1, k)]
-        pairs.append((bpow[k - 1], b))
-        out[key] = [np.einsum("...j,...j,j->...", x, y, w) for x, y in pairs]
-    return out
+            factors = [((M, 1),), ((B, 1),)]
+        else:
+            factors = ([((M, k - 1), (M, 1))] + [((B, a), (M, k - a)) for a in range(1, k)]
+                       + [((B, k - 1), (B, 1))])
+        for a, f in enumerate(factors):
+            sums[key, a] = (w, f)
+    values = _dense_sums(sums, (brownian, martingale), shape)
+    return {key: [values[key, a] for a in range(k + 1)] for key, (k, _) in weights.items()}
 
 
-def _particle_sums(weights: dict, b: np.ndarray, jumps: Particles) -> dict:
+def _particle_sums(weights: dict, brownian: SamplePath, jumps: Particles, shape: tuple) -> dict:
     """``_mixed_sums`` for a martingale that is its particles plus a drift d per step.
 
     With m_j = d + J_j (J_j the mark of a particle at step j, else 0),
 
         sum_j w b^a m^r = d^r sum_j w b^a + sum over particles of w b^a ((d + J)^r - d^r),
 
-    so the dense passes are the power sums sum_j w b^a (for d = 0 only the
-    pure-b one, r = 0), each reduced once per distinct w, and each particle
-    sum is one bincount over the particles.  Both are fixed-order per row, so
-    each row is still bit for bit that of the path alone.
+    so the dense sums are the power sums sum_j w b^a in the two-operand form
+    (for d = 0 none) and each block's pure-b sum in ``_mixed_sums``' form, all
+    from one blocked pass (``_dense_sums``).  They are keyed by w's bytes, the
+    power and the form, since blocks of different sizes can share byte-equal
+    weights (h = 1 on a power kernel) while the forms round differently.  Each
+    particle sum is one bincount over the particles.  Both are fixed-order per
+    row, so each row is still bit for bit that of the path alone.
     """
     top = max(k for k, _ in weights.values())
-    d, n = jumps.drift, b.shape[-1]
-    bpow = _powers(b, top)
+    d, n, b = jumps.drift, brownian.grid.n_steps, brownian.increments
     b_at = np.broadcast_to(b, jumps.shape + (n,)).reshape(-1, n)[jumps.rows, jumps.steps]
     bpow_at = [np.ones_like(b_at)] + _powers(b_at, top)[1:]
     m_at, shift, jump_terms = d + jumps.marks, d, [None]
@@ -203,7 +273,15 @@ def _particle_sums(weights: dict, b: np.ndarray, jumps: Particles) -> dict:
         jump_terms.append(m_r - shift)
         shift = shift * d
     n_rows = math.prod(jumps.shape)
-    power_sums = {}  # (w's bytes, a) -> sum_j w b^a
+
+    def pure_b(k):  # the factors of a block's last sum, sum_j w b^k
+        return ((0, 1),) if k == 1 else ((0, k - 1), (0, 1))
+
+    dense = {}  # (w's bytes, factors) -> (w, factors)
+    for k, w in weights.values():
+        for factors in [((0, a),) for a in range(1, k) if d] + [pure_b(k)]:
+            dense.setdefault((w.tobytes(), factors), (w, factors))
+    dense = _dense_sums(dense, (brownian,), shape)
     out = {}
     for key, (k, w) in weights.items():
         sums = []
@@ -212,16 +290,11 @@ def _particle_sums(weights: dict, b: np.ndarray, jumps: Particles) -> dict:
             terms = w_at * bpow_at[a] * jump_terms[k - a]
             S = np.bincount(jumps.rows, weights=terms, minlength=n_rows).reshape(jumps.shape)[()]
             if d:
-                tag = (w.tobytes(), a)
-                if tag not in power_sums:
-                    power_sums[tag] = (np.einsum("...j,j->...", bpow[a], w) if a
-                                       else math.fsum(w))
-                S = shift * power_sums[tag] + S
+                S = shift * (dense[w.tobytes(), ((0, a),)] if a else math.fsum(w)) + S
                 shift = shift * d
             sums.append(S)
         sums.reverse()
-        sums.append(np.einsum("...j,j->...", b, w) if k == 1
-                    else np.einsum("...j,...j,j->...", bpow[k - 1], b, w))
+        sums.append(dense[w.tobytes(), pure_b(k)])
         out[key] = sums
     return out
 
@@ -230,31 +303,30 @@ class RotatedChaos:
     """F(Y^theta), Y^theta = B cos(theta) + M sin(theta), at any theta from one set of sums.
 
     The mixed sums of every block of every kernel of F are reduced once, at
-    construction: over the martingale's particles when it is a driver path
-    spanning the batch (``_particle_sums``), which never builds its dense
-    arrays, else dense (``_mixed_sums``).
+    construction, one row block at a time: over the martingale's particles when
+    it is a driver path spanning the batch (``_particle_sums``), which never
+    builds its dense arrays, else dense (``_mixed_sums``).
     Each angle then costs a polynomial in (cos, sin) per block and the
     partition terms per kernel.  (cos, sin) are those of drivers.rotate,
     clamped at multiples of pi/2.
     """
 
     def __init__(self, F: ChaosVector, brownian: SamplePath, martingale: SamplePath):
-        require_same_grid(brownian, martingale)
-        b, jumps = brownian.increments, martingale.particles
+        grid = require_same_grid(brownian, martingale)
+        jumps = martingale.particles
         self.constant = float(F.constant)
-        self.shape = np.broadcast_shapes(
-            b.shape[:-1], martingale.increments.shape[:-1] if jumps is None else jumps.shape)
+        self.shape = np.broadcast_shapes(brownian.shape, martingale.shape)
         self._terms = []  # per kernel: (weight, [(coefficient, block keys)])
         weights = {}  # block key -> (block size, block weight on the grid)
         for kernel in F.kernels:
-            classes, full, gvals = _factor_classes(kernel, brownian.grid)
+            classes, full, gvals = _factor_classes(kernel, grid)
             terms = []
             for coef, types in _partition_table(full):
                 keys = []
                 for counts in types:
                     key = frozenset((classes[c], k) for c, k in enumerate(counts) if k)
                     if key not in weights:
-                        w = np.ones(b.shape[-1])
+                        w = np.ones(grid.n_steps)
                         for g, k in zip(gvals, counts):
                             for _ in range(k):
                                 w = w * g
@@ -265,9 +337,9 @@ class RotatedChaos:
         if not weights:
             self._sums = {}
         elif jumps is None or jumps.drift is None or jumps.shape != self.shape:
-            self._sums = _mixed_sums(weights, b, martingale.increments)
+            self._sums = _mixed_sums(weights, brownian, martingale, self.shape)
         else:  # a driver's particles spanning the batch
-            self._sums = _particle_sums(weights, b, jumps)
+            self._sums = _particle_sums(weights, brownian, jumps, self.shape)
 
     def integrals(self, theta: float) -> list:
         """I_n(f_n) against Y^theta for each kernel of F, in order."""
@@ -286,8 +358,8 @@ class RotatedChaos:
                     term = term * p[key]
                 total = total + term
             value = weight * total
-            # an order-0 kernel, or an angle that reads only the lower-rank operand
-            out.append(value if np.shape(value) == self.shape else np.full(self.shape, value))
+            out.append(value if np.shape(value) == self.shape  # else an order-0 kernel
+                       else np.full(self.shape, value))
         return out
 
     def __call__(self, theta: float) -> np.ndarray:
@@ -314,8 +386,8 @@ def chaotic_extension(F, brownian: SamplePath, martingale: SamplePath):
 def stochastic_integral(g: StepFunction, driver: SamplePath) -> np.ndarray:
     """First-order integral sum_j g(t_j) dX_j (left endpoints), one row block at a time."""
     gv = g.on_grid(driver.grid)
-    return reduce_rows(driver.increments, driver.grid.n_steps,
-                       lambda rows, buf: np.sum(np.multiply(gv, rows, out=buf), axis=-1))[0]
+    return reduce_rows(driver.shape, driver.grid.n_steps, lambda rows, buf: (
+        np.sum(np.multiply(gv, driver.block(rows), out=buf), axis=-1),))[0]
 
 
 def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: SamplePath,
@@ -329,9 +401,10 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     continuous drift of the martingale (the compensator of a compensated Poisson
     driver) rides in V through the plain increment sums.  V's continuous part is
     c sum h b + s sum h m_c for (c, s) those of drivers.rotate, so two fixed-order
-    row reductions serve every angle.  On a driver's list m_c is built directly:
-    the drift d at every step and (J + d) - J at each particle, the values of
-    increments - jump_increments without building either.  The product runs over
+    row reductions serve every angle, one row block at a time.  On a driver's
+    list m_c is scattered per block: the drift d at every step and (J + d) - J
+    at each particle, the values of increments - jump_increments without
+    building either.  The product runs over
     the particles only, in step order: a step without a jump has the factor 1.0
     exactly, so it is bit for bit the product over every step.
 
@@ -339,18 +412,24 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     """
     angles = [_cos_sin(theta) for theta in thetas]
     grid = require_same_grid(brownian, martingale)
+    n = grid.n_steps
     h_grid = h.on_grid(grid)
     widths, values = np.diff(np.clip(h.breakpoints, 0.0, grid.horizon)), np.asarray(h.values)
     jumps = martingale.particles
     if jumps is None:
-        cont = martingale.increments
+        cont = martingale.block
     elif jumps.drift is None:
-        cont = martingale.increments - martingale.jump_increments
+        def cont(rows):
+            return martingale.block(rows) - martingale.jump_increments.reshape(-1, n)[rows]
     else:  # a driver's increments - jump_increments, value for value, from its list
-        d = jumps.drift
-        cont = jumps.scatter(grid.n_steps, (jumps.marks + d) - jumps.marks, d)
+        def cont(rows):
+            sub, d = jumps.block(rows), jumps.drift
+            return sub.scatter(n, (sub.marks + d) - sub.marks, d)
     h_at = None if jumps is None else h_grid[jumps.steps]
-    sb, sm = (np.einsum("...j,j->...", x, h_grid) for x in (brownian.increments, cont))
+    sb, sm = _reduce_blocks(
+        np.broadcast_shapes(brownian.shape, martingale.shape),
+        lambda b, m: [np.einsum("...j,j->...", x, h_grid) for x in (b, m)],
+        [(brownian.block, brownian.shape), (cont, martingale.shape)], count=2)
     out = []
     for c, s in angles:
         value = np.exp(c * sb + s * sm - 0.5 * np.dot(widths, (c * values) ** 2))

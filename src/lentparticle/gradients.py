@@ -186,9 +186,9 @@ def supremum_decomposition(K, brownian: SamplePath, u: float):
     if K is None and brownian._values is None and brownian._levels is None:
         def split(rows, buf):
             buf[:, 0] = 0.0
-            np.cumsum(rows, axis=-1, out=buf[:, 1:])
+            np.cumsum(brownian.block(rows), axis=-1, out=buf[:, 1:])
             return np.max(buf[:, :k], axis=-1), np.max(buf[:, k:], axis=-1)
-        return tuple(reduce_rows(brownian.increments, grid.n_steps + 1, split, count=2))
+        return tuple(reduce_rows(brownian.shape, grid.n_steps + 1, split, count=2))
     levels = brownian.values
     if K is not None:
         levels = levels + np.asarray(K(grid.times) if callable(K) else K, dtype=float)

@@ -28,7 +28,9 @@ CHANNEL_POISSON = 1
 CHANNEL_COMPOUND = 2
 CHANNEL_HAT = 3  # independent Brownian copy (inner / rotation streams)
 
-ROW_BLOCK = 256  # rows per block of reduce_rows: each row reduces as it would alone
+# rows per block of reduce_rows, which bounds every paths x steps temporary of a batch
+# reduction (the chaos layer's among them) to ROW_BLOCK rows; each row reduces as it would alone
+ROW_BLOCK = 256
 BATCH_BYTES = 16 * 2**20  # bytes of one paths x steps float64 array of a Monte Carlo batch
 MAX_BATCH_ROWS = 4096  # paths per batch on a grid small enough that the budget allows more
 
@@ -159,6 +161,13 @@ class Particles:
         out.reshape(-1, n_steps)[self.rows, self.steps] = values
         return out
 
+    def block(self, rows: slice) -> "Particles":
+        """The particles of the flat rows ``rows`` (a slice with start and stop), renumbered
+        from its start: the list of a batch of those rows alone."""
+        lo, hi = np.searchsorted(self.rows, (rows.start, rows.stop))
+        return Particles((rows.stop - rows.start,), self.rows[lo:hi] - rows.start,
+                         self.steps[lo:hi], self.marks[lo:hi], self.drift)
+
     def scaled(self, c: float) -> "Particles":
         """The jumps times c, as on c * path plus a continuous part: no drift."""
         marks = c * self.marks
@@ -202,6 +211,20 @@ class SamplePath:
             raise ConfigurationError(f"increments last axis {shape[-1]} != n_steps {grid.n_steps}")
         if self._jump_increments is not None and self._jump_increments.shape != shape:
             raise ConfigurationError("jump_increments shape mismatch")
+
+    @property
+    def shape(self) -> tuple:
+        """The batch's leading axes, () for a single path, without building any array."""
+        return self._particles.shape if self._increments is None else self._increments.shape[:-1]
+
+    def block(self, rows: slice) -> np.ndarray:
+        """The increments of the flat rows ``rows`` (C order over the batch axes) as a
+        (rows, n_steps) array: a view of built increments, else scattered from the driver's
+        list with the values ``increments`` would hold, which stays unbuilt."""
+        if self._increments is not None:
+            return self._increments.reshape(-1, self.grid.n_steps)[rows]
+        jumps = self._particles.block(rows)
+        return jumps.scatter(self.grid.n_steps, jumps.marks + jumps.drift, jumps.drift)
 
     @property
     def increments(self) -> np.ndarray:
@@ -248,14 +271,18 @@ class SamplePath:
         return path
 
 
-def reduce_rows(inc: np.ndarray, width: int, reduce, count: int = 1) -> list:
-    """reduce(rows, buffer) per ROW_BLOCK rows of inc, with one (block, width) buffer reused:
-    ``count`` per-row results, each shaped as inc's leading axes."""
-    rows = inc.reshape(-1, inc.shape[-1])
-    out, buf = np.empty((count, len(rows))), np.empty((min(len(rows), ROW_BLOCK), width))
-    for r in range(0, len(rows), ROW_BLOCK):
-        out[:, r : r + ROW_BLOCK] = reduce(rows[r : r + ROW_BLOCK], buf[: len(rows) - r])
-    return [o.reshape(inc.shape[:-1])[()] for o in out]
+def reduce_rows(shape: tuple, width: int, reduce, count: int = 1) -> list:
+    """reduce(rows, buffer) per ROW_BLOCK flat rows of a batch with leading axes ``shape`` (a
+    single path, shape (), is one block of one row): ``rows`` is the slice of those rows in
+    C order, and one (block, width) buffer is reused.  ``count`` per-row results, each shaped
+    as ``shape``; a result of one row is that value on every row of its block."""
+    n_rows = math.prod(shape)
+    out, buf = np.empty((count, n_rows)), np.empty((min(n_rows, ROW_BLOCK), width))
+    for start in range(0, n_rows, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n_rows))
+        for o, value in zip(out, reduce(rows, buf[: rows.stop - start]), strict=True):
+            o[rows] = value
+    return [o.reshape(shape)[()] for o in out]
 
 
 def require_same_grid(*paths: SamplePath) -> TimeGrid:

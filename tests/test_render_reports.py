@@ -1,6 +1,8 @@
 import importlib.util
 import os
+import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -26,3 +28,15 @@ def test_report_labels_are_unique(seed):
     # two configs with one label would write the same report files
     labels = [label for label, _ in render_reports.configs(seed)]
     assert len(labels) == len(set(labels))
+
+
+def test_render_prints_its_time_and_live_peak_on_stderr(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        render_reports.render("bessel", experiments.make_config("bessel"), str(tmp_path))
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"bessel: passed \(\d+\.\d s, live peak \d+\.\d MiB\)\n", out.err)
+    assert sorted(os.listdir(tmp_path)) == ["bessel.csv", "bessel.json"]

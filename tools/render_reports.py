@@ -9,6 +9,12 @@ experiment at reduced sizes and every config of the four benchmark workloads
 (``benchmarks/workloads.build_configs``), into ``OUTDIR/seed-<seed>/``.  The
 package and the workloads are imported from the checkout that holds this
 script.  On two cores one render takes under a minute.
+
+Standard error gets one line per report: the check outcome, the seconds it
+took and its live peak, the most bytes that tracemalloc saw allocated and not
+yet freed while the experiment ran (the rendered files do not change).  Unlike
+a process's peak RSS, which keeps freed heap and depends on the allocator's
+mode, the live peak counts only what the program holds.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
@@ -56,20 +63,24 @@ def configs(seed: int) -> list:
 
 
 def render(label: str, cfg, out_dir: str) -> None:
+    tracemalloc.reset_peak()
     start = time.perf_counter()
     result = run_experiment(cfg)
+    elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     with open(os.path.join(out_dir, f"{label}.csv"), "w") as fh:
         fh.write(render_csv(result.rows))
     with open(os.path.join(out_dir, f"{label}.json"), "w") as fh:
         fh.write(render_json(result.summary()))
     outcome = "passed" if result.passed else "check failed"
-    print(f"{label}: {outcome} ({time.perf_counter() - start:.1f} s)", file=sys.stderr)
+    print(f"{label}: {outcome} ({elapsed:.1f} s, live peak {peak / 2**20:.1f} MiB)",
+          file=sys.stderr)
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/render_reports.py OUTDIR", file=sys.stderr)
         return 2
+    tracemalloc.start()
     for seed in SEEDS:
         out_dir = os.path.join(argv[0], f"seed-{seed}")
         os.makedirs(out_dir, exist_ok=True)
