@@ -33,7 +33,7 @@ every angle.  On a jump driver's particle list (M = its jumps plus a drift d
 per step) only the sums without m, and for d != 0 the power sums
 sum_j w b^a scaled by d^r, are dense passes; every term with a jump is one
 bincount over the particles.  A martingale without such a list (a
-Brownian copy, or a path built by hand) takes dense sums throughout.  The
+Brownian copy, or a rotated path) takes dense sums throughout.  The
 alternating sum cancels more as the order grows (8 distinct
 factors on an 8-step path: 7.7e-11 relative, against 4.3e-14 for the
 recursion), which is why every other evaluation keeps the recursion.  At a
@@ -66,6 +66,7 @@ from collections import Counter
 import numpy as np
 
 from .drivers import _cos_sin, rotate
+from .errors import ConfigurationError
 from .grid import Particles, SamplePath, TimeGrid, reduce_rows, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
@@ -401,26 +402,28 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     continuous drift of the martingale (the compensator of a compensated Poisson
     driver) rides in V through the plain increment sums.  V's continuous part is
     c sum h b + s sum h m_c for (c, s) those of drivers.rotate, so two fixed-order
-    row reductions serve every angle, one row block at a time.  On a driver's
-    list m_c is scattered per block: the drift d at every step and (J + d) - J
-    at each particle, the values of increments - jump_increments without
-    building either.  The product runs over
-    the particles only, in step order: a step without a jump has the factor 1.0
-    exactly, so it is bit for bit the product over every step.
+    row reductions serve every angle, one row block at a time.  The martingale
+    is a driver path: continuous, or a jump driver's particle list, on which
+    m_c is scattered per block: the drift d at every step and (J + d) - J at
+    each particle, the values of increments - jump_increments without building
+    either.  A list without its drift (a rotated or jump-augmented path) is
+    refused.  The product runs over the particles only, in step order: a step
+    without a jump has the factor 1.0 exactly, so it is bit for bit the
+    product over every step.
 
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
-    angles = [_cos_sin(theta) for theta in thetas]
     grid = require_same_grid(brownian, martingale)
+    jumps = martingale.particles
+    if jumps is not None and jumps.drift is None:
+        raise ConfigurationError("the martingale of an exponential vector must be a driver "
+                                 "path, not a rotated or jump-augmented one")
+    angles = [_cos_sin(theta) for theta in thetas]
     n = grid.n_steps
     h_grid = h.on_grid(grid)
     widths, values = np.diff(np.clip(h.breakpoints, 0.0, grid.horizon)), np.asarray(h.values)
-    jumps = martingale.particles
     if jumps is None:
         cont = martingale.block
-    elif jumps.drift is None:
-        def cont(rows):
-            return martingale.block(rows) - martingale.jump_increments.reshape(-1, n)[rows]
     else:  # a driver's increments - jump_increments, value for value, from its list
         def cont(rows):
             sub, d = jumps.block(rows), jumps.drift

@@ -21,8 +21,8 @@ exactly its N + 1 gaps before it draws its marks (``_fair_signs``, the draw of
 ``integers(0, 2)`` read off raw words).  A batch is the list of particles
 (row, step, mark) it snapped, sorted by row and then by step, with the drift
 between jumps (-dt for N~, 0 for M): ``SamplePath.particles``, which ``select``
-slices and ``rotate`` scales.  Its dense jump and increment arrays are built
-from that list on first read.
+slices and ``rotate`` scales.  Its dense increments are built from that list
+on first read.
 
 Per-path draws hold the interpreter lock, one short call per path, while the
 vectorized reductions around them release it.  Every per-key loop therefore
@@ -88,13 +88,12 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
     bit-for-bit at every grid point because the levels, computed on first
     read, are combined directly; the jump part is p2's particle list with its
-    marks times c2, scattered into zeros on first read.  A driver's p2 of p1's
-    shape is read off its list, and its dense increments stay unbuilt: c2 * d
-    off the jumps and c2 * (J + d) at each particle, the very sums of the
-    dense formula.
+    marks times c2.  A driver's p2 of p1's shape is read off its list, and its
+    dense increments stay unbuilt: c2 * d off the jumps and c2 * (J + d) at
+    each particle, the very sums of the dense formula.
     """
     grid = require_same_grid(p1, p2)
-    jumps, b = p2._particles, p1.increments
+    jumps, b = p2.particles, p1.increments
     if p2._increments is None and b.shape == jumps.shape + (grid.n_steps,):
         increments = c1 * b + c2 * jumps.drift
         at = jumps.rows, jumps.steps
@@ -102,9 +101,9 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
                                                     + c2 * (jumps.marks + jumps.drift))
     else:
         increments = c1 * b + c2 * p2.increments
-    particles = None if p2.particles is None else p2.particles.scaled(c2)
-    return SamplePath(grid, increments, _levels=lambda: c1 * p1.values + c2 * p2.values,
-                      _particles=particles)
+    particles = None if jumps is None else jumps.scaled(c2)
+    return SamplePath(grid, increments, particles=particles,
+                      _levels=lambda: c1 * p1.values + c2 * p2.values)
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
@@ -118,14 +117,14 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
     Levels at every grid point t_k >= u are increased by exactly a (on first
     read); the increments are unchanged except at the snap step, whose
     increment grows by a.  The lent jump is not one of the path's jumps: the
-    jump part (shared, if built) and the particle list stay those of the path,
-    the list without its drift, which no longer gives every step without a jump.
+    particle list stays that of the path, without its drift, which no longer
+    gives every step without a jump.
     """
     grid = path.grid
     k = grid.index_at_or_after(u)
     inc = path.increments.copy()
     inc[..., k - 1] += a
-    particles = path._particles
+    particles = path.particles
     if particles is not None:
         particles = dataclasses.replace(particles, drift=None)
 
@@ -134,7 +133,7 @@ def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
         values[..., k:] += a
         return values
 
-    return SamplePath(grid, inc, path._jump_increments, _levels=levels, _particles=particles)
+    return SamplePath(grid, inc, particles=particles, _levels=levels)
 
 
 # --- batch simulation -------------------------------------------------------
@@ -322,14 +321,13 @@ def inner_hat_batch(grid: TimeGrid, master_seed: int, outer_index: int, count: i
 
 
 def compensated_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    return SamplePath(grid, _particles=_jump_batch(grid, master_seed, start, count,
-                                                   CHANNEL_POISSON, signed=False, drift=-grid.dt))
+    return SamplePath(grid, particles=_jump_batch(grid, master_seed, start, count,
+                                                  CHANNEL_POISSON, signed=False, drift=-grid.dt))
 
 
 def compound_poisson_batch(grid: TimeGrid, master_seed: int, start: int, count: int) -> SamplePath:
-    # a pure-jump path: once built, increments and jump part are one array
-    return SamplePath(grid, _particles=_jump_batch(grid, master_seed, start, count,
-                                                   CHANNEL_COMPOUND, signed=True, drift=0.0))
+    return SamplePath(grid, particles=_jump_batch(grid, master_seed, start, count,
+                                                  CHANNEL_COMPOUND, signed=True, drift=0.0))
 
 
 DRIVER_BATCHES = {

@@ -30,7 +30,7 @@ from .functionals import FUNCTIONALS, make_square
 from .gradients import gradient_chaos, integration_by_parts_pair, lent_particle_sde_poisson
 from .gradients import lent_particle_sde_table, require_step, supremum_decomposition
 from .gradients import supremum_quotient
-from .grid import MAX_BATCH_ROWS, TimeGrid
+from .grid import TimeGrid
 from .kernels import ChaosVector, SimplexKernel
 from .ou import (
     carre_du_champ,
@@ -144,7 +144,7 @@ class ExperimentSpec:
     defaults: dict = field(default_factory=dict)  # config-field overrides
 
 
-def parallel_batches(fn, n_paths: int, workers: int, chunk: int = MAX_BATCH_ROWS) -> dict:
+def parallel_batches(fn, n_paths: int, workers: int, chunk: int) -> dict:
     """Run fn(start, count) over index batches and join them in index order.
 
     fn returns a dict of arrays with the same keys for every batch, each with
@@ -153,8 +153,8 @@ def parallel_batches(fn, n_paths: int, workers: int, chunk: int = MAX_BATCH_ROWS
     every reduction sees the same arrays whatever the worker count or chunk.
     Every runner passes ``chunk=grid.batch_rows``: as many paths as keep one
     paths x steps float64 array within ``grid.BATCH_BYTES``, at most
-    ``MAX_BATCH_ROWS``; a grid on which not one path fits is refused when it is
-    built.
+    ``grid.MAX_BATCH_ROWS``; a grid on which not one path fits is refused when
+    it is built.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")

@@ -3,9 +3,9 @@
 All driving processes live on a shared uniform grid of [0, T].  A path is
 stored as per-step increments; its levels at the grid points are computed on
 first read and cached.  A jump-type driver is stored as its list of particles
-and the drift between them, from which its increments and their pure-jump
-part are built on first read, so that downstream code can separate jumps from
-continuous drift without either.
+and the drift between them, from which its increments are built on first
+read; the list is the one record of a path's jumps, so downstream code
+separates jumps from continuous drift by reading it.
 
 Arrays may carry a leading batch dimension: ``increments`` has shape
 ``(n_steps,)`` for a single path or ``(n_paths, n_steps)`` for a batch, and
@@ -134,13 +134,6 @@ class Particles:
     marks: np.ndarray
     drift: float | None = None
 
-    @classmethod
-    def of(cls, jumps: np.ndarray) -> "Particles":
-        """The list of the nonzero entries of a dense jump array."""
-        flat = jumps.reshape(-1, jumps.shape[-1])
-        rows, steps = np.nonzero(flat)
-        return cls(jumps.shape[:-1], rows, steps, flat[rows, steps])
-
     def counts(self) -> np.ndarray:
         """The number of jumps of each path, shaped as the batch."""
         return np.bincount(self.rows, minlength=math.prod(self.shape)).reshape(self.shape)
@@ -178,44 +171,36 @@ class Particles:
 class SamplePath:
     """One driver path (or a batch of them) on a shared grid.
 
-    ``increments[..., j]`` is the change over (t_j, t_{j+1}];
-    ``jump_increments`` is the pure-jump part of each increment (None for
-    continuous drivers, Brownian paths included), and ``particles`` the same
-    jumps as a list.  A jump driver's path is its list alone: the particles it
-    drew and the drift between them.  Its dense ``jump_increments`` (the list
-    scattered into zeros) and ``increments`` (the list scattered onto the drift,
-    the jump part itself when the drift is 0) are built on first read and
-    cached, and ``select`` slices the list, so a selection builds only its own
-    rows.  A path built from others takes its increments as given and its jump
-    part from its list the same way; on a path built by hand from dense
-    arrays the list is the nonzero jump increments, read on first use.
+    ``increments[..., j]`` is the change over (t_j, t_{j+1}]; ``particles`` is
+    the list of the path's jumps (None for continuous drivers, Brownian paths
+    included), the one record of them.  A jump driver's path is its list alone:
+    the particles it drew and the drift between them.  Its ``increments`` (the
+    list scattered onto the drift) are built on first read and cached, and
+    ``select`` slices the list, so a selection builds only its own rows.  A
+    path built from others takes its increments as given and its list from
+    theirs.  ``jump_increments``, the pure-jump part of each increment, is
+    the list scattered into zeros, built on each read (None without a list).
     ``values`` holds the levels at the grid points, with value 0 at t_0.  They
     are computed on first read and cached: by ``_levels`` when a path built
     from others records how (so the levels stay bit-exact at every grid point),
     else as the cumulative sum of the increments.
     """
 
-    def __init__(self, grid: TimeGrid, increments=None, jump_increments=None, *,
-                 _values: np.ndarray | None = None,
-                 _levels: Callable[[], np.ndarray] | None = None,
-                 _particles: Particles | None = None):
-        self.grid, self._particles = grid, _particles
-        self._values, self._levels = _values, _levels
-        self._increments, self._jump_increments = (None if a is None else np.asarray(a, dtype=float)
-                                                   for a in (increments, jump_increments))
-        if self._increments is None and (_particles is None or _particles.drift is None):
+    def __init__(self, grid: TimeGrid, increments=None, *, particles: Particles | None = None,
+                 _levels: Callable[[], np.ndarray] | None = None):
+        self.grid, self.particles, self._levels, self._values = grid, particles, _levels, None
+        self._increments = None if increments is None else np.asarray(increments, dtype=float)
+        if self._increments is None and (particles is None or particles.drift is None):
             raise ConfigurationError("a path needs increments or a driver's particle list")
-        shape = (_particles.shape + (grid.n_steps,) if self._increments is None
+        shape = (particles.shape + (grid.n_steps,) if self._increments is None
                  else self._increments.shape)
         if shape[-1] != grid.n_steps:
             raise ConfigurationError(f"increments last axis {shape[-1]} != n_steps {grid.n_steps}")
-        if self._jump_increments is not None and self._jump_increments.shape != shape:
-            raise ConfigurationError("jump_increments shape mismatch")
 
     @property
     def shape(self) -> tuple:
         """The batch's leading axes, () for a single path, without building any array."""
-        return self._particles.shape if self._increments is None else self._increments.shape[:-1]
+        return self.particles.shape if self._increments is None else self._increments.shape[:-1]
 
     def block(self, rows: slice) -> np.ndarray:
         """The increments of the flat rows ``rows`` (C order over the batch axes) as a
@@ -223,23 +208,20 @@ class SamplePath:
         list with the values ``increments`` would hold, which stays unbuilt."""
         if self._increments is not None:
             return self._increments.reshape(-1, self.grid.n_steps)[rows]
-        jumps = self._particles.block(rows)
+        jumps = self.particles.block(rows)
         return jumps.scatter(self.grid.n_steps, jumps.marks + jumps.drift, jumps.drift)
 
     @property
     def increments(self) -> np.ndarray:
         if self._increments is None:  # a driver's path: its particles plus the drift d
-            jumps, d = self._particles, self._particles.drift
-            self._increments = (self.jump_increments if d == 0.0
-                                else jumps.scatter(self.grid.n_steps, jumps.marks + d, d))
+            jumps, d = self.particles, self.particles.drift
+            self._increments = jumps.scatter(self.grid.n_steps, jumps.marks + d, d)
         return self._increments
 
     @property
     def jump_increments(self) -> np.ndarray | None:
-        jumps = self._particles
-        if self._jump_increments is None and jumps is not None:
-            self._jump_increments = jumps.scatter(self.grid.n_steps, jumps.marks)
-        return self._jump_increments
+        jumps = self.particles
+        return None if jumps is None else jumps.scatter(self.grid.n_steps, jumps.marks)
 
     @property
     def values(self) -> np.ndarray:
@@ -251,19 +233,11 @@ class SamplePath:
                 np.cumsum(self.increments, axis=-1, out=self._values[..., 1:])
         return self._values
 
-    @property
-    def particles(self) -> Particles | None:
-        """The jumps as a list of particles; None for a continuous path."""
-        if self._particles is None and self._jump_increments is not None:
-            self._particles = Particles.of(self._jump_increments)
-        return self._particles
-
     def select(self, index) -> "SamplePath":
         """Extract one path (or a sub-batch) from a batch; only its built arrays are sliced."""
-        increments, jumps = (None if a is None else a[index]
-                             for a in (self._increments, self._jump_increments))
-        particles = None if self._particles is None else self._particles.select(index)
-        path = SamplePath(self.grid, increments, jumps, _particles=particles)
+        increments = None if self._increments is None else self._increments[index]
+        particles = None if self.particles is None else self.particles.select(index)
+        path = SamplePath(self.grid, increments, particles=particles)
         if self._values is not None:
             path._values = self._values[index]
         elif self._levels is not None:  # stays lazy; one read fills this batch's cache

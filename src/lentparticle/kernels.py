@@ -124,14 +124,6 @@ class ChaosVector:
         return {n: sum(a.inner(b) for a in g for b in g) for n, g in groups.items()}
 
     @property
-    def norm_sq(self) -> float:
-        """||F||^2 = f(0)^2 + sum_n n! ||f_n||^2."""
-        total = self.constant**2
-        for n, block in self._gram_blocks().items():
-            total += math.factorial(n) * block
-        return total
-
-    @property
     def gradient_energy(self) -> float:
         """sum_n n * n! ||f_n||^2, the Ornstein-Uhlenbeck domain norm of F."""
         total = 0.0

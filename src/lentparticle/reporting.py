@@ -36,20 +36,8 @@ def render_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
 def render_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def write_result(result, out_dir: str) -> tuple[str, str]:

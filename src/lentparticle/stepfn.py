@@ -34,10 +34,6 @@ class StepFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def indicator(cls, a: float, b: float, value: float = 1.0) -> "StepFunction":
-        return cls((a, b), (value,))
-
-    @classmethod
     def constant(cls, value: float, horizon: float) -> "StepFunction":
         return cls((0.0, horizon), (value,))
 

@@ -17,7 +17,13 @@ from lentparticle.chaos import (
     iterated_integrals,
     stochastic_integral,
 )
-from lentparticle.drivers import _cos_sin, inner_hat_batch, martingale_batch, rotate
+from lentparticle.drivers import (
+    _cos_sin,
+    add_unit_jump,
+    inner_hat_batch,
+    martingale_batch,
+    rotate,
+)
 from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import evaluate_functional, make_functional, make_square
@@ -72,7 +78,7 @@ class TestIteratedIntegral:
     def test_distinct_factors_vs_brute_force(self, tiny_path):
         g1 = StepFunction.constant(1.0, 1.0)
         g2 = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
-        g3 = StepFunction.indicator(0.25, 1.0, -1.0)
+        g3 = StepFunction((0.25, 1.0), (-1.0,))
         # eight distinct factors: the 8-step path leaves one index tuple and
         # all 40320 orderings
         distinct = tuple(StepFunction((0.0, 0.5, 1.0), (1.0 + i, 0.5 - 0.3 * i)) for i in range(8))
@@ -174,7 +180,7 @@ class TestIteratedIntegrals:
     def test_each_kernel_reads_its_one_kernel_walk(self, kind):
         grid = TimeGrid(1.0, 120)
         h = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
-        g = StepFunction.indicator(0.25, 1.0, -1.0)
+        g = StepFunction((0.25, 1.0), (-1.0,))
         chains = [SimplexKernel.power(h, n, weight=0.9 - 0.2 * n) for n in range(5)]
         kernels = chains + [
             SimplexKernel(3, (h, g, g), weight=1.3),
@@ -256,7 +262,7 @@ def reference_walk(kernel: SimplexKernel, path: SamplePath):
 class TestFinalStateReduction:
     # A final state is one reduction, not a cumulative sum: the same bits.
     H = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
-    G = StepFunction.indicator(0.25, 1.0, -1.0)
+    G = StepFunction((0.25, 1.0), (-1.0,))
     KERNELS = [
         SimplexKernel.power(H, 1, weight=0.7),  # level 0 is final
         SimplexKernel.power(H, 3, weight=0.9),
@@ -315,12 +321,12 @@ class TestRotatedChaos:
                 SimplexKernel(order, distinct, weight=0.9)]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_vs_brute_force_on_rotated_increments(self, tiny_path, order):
+    def test_vs_brute_force_on_rotated_increments(self, tiny_path, order, jump_path):
         g1 = StepFunction.constant(1.0, 1.0)
         g2 = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
-        g3 = StepFunction.indicator(0.25, 1.0, -1.0)
+        g3 = StepFunction((0.25, 1.0), (-1.0,))
         jumps = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0])
-        mart = SamplePath(tiny_path.grid, jumps, jump_increments=jumps)
+        mart = jump_path(tiny_path.grid, jumps)
         factor_sets = [(g1,) * order, (g1, g2, g3, g2, g1)[:order], (g2, g3, g3, g1, g3)[:order]]
         for factors in factor_sets:
             F = ChaosVector(0.0, (SimplexKernel(order, factors, weight=0.7),))
@@ -408,7 +414,7 @@ class TestRotatedChaos:
 
 class TestParticleRoute:
     """RotatedChaos on a driver's particle list against the dense mixed sums of the
-    same path, handed over without the list; the recursion tests above read the
+    same path, handed over as its increments alone; the recursion tests above read the
     list route too, since their jump drivers carry one."""
 
     ANGLES = (0.0, math.pi / 2, 0.7)
@@ -422,9 +428,8 @@ class TestParticleRoute:
     @classmethod
     def _largest_gap(cls, F, B, M, particles):
         """max |list route - dense route| over kernels and angles, over the largest |value|."""
-        dense = RotatedChaos(F, B, SamplePath(M.grid, M.increments, M.jump_increments))
-        listed = RotatedChaos(F, B, SamplePath(M.grid, M.increments, M.jump_increments,
-                                               _particles=particles))
+        dense = RotatedChaos(F, B, SamplePath(M.grid, M.increments))
+        listed = RotatedChaos(F, B, SamplePath(M.grid, M.increments, particles=particles))
         pairs = [(got, want) for theta in cls.ANGLES
                  for got, want in zip(listed.integrals(theta), dense.integrals(theta))]
         scale = max(np.max(np.abs(want)) for _, want in pairs)
@@ -463,7 +468,7 @@ class TestParticleRoute:
     def test_other_martingales_take_the_dense_route(self, monkeypatch, how):
         grid = TimeGrid(1.0, 50)
         B, M = _drivers("poisson", grid, 6)
-        martingale = {"hand-built": SamplePath(grid, M.increments, M.jump_increments),
+        martingale = {"hand-built": SamplePath(grid, M.increments),
                       "rotated": rotate(B, M, 0.7), "single-M-batch-B": M.select(2)}[how]
         called = []
 
@@ -541,19 +546,18 @@ class TestChaosEvaluation:
 class TestExponentialVector:
     def test_brownian_only_closed_form(self, unit_grid, brownian):
         h = StepFunction((0.0, 0.5, 1.0), (1.0, -0.5))
-        flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
-                          jump_increments=np.zeros(unit_grid.n_steps))
+        flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps))
         (value,) = exponential_vector(h, brownian, flat, [0.0])
         manual = math.exp(stochastic_integral(h, brownian) - 0.5 * h.norm_sq)
         assert value == pytest.approx(manual, rel=1e-12)
 
-    def test_poisson_jump_product(self):
+    def test_poisson_jump_product(self, jump_path):
         # Hand-built compensated Poisson path with jumps at steps 3 and 7.
         grid = TimeGrid(1.0, 10)
         jumps = np.zeros(10)
         jumps[2] = 1.0
         jumps[6] = 1.0
-        mart = SamplePath(grid, jumps - grid.dt, jump_increments=jumps)
+        mart = jump_path(grid, jumps, -grid.dt)
         flatB = SamplePath(grid, np.zeros(10))
         c = 0.4
         h = StepFunction.constant(c, 1.0)
@@ -562,11 +566,11 @@ class TestExponentialVector:
         (value,) = exponential_vector(h, flatB, mart, [math.pi / 2])
         assert value == pytest.approx(math.exp(-c) * (1 + c) ** 2, rel=1e-12)
 
-    def test_zero_factor_flags(self):
+    def test_zero_factor_flags(self, jump_path):
         grid = TimeGrid(1.0, 10)
         jumps = np.zeros(10)
         jumps[4] = 1.0
-        mart = SamplePath(grid, jumps - grid.dt, jump_increments=jumps)
+        mart = jump_path(grid, jumps, -grid.dt)
         flatB = SamplePath(grid, np.zeros(10))
         h = StepFunction.constant(-1.0, 1.0)  # factor 1 + h * jump = 0
         # the factor at the jump vanishes, so the value is 0 on this path
@@ -633,14 +637,13 @@ class TestExponentialVectorAngles:
     H = StepFunction((0.0, 0.3, 1.0), (0.9, -0.6))
 
     @staticmethod
-    def _hand_drivers():
+    def _hand_drivers(jump_path):
         # three paths on 10 steps, with three jumps, none and two jumps
         grid = TimeGrid(1.0, 10)
         jumps = np.zeros((3, 10))
         jumps[0, [1, 4, 8]] = (0.7, -1.3, 2.1)
         jumps[2, [7, 8]] = (-0.45, 1.9)
-        M = SamplePath(grid, jumps, jump_increments=jumps)
-        return SamplePath(grid, np.zeros((3, 10))), M
+        return SamplePath(grid, np.zeros((3, 10))), jump_path(grid, jumps)
 
     @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
     def test_matches_the_dense_formula(self, kind):
@@ -662,9 +665,10 @@ class TestExponentialVectorAngles:
     def test_is_bitwise_the_two_function_form_at_h2_zero(self, kind, h, horizon, shape):
         grid = TimeGrid(horizon, 200)
         B, M = _drivers(kind, grid, math.prod(shape))
-        B, M = (SamplePath(grid, p.increments.reshape(shape + (200,)),
-                           None if p.jump_increments is None
-                           else p.jump_increments.reshape(shape + (200,))) for p in (B, M))
+        # the flat rows of a list are those of any batch shape of as many paths
+        B, M = (SamplePath(grid, p.increments.reshape(shape + (200,))) if p.particles is None
+                else SamplePath(grid, particles=dataclasses.replace(p.particles, shape=shape))
+                for p in (B, M))
         angles = (0.0, math.pi / 2, -1.0, 2.5, -math.pi / 2)
         got = exponential_vector(h, B, M, angles)
         want = two_function_exponential_vector(h, B, M, angles)
@@ -685,18 +689,18 @@ class TestExponentialVectorAngles:
                 assert got[i].tobytes() == alone.tobytes()
                 assert across[i].tobytes() == alone.tobytes()
 
-    def test_sparse_product_is_the_dense_product(self):
+    def test_sparse_product_is_the_dense_product(self, jump_path):
         # At pi/2, with zero Brownian increments and a pure-jump M, the
         # exponential part is exp(0) = 1, so the value is the product alone.
-        B, M = self._hand_drivers()
+        B, M = self._hand_drivers(jump_path)
         h = StepFunction((0.0, 0.25, 0.65, 1.0), (0.37, -0.81, 0.23))
         (value,) = exponential_vector(h, B, M, [math.pi / 2])
         dense = np.prod(1.0 + h.on_grid(M.grid) * M.jump_increments, axis=-1)
         assert value.tobytes() == dense.tobytes()
         assert value[1] == 1.0
 
-    def test_vanishing_factor_is_exactly_zero(self):
-        B, M = self._hand_drivers()
+    def test_vanishing_factor_is_exactly_zero(self, jump_path):
+        B, M = self._hand_drivers(jump_path)
         h = StepFunction((0.0, 0.5, 1.0), (1.0 / 1.3, 0.2))  # 1 + h * (-1.3) = 0 at step 4
         (value,) = exponential_vector(h, B, M, [math.pi / 2])
         assert 1.0 + h.on_grid(M.grid)[4] * -1.3 == 0.0
@@ -717,6 +721,23 @@ class TestExponentialVectorAngles:
     def test_no_angles_give_no_values(self, unit_grid):
         B, M = _drivers("compound", unit_grid, 4)
         assert exponential_vector(self.H, B, M, []) == []
+
+    @pytest.mark.parametrize("how", ["rotated", "lent-jump"])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_a_list_without_its_drift_is_refused_before_any_sum(self, unit_grid, monkeypatch,
+                                                                 kind, how):
+        # a rotated or jump-augmented path keeps a list that no longer gives every step
+        # without a jump, so its continuous part is not the drift
+        B, M = _drivers(kind, unit_grid, 4)
+        martingale = rotate(B, M, 0.7) if how == "rotated" else add_unit_jump(M, 0.4, 0.25)
+        assert martingale.particles is not None and martingale.particles.drift is None
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("reduced the batch before refusing the martingale")
+
+        monkeypatch.setattr(np, "einsum", no_reduction)
+        with pytest.raises(ConfigurationError, match="must be a driver path"):
+            exponential_vector(self.H, B, martingale, [0.3])
 
 
 class TestCovarianceCurve:

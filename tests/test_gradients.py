@@ -125,9 +125,8 @@ class TestChaosGradient:
 
 
 class TestPoissonSde:
-    def test_no_jump_path_refused(self, unit_grid, brownian):
-        flat = SamplePath(unit_grid, np.zeros(unit_grid.n_steps),
-                          jump_increments=np.zeros(unit_grid.n_steps))
+    def test_no_jump_path_refused(self, unit_grid, brownian, jump_path):
+        flat = jump_path(unit_grid, np.zeros(unit_grid.n_steps))
         no_jump_part = SamplePath(unit_grid, np.zeros(unit_grid.n_steps))
         B = martingale_batch("brownian", unit_grid, SEED, 0, 8)
         M = martingale_batch("compound", unit_grid, SEED, 0, 8)
@@ -136,10 +135,10 @@ class TestPoissonSde:
             with pytest.raises(ConfigurationError, match="every martingale path needs a jump"):
                 lent_particle_sde_poisson(spec, b, m, 1.0)
 
-    def test_records_first_jump_time(self, unit_grid, brownian):
+    def test_records_first_jump_time(self, unit_grid, brownian, jump_path):
         jumps = np.zeros(unit_grid.n_steps)
         jumps[99] = 1.0
-        mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
+        mart = jump_path(unit_grid, jumps)
         spec = make_sde("additive", sigma=1.0)
         est = lent_particle_sde_poisson(spec, brownian, mart, 1.0, theta=1e-5)
         assert est.u == pytest.approx(100 * unit_grid.dt)
@@ -147,21 +146,22 @@ class TestPoissonSde:
         assert est.value == pytest.approx(mart.values[-1], abs=1e-6)
 
     @pytest.mark.parametrize("mark", [1.0, -1.0, 2.0])
-    def test_value_is_the_derivative_at_the_first_jump(self, unit_grid, brownian, mark):
+    def test_value_is_the_derivative_at_the_first_jump(self, unit_grid, brownian, mark,
+                                                       jump_path):
         # the difference tends to mark * D_{U_1} X_T; value divides the mark out
         jumps = np.zeros(unit_grid.n_steps)
         jumps[99] = mark
-        mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
+        mart = jump_path(unit_grid, jumps)
         est = lent_particle_sde_poisson(make_sde("gbm"), brownian, mart, 1.0)
         assert est.value == pytest.approx(est.analytic, rel=1e-6)
-        flipped = SamplePath(unit_grid, -jumps, jump_increments=-jumps)
+        flipped = jump_path(unit_grid, -jumps)
         assert lent_particle_sde_poisson(make_sde("gbm"), brownian, flipped, 1.0).value \
             == pytest.approx(est.value, rel=1e-6)
 
-    def test_off_grid_t_rejected(self, unit_grid, brownian):
+    def test_off_grid_t_rejected(self, unit_grid, brownian, jump_path):
         jumps = np.zeros(unit_grid.n_steps)
         jumps[99] = 1.0
-        mart = SamplePath(unit_grid, jumps.copy(), jump_increments=jumps)
+        mart = jump_path(unit_grid, jumps)
         with pytest.raises(ConfigurationError, match="not a point"):
             lent_particle_sde_poisson(make_sde("gbm"), brownian, mart, 0.5005)
 
@@ -244,7 +244,7 @@ class TestIntegrationByParts:
 
     def test_kernel_argument_rejected(self, brownian):
         # a cylindrical argument is a first-order integral; a kernel is a ChaosVector's
-        k = SimplexKernel(2, (StepFunction.constant(1.0, 1.0), StepFunction.indicator(0.0, 0.5, 2.0)))
+        k = SimplexKernel(2, (StepFunction.constant(1.0, 1.0), StepFunction((0.0, 0.5), (2.0,))))
         F = CylindricalFunctional((k,), phi=lambda x: x, phi_grad=lambda x: (1.0,))
         with pytest.raises(ConfigurationError,
                            match="^a cylindrical argument must be a StepFunction, got "):
@@ -315,7 +315,8 @@ class TestSupremum:
 
     def test_decomposition_reads_cached_levels(self, unit_grid):
         batch = martingale_batch("brownian", unit_grid, SEED, 0, 16)
-        path = SamplePath(unit_grid, batch.increments, _values=batch.values + 1.0)
+        path = SamplePath(unit_grid, batch.increments)
+        path._values = batch.values + 1.0
         got = supremum_decomposition(None, path, 0.5)
         assert tuple(g.tobytes() for g in got) == self._maxima(batch.values + 1.0, unit_grid, 0.5)
 

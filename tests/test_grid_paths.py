@@ -314,8 +314,12 @@ class TestParticles:
 
     @staticmethod
     def _assert_lists_the_jumps(path):
-        got, want = path._particles, Particles.of(path.jump_increments)
-        assert got is not None and got.shape == path.jump_increments.shape[:-1]
+        jumps = path.jump_increments
+        flat = jumps.reshape(-1, jumps.shape[-1])
+        rows, steps = np.nonzero(flat)  # sorted by row, then by step
+        got = path.particles
+        want = Particles(jumps.shape[:-1], rows, steps, flat[rows, steps])
+        assert got is not None and got.shape == want.shape
         for name in ("rows", "steps", "marks"):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -363,26 +367,21 @@ class TestParticles:
         self._assert_lists_the_jumps(bumped)
         assert bumped.particles.drift is None  # the lent jump's step is not the drift
 
-    def test_hand_built_path_reads_its_list_off_the_dense_jumps(self):
+    def test_a_two_axis_list_counts_and_selects_its_paths(self):
         grid = TimeGrid(1.0, 10)
-        jumps = np.zeros((2, 3, 10))
-        jumps[0, 1, [2, 7]] = (0.5, -1.5)
-        jumps[1, 2, 0] = 2.0
-        path = SamplePath(grid, jumps, jump_increments=jumps)
-        assert path._particles is None
-        particles = path.particles
-        assert particles.shape == (2, 3) and particles.drift is None
-        assert particles.rows.tolist() == [1, 1, 5]
-        assert particles.steps.tolist() == [2, 7, 0]
-        assert particles.marks.tolist() == [0.5, -1.5, 2.0]
+        particles = Particles((2, 3), np.array([1, 1, 5]), np.array([2, 7, 0]),
+                              np.array([0.5, -1.5, 2.0]), drift=0.0)
         assert particles.counts().tolist() == [[0, 2, 0], [0, 0, 1]]
         one = particles.select((0, 1))
         assert one.shape == () and one.steps.tolist() == [2, 7]
+        jumps = SamplePath(grid, particles=particles).jump_increments
+        assert jumps.shape == (2, 3, 10) and jumps[0, 1, [2, 7]].tolist() == [0.5, -1.5]
+        assert jumps[1, 2, 0] == 2.0 and np.count_nonzero(jumps) == 3
         assert SamplePath(grid, np.zeros(10)).particles is None
 
 
 class TestLazyDenseArrays:
-    """A jump path's dense arrays, built from its list on first read, against the eager
+    """A jump path's dense arrays, built from its list on read, against the eager
     scatter a jump batch used to make: the list scattered into zeros, then minus dt for
     N~; the compound path's increments were its jump array itself."""
 
@@ -397,7 +396,7 @@ class TestLazyDenseArrays:
 
     @staticmethod
     def _unbuilt(path):
-        return path._increments is None and path._jump_increments is None
+        return path._increments is None
 
     @pytest.mark.parametrize("horizon, n_steps, seed, start, count", [
         (12.0, 400, SEED, 0, 60),  # most rows drawn gap by gap
@@ -413,12 +412,13 @@ class TestLazyDenseArrays:
         assert self._unbuilt(M)
         inc, jumps = self._eager(M, kind)
         getattr(M, first)
-        # N~'s increments are scattered onto -dt directly; M's increments are its jump array
-        assert (M._jump_increments is None) == ((kind, first) == ("poisson", "increments"))
+        # the jump part is scattered on each read and caches nothing
+        assert self._unbuilt(M) == (first == "jump_increments")
+        assert M.jump_increments is not M.jump_increments
+        # N~'s increments are scattered onto -dt directly; M's onto 0.0, its jump array
         assert M.increments.tobytes() == inc.tobytes()
         assert M.jump_increments.tobytes() == jumps.tobytes()
         assert M.increments.shape == jumps.shape == (count, n_steps)
-        assert (M.increments is M.jump_increments) == (kind == "compound")
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
     def test_select_slices_the_list_and_builds_only_its_rows(self, kind):
@@ -432,11 +432,11 @@ class TestLazyDenseArrays:
             assert sub.jump_increments.tobytes() == jumps[index].tobytes()
             assert sub.increments.tobytes() == inc[index].tobytes()
             assert self._unbuilt(M)
-        # a built batch hands its selections slices of its arrays
-        built = M.increments, M.jump_increments
+        # a built batch hands its selections slices of its increments
+        built = M.increments
         one = M.select(-2)
-        assert M._increments is built[0] and M._jump_increments is built[1]
-        assert one._increments is not None and one._jump_increments is not None
+        assert M._increments is built
+        assert one._increments is not None and np.shares_memory(one._increments, built)
         assert one.increments.tobytes() == inc[-2].tobytes()
         assert one.jump_increments.tobytes() == jumps[-2].tobytes()
 
@@ -449,7 +449,6 @@ class TestLazyDenseArrays:
         inc, jumps = self._eager(M, kind)
         c, s = drivers._cos_sin(theta)
         Y = rotate(B, M, theta)
-        assert Y._jump_increments is None
         assert Y.increments.tobytes() == (c * B.increments + s * inc).tobytes()
         eager = s * jumps  # the jump part _combine used to build
         assert np.array_equal(Y.jump_increments, eager)
@@ -484,25 +483,17 @@ class TestLazyDenseArrays:
         M = martingale_batch(kind, grid, SEED, 0, 12)
         inc, jumps = self._eager(M, kind)
         bumped = add_unit_jump(M, 0.4, 0.25)
-        # add_unit_jump reads the increments, which on M are its jump array
-        assert (bumped._jump_increments is None) == (kind == "poisson")
         expected = inc.copy()
         expected[:, grid.index_at_or_after(0.4) - 1] += 0.25
         assert bumped.increments.tobytes() == expected.tobytes()
         assert bumped.jump_increments.tobytes() == jumps.tobytes()
-        # a built jump part is shared, not copied
-        built = M.jump_increments
-        assert add_unit_jump(M, 0.4, 0.25)._jump_increments is built
 
     def test_a_path_needs_increments_or_a_driver_list(self, unit_grid):
         particles = martingale_batch("poisson", unit_grid, SEED, 0, 3).particles
         with pytest.raises(ConfigurationError, match="needs increments"):
             SamplePath(unit_grid)
         with pytest.raises(ConfigurationError, match="needs increments"):
-            SamplePath(unit_grid, _particles=particles.scaled(0.5))  # no drift
-        with pytest.raises(ConfigurationError, match="shape mismatch"):
-            SamplePath(unit_grid, jump_increments=np.zeros((2, unit_grid.n_steps)),
-                       _particles=particles)
+            SamplePath(unit_grid, particles=particles.scaled(0.5))  # no drift
 
 
 class TestDrivers:

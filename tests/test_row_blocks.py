@@ -26,7 +26,7 @@ SEED = 43
 GRID = TimeGrid(1.0, 24)
 ONE = StepFunction.constant(1.0, 1.0)
 H = StepFunction((0.0, 0.3, 1.0), (1.5, -0.5))
-G = StepFunction.indicator(0.25, 1.0, -1.0)
+G = StepFunction((0.25, 1.0), (-1.0,))
 # covariance-decay's h = 1 power kernels, whose blocks of every size have byte-equal
 # weights, next to a higher power and a kernel of two factor classes
 KERNELS = (*(SimplexKernel.power(ONE, n) for n in (1, 2, 3)),
@@ -46,7 +46,7 @@ def _batch(kind: str, size, start: int = 0) -> SamplePath:
 
 
 def _unbuilt(path: SamplePath) -> bool:
-    return path._increments is None and path._jump_increments is None
+    return path._increments is None
 
 
 def _assert_rows_alone(batch_values, alone):
@@ -235,4 +235,4 @@ class TestBatchMemory:
         N = martingale_batch("poisson", TimeGrid(1.0, 1000), SEED, 0, 2048)
         (value,) = iterated_integrals([SimplexKernel.power(ONE, 2)], N)
         assert value.shape == (2048,)
-        assert N._increments is None and N._jump_increments is None
+        assert N._increments is None

