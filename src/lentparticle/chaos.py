@@ -52,8 +52,8 @@ Every batch reduction here runs one grid.ROW_BLOCK of rows at a time
 row): the recursion's states, the powers b^a, m^r of the mixed sums and a
 driver's continuous part exist for one block only, and a jump driver's block is
 scattered from its particle list, so its dense arrays stay unbuilt.  The only
-paths x steps arrays a batch holds are its drivers' own increments and
-rotations.  Each row is reduced exactly as it would be alone.
+paths x steps arrays a batch holds are its drivers' own increments (a
+rotation's block is its parts' blocks combined).  Each row reduces as alone.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class RotatedChaos:
 
 def evaluate_chaos(F: ChaosVector, driver: SamplePath) -> np.ndarray:
     """f(0) + sum_n I_n(f_n) against a given driver path."""
-    shape = driver.increments.shape[:-1]
+    shape = driver.shape
     total = np.full(shape, float(F.constant)) if shape else float(F.constant)
     return functools.reduce(operator.add, iterated_integrals(F.kernels, driver), total)
 

@@ -88,26 +88,24 @@ def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath
     The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
     bit-for-bit at every grid point because the levels, computed on first
     read, are combined directly; the jump part is p2's particle list with its
-    marks times c2.  A driver's p2 of p1's shape is read off its list, and its
-    dense increments stay unbuilt: c2 * d off the jumps and c2 * (J + d) at
-    each particle, the very sums of the dense formula.
+    marks times c2.  The path stores (c1, p1, c2, p2), not its increments: each
+    window of rows and steps it is read by (``SamplePath.block``) is
+    c1 * p1 + c2 * p2 on that window, and its dense increments are built on
+    first read.  A driver's p2 is read off its list and stays unbuilt: c2 * d
+    off the jumps and c2 * (J + d) at each particle, the dense formula's sums.
+    A broadcast pair (p1 and p2 of unequal shapes) is built dense at once.
     """
     grid = require_same_grid(p1, p2)
-    jumps, b = p2.particles, p1.increments
-    if p2._increments is None and b.shape == jumps.shape + (grid.n_steps,):
-        increments = c1 * b + c2 * jumps.drift
-        at = jumps.rows, jumps.steps
-        increments.reshape(-1, grid.n_steps)[at] = (c1 * b.reshape(-1, grid.n_steps)[at]
-                                                    + c2 * (jumps.marks + jumps.drift))
-    else:
-        increments = c1 * b + c2 * p2.increments
-    particles = None if jumps is None else jumps.scaled(c2)
-    return SamplePath(grid, increments, particles=particles,
+    particles = None if p2.particles is None else p2.particles.scaled(c2)
+    pair = p1.shape == p2.shape
+    return SamplePath(grid, None if pair else c1 * p1.increments + c2 * p2.increments,
+                      particles=particles, _parts=(c1, p1, c2, p2) if pair else None,
                       _levels=lambda: c1 * p1.values + c2 * p2.values)
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
-    """Y^theta = B cos(theta) + M sin(theta), exact at every grid point."""
+    """Y^theta = B cos(theta) + M sin(theta), exact at every grid point; it holds
+    (cos, B, sin, M) and is read a window at a time (_combine)."""
     return _combine(brownian, martingale, *_cos_sin(theta))
 
 

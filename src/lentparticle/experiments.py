@@ -43,6 +43,7 @@ from .sde import make_sde
 from .stepfn import StepFunction
 
 DEFAULT_SEED = 20240901
+JOINED_BYTES = 2**30  # the per-path results a run joins, counted at 8 bytes a value
 
 
 def _param_value(name: str, value, default):
@@ -144,7 +145,7 @@ class ExperimentSpec:
     defaults: dict = field(default_factory=dict)  # config-field overrides
 
 
-def parallel_batches(fn, n_paths: int, workers: int, chunk: int) -> dict:
+def parallel_batches(fn, n_paths: int, workers: int, chunk: int, width: int) -> dict:
     """Run fn(start, count) over index batches and join them in index order.
 
     fn returns a dict of arrays with the same keys for every batch, each with
@@ -154,10 +155,13 @@ def parallel_batches(fn, n_paths: int, workers: int, chunk: int) -> dict:
     Every runner passes ``chunk=grid.batch_rows``: as many paths as keep one
     paths x steps float64 array within ``grid.BATCH_BYTES``, at most
     ``grid.MAX_BATCH_ROWS``; a grid on which not one path fits is refused when
-    it is built.
+    it is built.  fn returns at most ``width`` values per path, and a run whose joined
+    arrays could pass JOINED_BYTES is refused before any batch exists.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
+    if n_paths * width * 8 > JOINED_BYTES:
+        raise ConfigurationError(f"{n_paths} paths of {width} results pass {JOINED_BYTES} bytes")
     batches = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
     if workers <= 1:
         parts = [fn(s, c) for s, c in batches]
@@ -230,7 +234,8 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
         return {(n, d): value ** 2 for d, path in zip(ISOMETRY_DRIVERS, paths)
                 for n, value in zip(kernels, iterated_integrals(list(kernels.values()), path))}
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows,
+                              width=len(kernels) * len(ISOMETRY_DRIVERS))
     return _z_result(cfg, [
         (f"isometry_order{n}_{d}",
          {"order": n, "driver": d, "theta": rotation_theta if d == "rotation" else 0.0},
@@ -259,7 +264,8 @@ def _run_covariance_decay(cfg: ExperimentConfig) -> ExperimentResult:
                 out[(n, phi)] = value * b
         return out
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows,
+                              width=len(kernels) * len(phis))
     return _z_result(cfg, [
         (f"covariance_order{n}_phi{phi:.4f}", {"order": n, "phi": phi},
          joined[n, phi] / kernels[n].isometry_target, math.cos(phi) ** n)
@@ -313,7 +319,8 @@ def _run_expvector_covariance(cfg: ExperimentConfig) -> ExperimentResult:
         base, *rotated = exponential_vector(h, B, N, (0.0, *phis))
         return {phi: value * base for phi, value in zip(phis, rotated)}
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows,
+                              width=len(phis))
     return _z_result(cfg, [
         (f"expvector_phi{phi:.4f}", {"phi": phi}, joined[phi],
          math.exp(h_norm_sq * math.cos(phi)))
@@ -342,7 +349,7 @@ def _run_chaos_energy(cfg: ExperimentConfig) -> ExperimentResult:
             out[kind] = gradient_chaos(chaotic_extension(F, B, M), theta) ** 2
         return out
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows, width=2)
     return _z_result(cfg, [
         (f"chaos_energy_{kind}", {"driver": kind, "theta": theta}, joined[kind], target)
         for kind in ("poisson", "compound")
@@ -397,7 +404,8 @@ def _run_sde_lent_particle(cfg: ExperimentConfig) -> ExperimentResult:
             for (u, t), g in lent_particle_sde_table(spec, B, u_list, t_list, theta).items()
         }
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows,
+                              width=2 * len(specs) * len(ks) * len(ms))
     rows, checks = [], []
     excluded = 0
     for i, name in enumerate(names):
@@ -443,7 +451,7 @@ def _run_sde_poisson(cfg: ExperimentConfig) -> ExperimentResult:
         grad = lent_particle_sde_poisson(spec, B, M.select(single), grid.horizon, theta)
         return {"single": single, "debiased": grad.value, "oracle": grad.analytic}
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows, width=3)
     single = joined["single"]
     freq = float(np.mean(single))
     freq_se = math.sqrt(freq * (1.0 - freq) / cfg.n_paths)
@@ -484,7 +492,8 @@ def _run_ibp(cfg: ExperimentConfig) -> ExperimentResult:
             return {side: np.broadcast_to(np.asarray(value, dtype=float), (count,))
                     for side, value in zip(("lhs", "rhs"), sides)}
 
-        joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+        joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows,
+                                  width=2)
         lhs, rhs = joined["lhs"], joined["rhs"]
         _, pooled_se, z, check = _z_test(f"ibp_{label}", lhs - rhs, 0.0)
         rows.append({"pair": label, "lhs": float(lhs.mean()), "rhs": float(rhs.mean()),
@@ -536,7 +545,8 @@ def _run_mehler(cfg: ExperimentConfig) -> ExperimentResult:
         return {"gamma_b1": np.array(gamma_b1), "bracket_vs_gamma": np.array(bracket_vs_gamma),
                 "eigen": np.reshape([order for path in eigen for order in path], (-1, 2, 3))}
 
-    joined = parallel_batches(batch, n_outer, cfg.workers, chunk=grid.batch_rows)
+    # gamma_b1, bracket_vs_gamma and 2 x 3 eigen values on the first n_eigen outer paths
+    joined = parallel_batches(batch, n_outer, cfg.workers, chunk=grid.batch_rows, width=8)
     rows, checks = [], []
     mean_g, se_g, _, check = _z_test("gamma_b1", joined["gamma_b1"], 1.0)
     rows.append({"quantity": "gamma_b1", "t": 0.0, "estimate": mean_g,
@@ -583,7 +593,7 @@ def _run_supremum(cfg: ExperimentConfig) -> ExperimentResult:
         quotient = supremum_quotient(gap, a)
         return {"gap": gap, "tied": tied, "offending": ~tied & (quotient != (gap >= 0.0))}
 
-    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows)
+    joined = parallel_batches(batch, cfg.n_paths, cfg.workers, chunk=grid.batch_rows, width=3)
     gap, tied = joined["gap"], joined["tied"]
     offending = int(np.sum(joined["offending"]))
     mean, se, _, mean_check = _z_test("supremum_mean", (gap[~tied] >= 0.0).astype(float), 0.5)

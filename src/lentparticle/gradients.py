@@ -125,7 +125,7 @@ def lent_particle_sde_table(
     ks = [grid.index_at_or_after(u) for u in us]
     ms = [grid.index_of(t) for t in ts]
     bumps = [(k, a) for k in ks for a in (theta, -theta)]
-    xs, ys = euler(spec, grid, [brownian.increments], bumps,
+    xs, ys = euler(spec, grid, [brownian], bumps,
                    x_steps=ms + [k - 1 for k in ks], y_steps=ms + ks)
     n_t = len(ms)
     out = {}
@@ -150,7 +150,8 @@ def lent_particle_sde_poisson(
     J_1 = +-1 the division is exact.  u is the first jump time U_1, J_1 its
     mark (each path's first particle) and ``analytic`` the flow form of
     D_{U_1} X_t, per path on a batch, so every path of M needs a jump.  B,
-    Y^theta and Y^-theta are the rows of one Euler pass.
+    Y^theta and Y^-theta are the rows of one Euler pass, which reads each
+    rotation a step block at a time off B and M's list, never stored whole.
     """
     require_step("theta", theta)
     grid = require_same_grid(brownian, martingale)
@@ -164,8 +165,7 @@ def lent_particle_sde_poisson(
     first = np.cumsum(counts) - counts  # each path's first particle
     k = (jumps.steps[first] + 1).reshape(jumps.shape)[()]
     mark = jumps.marks[first].reshape(jumps.shape)[()]
-    rows = [brownian.increments, rotate(brownian, martingale, theta).increments,
-            rotate(brownian, martingale, -theta).increments]
+    rows = [brownian, rotate(brownian, martingale, theta), rotate(brownian, martingale, -theta)]
     (x, x_before), (y_k, y_m) = euler(spec, grid, rows, x_steps=(m, k - 1), y_steps=(k, m))
     return GradientEstimate(u=k * grid.dt, t=m * grid.dt,
                             value=(x[1] - x[2]) / (2.0 * theta) / mark,

@@ -5,7 +5,8 @@ stored as per-step increments; its levels at the grid points are computed on
 first read and cached.  A jump-type driver is stored as its list of particles
 and the drift between them, from which its increments are built on first
 read; the list is the one record of a path's jumps, so downstream code
-separates jumps from continuous drift by reading it.
+separates jumps from continuous drift by reading it.  A combination of two
+paths (a rotation) is stored as its two parts and read window by window.
 
 Arrays may carry a leading batch dimension: ``increments`` has shape
 ``(n_steps,)`` for a single path or ``(n_paths, n_steps)`` for a batch, and
@@ -154,12 +155,15 @@ class Particles:
         out.reshape(-1, n_steps)[self.rows, self.steps] = values
         return out
 
-    def block(self, rows: slice) -> "Particles":
-        """The particles of the flat rows ``rows`` (a slice with start and stop), renumbered
-        from its start: the list of a batch of those rows alone."""
+    def block(self, rows: slice, steps: slice | None = None) -> "Particles":
+        """The particles of the flat rows ``rows`` and, if given, the steps ``steps`` (slices
+        with start and stop), renumbered from their starts: the list of those alone."""
         lo, hi = np.searchsorted(self.rows, (rows.start, rows.stop))
-        return Particles((rows.stop - rows.start,), self.rows[lo:hi] - rows.start,
-                         self.steps[lo:hi], self.marks[lo:hi], self.drift)
+        at, on, marks = self.rows[lo:hi] - rows.start, self.steps[lo:hi], self.marks[lo:hi]
+        if steps is not None:
+            kept = (steps.start <= on) & (on < steps.stop)
+            at, on, marks = at[kept], on[kept] - steps.start, marks[kept]
+        return Particles((rows.stop - rows.start,), at, on, marks, self.drift)
 
     def scaled(self, c: float) -> "Particles":
         """The jumps times c, as on c * path plus a continuous part: no drift."""
@@ -174,12 +178,14 @@ class SamplePath:
     ``increments[..., j]`` is the change over (t_j, t_{j+1}]; ``particles`` is
     the list of the path's jumps (None for continuous drivers, Brownian paths
     included), the one record of them.  A jump driver's path is its list alone:
-    the particles it drew and the drift between them.  Its ``increments`` (the
-    list scattered onto the drift) are built on first read and cached, and
-    ``select`` slices the list, so a selection builds only its own rows.  A
-    path built from others takes its increments as given and its list from
-    theirs.  ``jump_increments``, the pure-jump part of each increment, is
-    the list scattered into zeros, built on each read (None without a list).
+    the particles it drew and the drift between them.  A combination
+    c1 * p1 + c2 * p2 of two paths of one shape (drivers.rotate) holds
+    (c1, p1, c2, p2) and its list from theirs.  ``block`` reads either a window
+    of rows and steps at a time.  Their ``increments`` are built on first read
+    and cached, and ``select`` slices the list, or p1 and p2, so a selection
+    builds only its own rows.
+    ``jump_increments``, the pure-jump part of each increment, is the list
+    scattered into zeros, built on each read (None without a list).
     ``values`` holds the levels at the grid points, with value 0 at t_0.  They
     are computed on first read and cached: by ``_levels`` when a path built
     from others records how (so the levels stay bit-exact at every grid point),
@@ -187,35 +193,42 @@ class SamplePath:
     """
 
     def __init__(self, grid: TimeGrid, increments=None, *, particles: Particles | None = None,
-                 _levels: Callable[[], np.ndarray] | None = None):
+                 _levels: Callable[[], np.ndarray] | None = None, _parts: tuple | None = None):
         self.grid, self.particles, self._levels, self._values = grid, particles, _levels, None
+        self._parts = _parts  # (c1, p1, c2, p2) of a combination of two paths of one shape
         self._increments = None if increments is None else np.asarray(increments, dtype=float)
-        if self._increments is None and (particles is None or particles.drift is None):
+        if increments is None and _parts is None and getattr(particles, "drift", None) is None:
             raise ConfigurationError("a path needs increments or a driver's particle list")
-        shape = (particles.shape + (grid.n_steps,) if self._increments is None
-                 else self._increments.shape)
-        if shape[-1] != grid.n_steps:
-            raise ConfigurationError(f"increments last axis {shape[-1]} != n_steps {grid.n_steps}")
+        last = grid.n_steps if increments is None else self._increments.shape[-1]
+        if last != grid.n_steps:
+            raise ConfigurationError(f"increments last axis {last} != n_steps {grid.n_steps}")
 
     @property
     def shape(self) -> tuple:
         """The batch's leading axes, () for a single path, without building any array."""
-        return self.particles.shape if self._increments is None else self._increments.shape[:-1]
-
-    def block(self, rows: slice) -> np.ndarray:
-        """The increments of the flat rows ``rows`` (C order over the batch axes) as a
-        (rows, n_steps) array: a view of built increments, else scattered from the driver's
-        list with the values ``increments`` would hold, which stays unbuilt."""
         if self._increments is not None:
-            return self._increments.reshape(-1, self.grid.n_steps)[rows]
-        jumps = self.particles.block(rows)
-        return jumps.scatter(self.grid.n_steps, jumps.marks + jumps.drift, jumps.drift)
+            return self._increments.shape[:-1]
+        return self.particles.shape if self._parts is None else self._parts[1].shape
+
+    def block(self, rows: slice, steps: slice | None = None) -> np.ndarray:
+        """The increments of the flat rows ``rows`` (C order over the batch axes) on the steps
+        ``steps`` (all if None) as a (rows, steps) array, the values ``increments`` would
+        hold: a view of built increments, else, building nothing, a driver's list scattered
+        into the window or c1 * p1 + c2 * p2 on the window."""
+        if self._increments is not None:
+            return self._increments.reshape(-1, self.grid.n_steps)[rows, steps or slice(None)]
+        if self._parts is not None:
+            c1, p1, c2, p2 = self._parts
+            return c1 * p1.block(rows, steps) + c2 * p2.block(rows, steps)
+        jumps = self.particles.block(rows, steps)  # a driver's list
+        width = self.grid.n_steps if steps is None else steps.stop - steps.start
+        return jumps.scatter(width, jumps.marks + jumps.drift, jumps.drift)
 
     @property
     def increments(self) -> np.ndarray:
-        if self._increments is None:  # a driver's path: its particles plus the drift d
-            jumps, d = self.particles, self.particles.drift
-            self._increments = jumps.scatter(self.grid.n_steps, jumps.marks + d, d)
+        if self._increments is None:
+            shape = self.shape + (self.grid.n_steps,)
+            self._increments = self.block(slice(0, math.prod(shape[:-1]))).reshape(shape)
         return self._increments
 
     @property
@@ -234,10 +247,14 @@ class SamplePath:
         return self._values
 
     def select(self, index) -> "SamplePath":
-        """Extract one path (or a sub-batch) from a batch; only its built arrays are sliced."""
+        """Extract one path (or a sub-batch) from a batch; only its built arrays, or the
+        parts of a combination, are sliced."""
         increments = None if self._increments is None else self._increments[index]
+        parts = self._parts if increments is None else None
+        if parts is not None:
+            parts = parts[0], parts[1].select(index), parts[2], parts[3].select(index)
         particles = None if self.particles is None else self.particles.select(index)
-        path = SamplePath(self.grid, increments, particles=particles)
+        path = SamplePath(self.grid, increments, particles=particles, _parts=parts)
         if self._values is not None:
             path._values = self._values[index]
         elif self._levels is not None:  # stays lazy; one read fills this batch's cache

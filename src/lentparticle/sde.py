@@ -4,8 +4,9 @@ The solver is the explicit left-endpoint scheme
 
     X_{k+1} = X_k + sigma(t_k, X_k) dW_k + b(t_k, X_k) dt
 
-and consumes only increments, so any driver (Brownian, rotated, or
-jump-augmented) can be plugged in.  The first-variation process
+and reads its driver paths one step block at a time (``SamplePath.block``), so
+any driver (Brownian, rotated, or jump-augmented) can be plugged in, and a
+rotation is never stored whole.  The first-variation process
 
     Y_{k+1} = Y_k (1 + sigma_x(t_k, X_k) dW_k + b_x(t_k, X_k) dt),  Y_0 = 1
 
@@ -85,18 +86,18 @@ def make_sde(name: str, **params) -> SdeSpec:
                    sigma_x=lambda t, x: np.cos(x), b_x=lambda t, x: 0.0)
 
 
-# Steps per time-major copy of the increments: a few MB at batch shapes,
-# so the copy stays bounded whatever the grid.
+# Steps per time-major window of the drivers' increments: a few MB at batch
+# shapes, so the window stays bounded whatever the grid.
 STEP_BLOCK = 256
 
 
 def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=()):
     """The stacked Euler loop; returns the kept columns (xs, ys).
 
-    ``drivers`` holds increment arrays of one shape (..., n_steps), one per
-    row, row 0 the base.  A bump (k, a), 1 <= k <= n_steps, appends a row on
-    the single base driver with a added to the increment of step k.  An
-    entry of ``x_steps`` / ``y_steps`` is a step in [0, n_steps], or an
+    ``drivers`` holds paths of one batch shape, one per row, row 0 the base,
+    each read one STEP_BLOCK of steps at a time.  A bump (k, a), 1 <= k <= n_steps,
+    appends a row on the single base driver with a added to the increment of
+    step k.  An entry of ``x_steps`` / ``y_steps`` is a step in [0, n_steps], or an
     integer array over the paths giving each path its own step: xs[i] is the
     stacked state (rows, ...) there and ys[i] the first variation of row 0,
     which is advanced only when y_steps is non-empty.  Non-finite states are
@@ -105,7 +106,8 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     n = grid.n_steps
     if bumps and len(drivers) != 1:
         raise ConfigurationError("bumped rows need a single driver row")
-    paths = np.shape(drivers[0])[:-1]
+    paths = drivers[0].shape
+    every = slice(0, int(np.prod(paths)))  # every row, flat
     rows = len(drivers) + len(bumps)
     bumped: dict[int, list] = {}
     for row, (k, a) in enumerate(bumps, start=len(drivers)):
@@ -124,8 +126,9 @@ def euler(spec: SdeSpec, grid: TimeGrid, drivers, bumps=(), x_steps=(), y_steps=
     _keep(y_plan, ys, 0, y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j0 in range(0, n, STEP_BLOCK):  # a block of steps, time-major and contiguous
-            dw = np.stack([np.moveaxis(inc[..., j0:j0 + STEP_BLOCK], -1, 0)
-                           for inc in drivers], 1)
+            window = slice(j0, min(j0 + STEP_BLOCK, n))
+            dw = np.stack([p.block(every, window).T for p in drivers], 1).reshape(
+                (-1, len(drivers)) + paths)
             x_base = np.empty(dw[:, 0].shape)  # row 0 before each step, for Y
             for j, d in enumerate(dw, start=j0):
                 if y is not None:
@@ -172,14 +175,14 @@ def _keep(plan: dict, out: list, step: int, value) -> None:
 def solve_sde(spec: SdeSpec, driver: SamplePath) -> np.ndarray:
     """Euler path(s) of the SDE; shape (..., n_steps + 1), non-finite where a path blew up."""
     n = driver.grid.n_steps
-    xs, _ = euler(spec, driver.grid, [driver.increments], x_steps=range(n + 1))
+    xs, _ = euler(spec, driver.grid, [driver], x_steps=range(n + 1))
     return np.stack(xs, axis=-1)[0]
 
 
 def first_variation(spec: SdeSpec, driver: SamplePath) -> np.ndarray:
     """Linearized flow Y along the Euler path on the same increments; Y_0 = 1."""
     n = driver.grid.n_steps
-    _, ys = euler(spec, driver.grid, [driver.increments], y_steps=range(n + 1))
+    _, ys = euler(spec, driver.grid, [driver], y_steps=range(n + 1))
     return np.stack(ys, axis=-1)
 
 

@@ -245,6 +245,14 @@ class TestRun:
         assert "n_steps must be at most 2097152" in result.output
         assert not (tmp_path / "supremum.json").exists()
 
+    def test_joined_results_past_the_budget_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["run", "isometry", "--n-paths", "1000000000",
+                                      "--output", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.exit_code == 2, result.output
+        assert "1000000000 paths of 12 results pass 1073741824 bytes" in result.output
+        assert not (tmp_path / "isometry.json").exists()
+
     @pytest.mark.parametrize("experiment, param", [
         (name, param) for name, spec in EXPERIMENTS.items()
         for param, default in spec.param_defaults.items() if isinstance(default, tuple)

@@ -6,6 +6,7 @@ import pytest
 from lentparticle.errors import ConfigurationError
 from lentparticle.experiments import (
     EXPERIMENTS,
+    JOINED_BYTES,
     ExperimentConfig,
     list_experiments,
     make_config,
@@ -154,7 +155,7 @@ class TestParallelBatches:
         def fn(s, c):
             return {"index": np.arange(s, s + c), "start": np.full(c, s)}
 
-        joined = parallel_batches(fn, 10_001, 1, chunk=4096)
+        joined = parallel_batches(fn, 10_001, 1, chunk=4096, width=2)
         np.testing.assert_array_equal(joined["index"], np.arange(10_001))
         starts, counts = np.unique(joined["start"], return_counts=True)
         assert starts.tolist() == [0, 4096, 8192]
@@ -164,8 +165,8 @@ class TestParallelBatches:
         def fn(s, c):
             return {"x": np.arange(s, s + c, dtype=float), "rows": np.full((c, 2), s)}
 
-        serial = parallel_batches(fn, 1000, 1, chunk=64)
-        threaded = parallel_batches(fn, 1000, 8, chunk=64)
+        serial = parallel_batches(fn, 1000, 1, chunk=64, width=3)
+        threaded = parallel_batches(fn, 1000, 8, chunk=64, width=3)
         assert list(threaded) == ["x", "rows"]
         np.testing.assert_array_equal(threaded["x"], np.arange(1000.0))
         for key in serial:
@@ -173,7 +174,67 @@ class TestParallelBatches:
 
     def test_no_paths_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one path"):
-            parallel_batches(lambda s, c: {"x": np.zeros(c)}, 0, 1, chunk=64)
+            parallel_batches(lambda s, c: {"x": np.zeros(c)}, 0, 1, chunk=64, width=1)
+
+    def test_joined_results_past_the_budget_are_refused_before_any_batch(self):
+        def fn(start, count):
+            raise AssertionError("a batch ran")
+
+        most = JOINED_BYTES // (8 * 3)  # paths of 3 values each that fit
+        with pytest.raises(ConfigurationError, match=f"results pass {JOINED_BYTES} bytes"):
+            parallel_batches(fn, most + 1, 1, chunk=4096, width=3)
+        with pytest.raises(AssertionError, match="a batch ran"):
+            parallel_batches(fn, most, 1, chunk=4096, width=3)
+
+
+# every experiment that calls parallel_batches, small but with every kind of result
+JOINING = [
+    *[pytest.param(name, {"n_paths": 300, "n_steps": 50}, id=name) for name in (
+        "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
+        "ibp", "supremum", "sde-lent-particle", "sde-poisson")],
+    pytest.param("mehler", {"n_steps": 50, "params": {
+        "n_outer": 8, "n_inner": 16, "n_eigen_paths": 8}}, id="mehler"),
+]
+
+
+class TestJoinedBudget:
+    """n_paths, target_n_paths and n_outer are bounded by the bytes of the joined results."""
+
+    @pytest.mark.parametrize("name, overrides", JOINING)
+    def test_width_bounds_the_joined_results(self, monkeypatch, name, overrides):
+        from lentparticle import experiments
+
+        original, calls = experiments.parallel_batches, []
+
+        def recorded(fn, n_paths, workers, chunk, width):
+            joined = original(fn, n_paths, workers, chunk=chunk, width=width)
+            calls.append((sum(v.nbytes for v in joined.values()), n_paths * width * 8))
+            return joined
+
+        monkeypatch.setattr(experiments, "parallel_batches", recorded)
+        run_experiment(make_config(name, **overrides))
+        assert calls
+        for joined_bytes, bound in calls:
+            assert joined_bytes <= bound
+
+    @pytest.mark.parametrize("name, overrides", [
+        *[pytest.param(name, {"n_paths": 10**9}, id=name) for name in (
+            "isometry", "covariance-decay", "exp-vector-covariance", "chaos-energy",
+            "ibp", "supremum", "sde-lent-particle", "sde-poisson")],
+        pytest.param("mehler", {"params": {"n_outer": 10**9}}, id="mehler-n_outer"),
+        pytest.param("reproducibility", {"params": {"target_n_paths": 10**9}},
+                     id="reproducibility-target_n_paths"),
+    ])
+    def test_too_many_paths_are_refused_before_any_draw(self, monkeypatch, name, overrides):
+        from lentparticle import experiments
+
+        def drawn(*args):
+            raise AssertionError("a path was drawn")
+
+        for driver in ("martingale_batch", "brownian_rows", "inner_hat_batch"):
+            monkeypatch.setattr(experiments, driver, drawn)
+        with pytest.raises(ConfigurationError, match=f"results pass {JOINED_BYTES} bytes"):
+            run_experiment(make_config(name, **overrides))
 
 
 class TestBatchBudget:
@@ -200,9 +261,9 @@ class TestBatchBudget:
 
         original, calls = experiments.parallel_batches, []
 
-        def recorded(fn, n_paths, workers, chunk=None):
+        def recorded(fn, n_paths, workers, chunk=None, **kwargs):
             calls.append((n_paths, chunk))
-            return original(fn, n_paths, workers, chunk=chunk)
+            return original(fn, n_paths, workers, chunk=chunk, **kwargs)
 
         monkeypatch.setattr(experiments, "parallel_batches", recorded)
         cfg = make_config(name, **overrides)
@@ -247,7 +308,7 @@ class TestBatchBudget:
         class Batched(Exception):
             pass
 
-        def recorded(fn, n_paths, workers, chunk=None):
+        def recorded(fn, n_paths, workers, chunk=None, **_):
             raise Batched([min(chunk, n_paths - s) for s in range(0, n_paths, chunk)])
 
         monkeypatch.setattr(experiments, "parallel_batches", recorded)
@@ -403,8 +464,8 @@ class TestRunners:
 
         default = render()
         for size in (1, 7):
-            def rechunked(fn, n_paths, workers, chunk=None, size=size):
-                return original(fn, n_paths, workers, chunk=size)
+            def rechunked(fn, n_paths, workers, chunk=None, size=size, **kwargs):
+                return original(fn, n_paths, workers, chunk=size, **kwargs)
 
             monkeypatch.setattr(experiments, "parallel_batches", rechunked)
             assert render() == default, f"chunk {size}"
@@ -430,9 +491,9 @@ class TestRunners:
         assert run_experiment(cfg).passed
         original = experiments.parallel_batches
 
-        def reversed_when_threaded(fn, n_paths, workers, chunk=4096):
+        def reversed_when_threaded(fn, n_paths, workers, chunk=4096, **kwargs):
             # the same batches, joined last batch first
-            joined = original(fn, n_paths, workers, chunk)
+            joined = original(fn, n_paths, workers, chunk, **kwargs)
             if workers <= 1:
                 return joined
             starts = range(0, n_paths, chunk)[::-1]
@@ -636,8 +697,8 @@ class TestRunners:
         original = experiments.parallel_batches
         monkeypatch.setattr(experiments, "brownian_rows", rows)
         monkeypatch.setattr(experiments, "martingale_batch", compound_only)
-        monkeypatch.setattr(experiments, "parallel_batches",
-                            lambda fn, n_paths, workers, chunk: original(fn, n_paths, workers, 4))
+        monkeypatch.setattr(experiments, "parallel_batches", lambda fn, n_paths, workers, chunk,
+                            width: original(fn, n_paths, workers, 4, width))
         cfg = make_config("sde-poisson", n_steps=100, n_paths=40)
         run_experiment(cfg)
         jumps = martingale_batch("compound", cfg.grid, cfg.master_seed, 0, 40).jump_increments
@@ -694,6 +755,36 @@ class TestRunners:
         # rotate reads the selection's particle list: no dense row of M is built
         for path in (M, single):
             assert path._increments is None
+
+    def test_sde_poisson_batch_holds_its_brownian_rows_once(self, monkeypatch):
+        # sde.euler reads Y^{+-theta} one step block at a time off B and M's list: one
+        # batch at the benchmark's shape holds B's rows and the block temporaries, not
+        # the two rotations as dense paths x steps arrays
+        import tracemalloc
+
+        from lentparticle import experiments, gradients
+
+        drawn, rotations = [], []
+        brownian_rows, rotate = experiments.brownian_rows, gradients.rotate
+        monkeypatch.setattr(experiments, "brownian_rows",
+                            lambda *args: drawn.append(brownian_rows(*args)) or drawn[-1])
+        monkeypatch.setattr(gradients, "rotate",
+                            lambda *args: rotations.append(rotate(*args)) or rotations[-1])
+        run_experiment(make_config("sde-poisson", n_steps=100, n_paths=16))  # first calls
+        drawn.clear(), rotations.clear()
+        cfg = make_config("sde-poisson", n_steps=4000, n_paths=512)
+        assert cfg.n_paths <= cfg.grid.batch_rows  # one batch
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (B,) = drawn  # the single-jump rows
+        assert peak <= 2 * B.increments.nbytes, (peak, B.increments.nbytes)
+        assert len(rotations) == 2
+        for Y in rotations:
+            assert Y._increments is None
 
     def test_mehler_joins_its_outer_paths_in_one_batch(self, monkeypatch):
         # the outer-path work holds the interpreter lock: more batches only add workers' CPU

@@ -20,6 +20,7 @@ from lentparticle.experiments import DEFAULT_SEED
 from lentparticle.functionals import make_functional
 from lentparticle.grid import (
     BATCH_BYTES,
+    ROW_BLOCK,
     CHANNEL_BROWNIAN,
     CHANNEL_COMPOUND,
     CHANNEL_HAT,
@@ -31,6 +32,7 @@ from lentparticle.grid import (
     require_same_grid,
 )
 from lentparticle.ou import combine_paths
+from lentparticle.sde import STEP_BLOCK
 
 SEED = 99
 
@@ -459,23 +461,47 @@ class TestLazyDenseArrays:
         assert not np.signbit(Y.jump_increments[~on]).any()
         assert np.signbit(eager[~on]).all() == (theta < 0)
 
+    @pytest.mark.parametrize("n_steps", [255, 256, 257, 513, 1000])
     @pytest.mark.parametrize("theta", [0.7, -1e-4, math.pi / 2, 2.0])
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_rotation_reads_the_driver_list(self, kind, theta):
-        # c1 b + c2 d off the jumps and c1 b + c2 (J + d) at each particle: the dense
-        # formula's sums bit for bit, while the driver's dense arrays stay unbuilt
-        grid = TimeGrid(1.0, 1000)
-        B = martingale_batch("brownian", grid, SEED, 0, 256)
-        M = martingale_batch(kind, grid, SEED, 0, 256)
+    def test_rotation_reads_the_driver_list(self, kind, theta, n_steps):
+        # every window is c1 b + c2 d off the jumps and c1 b + c2 (J + d) at each particle:
+        # the dense formula's sums bit for bit, while neither the rotation's nor the
+        # driver's dense arrays are built
+        grid = TimeGrid(1.0, n_steps)
+        B = martingale_batch("brownian", grid, SEED, 0, 300)
+        M = martingale_batch(kind, grid, SEED, 0, 300)
         inc, _ = self._eager(M, kind)
         c, s = drivers._cos_sin(theta)
-        for b, m, dense in ((B, M, inc), (B.select(5), M.select(5), inc[5])):
-            Y = rotate(b, m, theta)
-            assert self._unbuilt(m)
-            assert Y.increments.tobytes() == (c * b.increments + s * dense).tobytes()
-        # one driver path against a batch broadcasts through its dense increments
-        Y = rotate(B, M.select(5), theta)
-        assert Y.increments.tobytes() == (c * B.increments + s * inc[5]).tobytes()
+        dense = c * B.increments + s * inc
+        windows = [slice(j0, min(j0 + STEP_BLOCK, n_steps))  # sde.euler's step blocks
+                   for j0 in range(0, n_steps, STEP_BLOCK)] + [slice(3, n_steps - 1)]
+        Y = rotate(B, M, theta)
+        assert Y.shape == (300,)
+        for rows in (slice(0, 300), slice(0, ROW_BLOCK), slice(ROW_BLOCK, 300), slice(7, 8)):
+            assert Y.block(rows).tobytes() == dense[rows].tobytes()
+            for steps in windows:
+                assert Y.block(rows, steps).tobytes() == dense[rows, steps].tobytes()
+        assert self._unbuilt(M) and self._unbuilt(Y)
+        # a selection of the rotated batch selects B and M, and builds nothing either
+        for index in (5, slice(3, 200), M.particles.counts() == 1):
+            sub = Y.select(index)
+            flat = dense[index].reshape(-1, n_steps)
+            for steps in windows:
+                window = sub.block(slice(0, len(flat)), steps)
+                assert window.tobytes() == flat[:, steps].tobytes()
+            assert self._unbuilt(sub) and self._unbuilt(Y) and self._unbuilt(M)
+            assert sub.increments.tobytes() == dense[index].tobytes()
+        assert Y.increments.tobytes() == dense.tobytes()
+        assert self._unbuilt(M)
+        # one driver path against a batch broadcasts through its dense increments, built
+        # at once, and its windows are views of them
+        pair = rotate(B, M.select(5), theta)
+        broadcast = c * B.increments + s * inc[5]
+        assert pair.shape == (300,) and pair.increments.tobytes() == broadcast.tobytes()
+        window = pair.block(slice(7, 9), windows[-1])
+        assert window.tobytes() == broadcast[7:9, 3:-1].tobytes()
+        assert np.shares_memory(window, pair.increments)
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
     def test_lent_jump_keeps_the_jump_part(self, kind):

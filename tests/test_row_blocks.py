@@ -15,7 +15,7 @@ from lentparticle.chaos import (
     exponential_vector,
     iterated_integrals,
 )
-from lentparticle.drivers import inner_hat_batch, martingale_batch
+from lentparticle.drivers import inner_hat_batch, martingale_batch, rotate
 from lentparticle.experiments import make_config, run_experiment
 from lentparticle.functionals import make_functional
 from lentparticle.grid import ROW_BLOCK, SamplePath, TimeGrid
@@ -114,6 +114,19 @@ class TestRowsAlone:
         values = iterated_integrals(KERNELS, path)
         assert kind == "brownian" or _unbuilt(path)
         _assert_rows_alone(values, lambda i: iterated_integrals(KERNELS, path.select(i)))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_iterated_integrals_of_a_rotation(self, kind, size):
+        # isometry's fourth driver: each row block of rotate(B, N, 0.7) is read off B's
+        # rows and N's list, and neither the rotation nor N builds its dense increments
+        B, M = _batch("brownian", size), _batch(kind, size)
+        rotated = rotate(B, M, 0.7)
+        values = iterated_integrals(KERNELS, rotated)
+        assert _unbuilt(rotated) and _unbuilt(M)
+        _assert_rows_alone(values, lambda i: iterated_integrals(
+            KERNELS, rotate(B.select(i), M.select(i), 0.7)))
+        assert _unbuilt(rotated) and _unbuilt(M)
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])

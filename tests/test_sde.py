@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lentparticle import experiments
-from lentparticle.drivers import martingale_batch
+from lentparticle.drivers import _cos_sin, martingale_batch, rotate
 from lentparticle.errors import ConfigurationError
 from lentparticle.gradients import lent_particle_sde
 from lentparticle.grid import SamplePath, TimeGrid
@@ -215,7 +215,7 @@ class TestEngine:
         # bumps at the first step, the first step of a block and the last step
         bumps = [(k, a) for k in (1, STEP_BLOCK + 1, grid.n_steps) for a in (theta, -theta)]
         steps = range(grid.n_steps + 1)
-        xs, ys = euler(spec, grid, [B.increments], bumps, x_steps=steps, y_steps=steps)
+        xs, ys = euler(spec, grid, [B], bumps, x_steps=steps, y_steps=steps)
         x = np.stack(xs, axis=-1)
         x_ref, y_ref = reference_euler(spec, grid, B.increments)
         np.testing.assert_array_equal(x[0], x_ref)
@@ -226,6 +226,30 @@ class TestEngine:
             np.testing.assert_array_equal(x[row], reference_euler(spec, grid, inc)[0])
             np.testing.assert_array_equal(x[row][:, :k], x_ref[:, :k])
 
+    @pytest.mark.parametrize("theta", [1e-4, 0.7])
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    @pytest.mark.parametrize("paths", [40, "one"])
+    def test_rotated_rows_match_reference_loop(self, kind, theta, paths):
+        # sde-poisson's rows: B and Y^{+-theta}, each rotation read one step block at a
+        # time off B and M's list, against the reference loop on its dense increments
+        grid = TimeGrid(1.0, 2 * STEP_BLOCK + 50)
+        B = martingale_batch("brownian", grid, SEED, 0, 40)
+        M = martingale_batch(kind, grid, SEED, 0, 40)
+        if paths == "one":
+            B, M = B.select(3), M.select(3)
+        rows = [B, rotate(B, M, theta), rotate(B, M, -theta)]
+        spec = time_dependent()
+        steps = range(grid.n_steps + 1)
+        xs, ys = euler(spec, grid, rows, x_steps=steps, y_steps=steps)
+        assert all(path._increments is None for path in (M, *rows[1:]))
+        x = np.stack(xs, axis=-1)
+        for row, a in enumerate((0.0, theta, -theta)):
+            c, s = _cos_sin(a)
+            inc = c * B.increments + s * M.increments if row else B.increments
+            np.testing.assert_array_equal(x[row], reference_euler(spec, grid, inc)[0])
+        np.testing.assert_array_equal(np.stack(ys, axis=-1),
+                                      reference_euler(spec, grid, B.increments)[1])
+
     def test_bumps_in_any_order(self):
         # listed in descending step order, two at one step, one at a block's first step
         grid = TimeGrid(1.0, STEP_BLOCK + 50)
@@ -234,7 +258,7 @@ class TestEngine:
         bumps = [(grid.n_steps, 1e-3), (STEP_BLOCK + 1, -2e-3), (7, 1e-3), (7, -1e-3),
                  (1, 3e-3)]
         steps = range(grid.n_steps + 1)
-        xs, ys = euler(spec, grid, [B.increments], bumps, x_steps=steps, y_steps=steps)
+        xs, ys = euler(spec, grid, [B], bumps, x_steps=steps, y_steps=steps)
         x = np.stack(xs, axis=-1)
         x_ref, y_ref = reference_euler(spec, grid, B.increments)
         np.testing.assert_array_equal(x[0], x_ref)
@@ -257,7 +281,7 @@ class TestEngine:
         grid = TimeGrid(1.0, STEP_BLOCK + 20)
         B = martingale_batch("brownian", grid, SEED, 0, 3)
         bumps = [(STEP_BLOCK + 5, 1e-3), (9, 1e-3), (9, -1e-3)]
-        (x,), _ = euler(spec, grid, [B.increments], bumps, x_steps=(5,))
+        (x,), _ = euler(spec, grid, [B], bumps, x_steps=(5,))
         assert live == [1] * 8 + [3] * (STEP_BLOCK - 4) + [4] * (grid.n_steps - STEP_BLOCK - 4)
         # a row that is not live yet reads row 0
         np.testing.assert_array_equal(x, np.repeat(x[:1], 4, axis=0))
@@ -267,7 +291,7 @@ class TestEngine:
         B = martingale_batch("brownian", grid, SEED, 0, 5)
         spec = make_sde("sine-diffusion")
         steps = np.array([0, 3, STEP_BLOCK + 50, STEP_BLOCK + 1, 3])
-        (x,), (y,) = euler(spec, grid, [B.increments], x_steps=(steps,), y_steps=(steps,))
+        (x,), (y,) = euler(spec, grid, [B], x_steps=(steps,), y_steps=(steps,))
         x_ref, y_ref = reference_euler(spec, grid, B.increments)
         np.testing.assert_array_equal(x[0], x_ref[np.arange(5), steps])
         np.testing.assert_array_equal(y, y_ref[np.arange(5), steps])
@@ -277,7 +301,7 @@ class TestEngine:
         n = unit_grid.n_steps
         for bumps, steps in [([(0, 1e-3)], ()), ([(n + 1, 1e-3)], ()), ((), (n + 1,))]:
             with pytest.raises(ConfigurationError):
-                euler(spec, unit_grid, [brownian.increments], bumps, x_steps=steps)
+                euler(spec, unit_grid, [brownian], bumps, x_steps=steps)
 
     def test_exploding_path_stays_nonfinite(self, unit_grid):
         # dX = dB - X^3 dt is stable, but Euler diverges once X^2 dt > 2:
