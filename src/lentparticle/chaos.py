@@ -32,20 +32,20 @@ sum_j w_B(t_j) b_j^a m_j^(|B|-a), so one set of row reductions per batch gives
 every angle.  On a jump driver's particle list (M = its jumps plus a drift d
 per step) only the sums without m, and for d != 0 the power sums
 sum_j w b^a scaled by d^r, are dense passes; every term with a jump is one
-bincount over the particles.  A martingale without such a list (a
-Brownian copy, or a rotated path) takes dense sums throughout.  The
-alternating sum cancels more as the order grows (8 distinct
-factors on an 8-step path: 7.7e-11 relative, against 4.3e-14 for the
-recursion), which is why every other evaluation keeps the recursion.  At a
-generic angle the two routes agree to a few 1e-13 of the batch's largest
-value at every order up to MAX_ORDER; near pi/2, a jump path with fewer jumps
-than the order stays at the rounding of its power sums (order 8: ~1e-9
-against values of ~1e-4).
+bincount over the particles.  A martingale without such a list (a Brownian
+copy, or a combination) takes dense sums throughout.  The alternating sum
+cancels more as the order grows (8 distinct factors on an 8-step path: 7.7e-11
+relative, against 4.3e-14 for the recursion), which is why every other
+evaluation keeps the recursion.  At a generic angle the two routes agree to a
+few 1e-13 of the batch's largest value at every order up to MAX_ORDER; near
+pi/2, a jump path with fewer jumps than the order stays at the rounding of its
+power sums (order 8: ~1e-9 against values of ~1e-4).
 
 ``exponential_vector(h, B, M, thetas)`` likewise takes every angle from one
 set of sums: the continuous part of V = int h dY^theta is linear in
 (cos theta, sin theta) with two row sums for coefficients, and its jump product
-reads the martingale's particles.  It serves exp-vector-covariance.
+reads the martingale's particles, so it refuses a combination (no list).  It
+serves exp-vector-covariance.
 
 Every batch reduction here runs one grid.ROW_BLOCK of rows at a time
 (``_reduce_blocks``, on grid.reduce_rows; a single path is one block of one
@@ -53,7 +53,8 @@ row): the recursion's states, the powers b^a, m^r of the mixed sums and a
 driver's continuous part exist for one block only, and a jump driver's block is
 scattered from its particle list, so its dense arrays stay unbuilt.  The only
 paths x steps arrays a batch holds are its drivers' own increments (a
-rotation's block is its parts' blocks combined).  Each row reduces as alone.
+combination's block is its parts' blocks combined).  B and M pair as
+grid.pair_shape pairs them.  Each row reduces as alone.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import numpy as np
 
 from .drivers import _cos_sin, rotate
 from .errors import ConfigurationError
-from .grid import Particles, SamplePath, TimeGrid, reduce_rows, require_same_grid
+from .grid import Particles, SamplePath, TimeGrid, pair_shape, reduce_rows, require_same_grid
 from .kernels import ChaosVector, SimplexKernel
 from .stepfn import StepFunction
 
@@ -83,22 +84,12 @@ def _reduce_blocks(shape: tuple, reduce, sources, count: int = 1) -> list:
     grid.ROW_BLOCK of flat rows at a time, so no temporary outlives its block.
 
     A source is a pair (block, own): block(rows) gives the (rows, n_steps) rows of
-    a batch with leading axes ``own`` that broadcasts to ``shape`` (a path's
-    ``block`` and ``shape``).  A source of one path gives that row, which
-    broadcasts against the block's rows.
+    a batch with leading axes ``own`` (a path's ``block`` and ``shape``), either
+    ``shape`` or (), a single path, whose one row broadcasts against the block's
+    rows (grid.pair_shape).
     """
     def reduce_block(rows, _):
-        blocks = []
-        for block, own in sources:
-            size = math.prod(own)
-            if own == shape:
-                blocks.append(block(rows))
-            elif size == 1:
-                blocks.append(block(slice(0, 1)))
-            else:  # a batch broadcast along some axes: its rows under those of the block
-                index = np.broadcast_to(np.arange(size).reshape(own), shape).reshape(-1)
-                blocks.append(block(slice(0, size))[index[rows]])
-        return reduce(*blocks)
+        return reduce(*(block(rows if own else slice(0, 1)) for block, own in sources))
 
     return reduce_rows(shape, 0, reduce_block, count)
 
@@ -316,7 +307,7 @@ class RotatedChaos:
         grid = require_same_grid(brownian, martingale)
         jumps = martingale.particles
         self.constant = float(F.constant)
-        self.shape = np.broadcast_shapes(brownian.shape, martingale.shape)
+        self.shape = pair_shape(brownian, martingale)
         self._terms = []  # per kernel: (weight, [(coefficient, block keys)])
         weights = {}  # block key -> (block size, block weight on the grid)
         for kernel in F.kernels:
@@ -337,7 +328,7 @@ class RotatedChaos:
             self._terms.append((kernel.weight, terms))
         if not weights:
             self._sums = {}
-        elif jumps is None or jumps.drift is None or jumps.shape != self.shape:
+        elif jumps is None or jumps.shape != self.shape:
             self._sums = _mixed_sums(weights, brownian, martingale, self.shape)
         else:  # a driver's particles spanning the batch
             self._sums = _particle_sums(weights, brownian, jumps, self.shape)
@@ -406,18 +397,18 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
     is a driver path: continuous, or a jump driver's particle list, on which
     m_c is scattered per block: the drift d at every step and (J + d) - J at
     each particle, the values of increments - jump_increments without building
-    either.  A list without its drift (a rotated or jump-augmented path) is
-    refused.  The product runs over the particles only, in step order: a step
-    without a jump has the factor 1.0 exactly, so it is bit for bit the
-    product over every step.
+    either.  A combination (a rotated or jump-augmented path) is refused, as
+    are B and M of shapes that grid.pair_shape does not pair.  The product runs
+    over the particles only, in step order: a step without a jump has the
+    factor 1.0 exactly, so it is bit for bit the product over every step.
 
     A vanishing factor (1 + dV) = 0 is legal and yields the value 0.
     """
     grid = require_same_grid(brownian, martingale)
-    jumps = martingale.particles
-    if jumps is not None and jumps.drift is None:
+    if martingale.parts is not None:
         raise ConfigurationError("the martingale of an exponential vector must be a driver "
-                                 "path, not a rotated or jump-augmented one")
+                                 "path, not a combination (a rotated or jump-augmented one)")
+    shape, jumps = pair_shape(brownian, martingale), martingale.particles
     angles = [_cos_sin(theta) for theta in thetas]
     n = grid.n_steps
     h_grid = h.on_grid(grid)
@@ -430,8 +421,7 @@ def exponential_vector(h: StepFunction, brownian: SamplePath, martingale: Sample
             return sub.scatter(n, (sub.marks + d) - sub.marks, d)
     h_at = None if jumps is None else h_grid[jumps.steps]
     sb, sm = _reduce_blocks(
-        np.broadcast_shapes(brownian.shape, martingale.shape),
-        lambda b, m: [np.einsum("...j,j->...", x, h_grid) for x in (b, m)],
+        shape, lambda b, m: [np.einsum("...j,j->...", x, h_grid) for x in (b, m)],
         [(brownian.block, brownian.shape), (cont, martingale.shape)], count=2)
     out = []
     for c, s in angles:

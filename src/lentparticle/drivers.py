@@ -21,8 +21,7 @@ exactly its N + 1 gaps before it draws its marks (``_fair_signs``, the draw of
 ``integers(0, 2)`` read off raw words).  A batch is the list of particles
 (row, step, mark) it snapped, sorted by row and then by step, with the drift
 between jumps (-dt for N~, 0 for M): ``SamplePath.particles``, which ``select``
-slices and ``rotate`` scales.  Its dense increments are built from that list
-on first read.
+slices.  Its dense increments are built from that list on first read.
 
 Per-path draws hold the interpreter lock, one short call per path, while the
 vectorized reductions around them release it.  Every per-key loop therefore
@@ -33,7 +32,6 @@ handing the interpreter lock back and forth at every path.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 
@@ -83,24 +81,9 @@ def _cos_sin(theta: float) -> tuple[float, float]:
 
 
 def _combine(p1: SamplePath, p2: SamplePath, c1: float, c2: float) -> SamplePath:
-    """c1 * p1 + c2 * p2 for a continuous p1, combined at the level of grid values.
-
-    The identity (c1 p1 + c2 p2)_{t_k} = c1 p1_{t_k} + c2 p2_{t_k} holds
-    bit-for-bit at every grid point because the levels, computed on first
-    read, are combined directly; the jump part is p2's particle list with its
-    marks times c2.  The path stores (c1, p1, c2, p2), not its increments: each
-    window of rows and steps it is read by (``SamplePath.block``) is
-    c1 * p1 + c2 * p2 on that window, and its dense increments are built on
-    first read.  A driver's p2 is read off its list and stays unbuilt: c2 * d
-    off the jumps and c2 * (J + d) at each particle, the dense formula's sums.
-    A broadcast pair (p1 and p2 of unequal shapes) is built dense at once.
-    """
-    grid = require_same_grid(p1, p2)
-    particles = None if p2.particles is None else p2.particles.scaled(c2)
-    pair = p1.shape == p2.shape
-    return SamplePath(grid, None if pair else c1 * p1.increments + c2 * p2.increments,
-                      particles=particles, _parts=(c1, p1, c2, p2) if pair else None,
-                      _levels=lambda: c1 * p1.values + c2 * p2.values)
+    """c1 * p1 + c2 * p2, stored as its parts and read a window at a time (SamplePath);
+    its levels are c1 p1_{t_k} + c2 p2_{t_k}, bit for bit, at every grid point."""
+    return SamplePath(require_same_grid(p1, p2), parts=(c1, p1, c2, p2))
 
 
 def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> SamplePath:
@@ -110,28 +93,11 @@ def rotate(brownian: SamplePath, martingale: SamplePath, theta: float) -> Sample
 
 
 def add_unit_jump(path: SamplePath, u: float, a: float) -> SamplePath:
-    """Path perturbed by a * 1_{. >= u}, with u snapped forward to the grid.
-
-    Levels at every grid point t_k >= u are increased by exactly a (on first
-    read); the increments are unchanged except at the snap step, whose
-    increment grows by a.  The lent jump is not one of the path's jumps: the
-    particle list stays that of the path, without its drift, which no longer
-    gives every step without a jump.
-    """
-    grid = path.grid
-    k = grid.index_at_or_after(u)
-    inc = path.increments.copy()
-    inc[..., k - 1] += a
-    particles = path.particles
-    if particles is not None:
-        particles = dataclasses.replace(particles, drift=None)
-
-    def levels():
-        values = path.values.copy()
-        values[..., k:] += a
-        return values
-
-    return SamplePath(grid, inc, particles=particles, _levels=levels)
+    """Path perturbed by a * 1_{. >= u}, with u snapped forward to the grid: the lent jump
+    is a particle, 1 * path + a * (one particle of mark 1 at the snap step, drift 0)."""
+    k = path.grid.index_at_or_after(u)
+    jump = Particles((), np.zeros(1, np.intp), np.full(1, k - 1, np.intp), np.ones(1), 0.0)
+    return _combine(path, SamplePath(path.grid, particles=jump), 1.0, a)
 
 
 # --- batch simulation -------------------------------------------------------

@@ -179,20 +179,17 @@ def integration_by_parts_pair(F, G: StepFunction, brownian: SamplePath):
 
 
 def supremum_decomposition(K, brownian: SamplePath, u: float):
-    """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward; a plain
-    batch (no K, its levels neither cached nor recorded) is summed a row block at a time."""
+    """(sup_{s < u}, sup_{s >= u}) of B + K over the grid, u snapped forward, for K None, a
+    function of time or its values at the grid points; one row block of levels at a time."""
     grid = brownian.grid
     k = grid.index_at_or_after(u)
-    if K is None and brownian._values is None and brownian._levels is None:
-        def split(rows, buf):
-            buf[:, 0] = 0.0
-            np.cumsum(brownian.block(rows), axis=-1, out=buf[:, 1:])
-            return np.max(buf[:, :k], axis=-1), np.max(buf[:, k:], axis=-1)
-        return tuple(reduce_rows(brownian.shape, grid.n_steps + 1, split, count=2))
-    levels = brownian.values
-    if K is not None:
-        levels = levels + np.asarray(K(grid.times) if callable(K) else K, dtype=float)
-    return np.max(levels[..., :k], axis=-1), np.max(levels[..., k:], axis=-1)
+    shift = None if K is None else np.asarray(K(grid.times) if callable(K) else K, dtype=float)
+
+    def split(rows, _):
+        levels = brownian.levels(rows) if K is None else brownian.levels(rows) + shift
+        return np.max(levels[:, :k], axis=-1), np.max(levels[:, k:], axis=-1)
+
+    return tuple(reduce_rows(brownian.shape, 0, split, count=2))
 
 
 def supremum_quotient(gap, a: float) -> np.ndarray:

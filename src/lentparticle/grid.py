@@ -1,12 +1,10 @@
 """Time discretization, reproducible random streams and sampled paths.
 
 All driving processes live on a shared uniform grid of [0, T].  A path is
-stored as per-step increments; its levels at the grid points are computed on
-first read and cached.  A jump-type driver is stored as its list of particles
-and the drift between them, from which its increments are built on first
-read; the list is the one record of a path's jumps, so downstream code
-separates jumps from continuous drift by reading it.  A combination of two
-paths (a rotation) is stored as its two parts and read window by window.
+built increments, a jump driver's particle list (its jumps and the drift
+between them, the one record of a path's jumps), or a combination
+c1 * p1 + c2 * p2 of two paths, as a rotation and a lent jump (a path plus a
+one-particle path) are.  Any form is read a window of rows at a time.
 
 Arrays may carry a leading batch dimension: ``increments`` has shape
 ``(n_steps,)`` for a single path or ``(n_paths, n_steps)`` for a batch, and
@@ -16,7 +14,6 @@ every operation in this package is written against the last axis.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,22 +115,22 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class Particles:
-    """The jumps of a path or batch as a list of particles, N = sum_i eps_(u_i, J_i).
+    """The jumps of a driver path or batch as a list of particles, N = sum_i eps_(u_i, J_i).
 
     Particle i is a jump of size ``marks[i]`` over step ``steps[i]`` (the
     increment over (t_s, t_{s+1}]) of path ``rows[i]``, a row of the batch's
     leading axes ``shape`` flattened in C order (row 0 for a single path).  The
     list is sorted by row, then by step, and holds no zero mark.  ``drift`` is
-    the increment of every step without a jump when the path is exactly its
-    jumps plus that constant, as a driver path is (-dt for the compensated
-    Poisson driver, 0 for the compound one); None on any other path.
+    the increment of every step without a jump: the path is exactly its jumps
+    plus that constant (-dt for the compensated Poisson driver, 0 for the
+    compound one).
     """
 
     shape: tuple
     rows: np.ndarray
     steps: np.ndarray
     marks: np.ndarray
-    drift: float | None = None
+    drift: float
 
     def counts(self) -> np.ndarray:
         """The number of jumps of each path, shaped as the batch."""
@@ -165,50 +162,51 @@ class Particles:
             at, on, marks = at[kept], on[kept] - steps.start, marks[kept]
         return Particles((rows.stop - rows.start,), at, on, marks, self.drift)
 
-    def scaled(self, c: float) -> "Particles":
-        """The jumps times c, as on c * path plus a continuous part: no drift."""
-        marks = c * self.marks
-        kept = marks != 0.0
-        return Particles(self.shape, self.rows[kept], self.steps[kept], marks[kept])
+
+def pair_shape(p1: "SamplePath", p2: "SamplePath") -> tuple:
+    """The batch shape of two paths read together: the shape they share, or the other's
+    when one is a single path (shape ()), which reads as its one row against every row."""
+    if p1.shape == p2.shape or not p2.shape:
+        return p1.shape
+    if not p1.shape:
+        return p2.shape
+    raise ConfigurationError(f"paths of shapes {p1.shape} and {p2.shape} neither share a "
+                             f"shape nor include a single path")
+
+
+def _rows_of(path: "SamplePath", rows: slice) -> slice:
+    """``rows`` of a pair's batch path, the one row of its single path."""
+    return rows if path.shape else slice(0, 1)
 
 
 class SamplePath:
-    """One driver path (or a batch of them) on a shared grid.
+    """One path (or a batch of them) on a shared grid: built ``increments``, a jump
+    driver's ``particles`` (None on any other path), or ``parts`` = (c1, p1, c2, p2)
+    for c1 * p1 + c2 * p2, of paths that ``pair_shape`` pairs.
 
-    ``increments[..., j]`` is the change over (t_j, t_{j+1}]; ``particles`` is
-    the list of the path's jumps (None for continuous drivers, Brownian paths
-    included), the one record of them.  A jump driver's path is its list alone:
-    the particles it drew and the drift between them.  A combination
-    c1 * p1 + c2 * p2 of two paths of one shape (drivers.rotate) holds
-    (c1, p1, c2, p2) and its list from theirs.  ``block`` reads either a window
-    of rows and steps at a time.  Their ``increments`` are built on first read
-    and cached, and ``select`` slices the list, or p1 and p2, so a selection
-    builds only its own rows.
-    ``jump_increments``, the pure-jump part of each increment, is the list
-    scattered into zeros, built on each read (None without a list).
-    ``values`` holds the levels at the grid points, with value 0 at t_0.  They
-    are computed on first read and cached: by ``_levels`` when a path built
-    from others records how (so the levels stay bit-exact at every grid point),
-    else as the cumulative sum of the increments.
+    ``shape`` is the batch's leading axes, () for a single path.  ``increments[..., j]``
+    is the change over (t_j, t_{j+1}] and ``values`` holds the levels at the grid
+    points, 0 at t_0: ``block`` and ``levels`` read a window of them, and both are
+    built on first read and cached.  ``jump_increments`` is a driver's list
+    scattered into zeros on each read (None on any other path).
     """
 
     def __init__(self, grid: TimeGrid, increments=None, *, particles: Particles | None = None,
-                 _levels: Callable[[], np.ndarray] | None = None, _parts: tuple | None = None):
-        self.grid, self.particles, self._levels, self._values = grid, particles, _levels, None
-        self._parts = _parts  # (c1, p1, c2, p2) of a combination of two paths of one shape
+                 parts: tuple | None = None):
+        self.grid, self.particles, self.parts, self._values = grid, particles, parts, None
+        if (increments is None) + (particles is None) + (parts is None) != 2:
+            raise ConfigurationError("a path needs increments, a driver's particle list or "
+                                     "the parts of a combination, exactly one of them")
         self._increments = None if increments is None else np.asarray(increments, dtype=float)
-        if increments is None and _parts is None and getattr(particles, "drift", None) is None:
-            raise ConfigurationError("a path needs increments or a driver's particle list")
+        if parts is not None:
+            self.shape = pair_shape(parts[1], parts[3])
+        elif particles is not None:
+            self.shape = particles.shape
+        else:
+            self.shape = self._increments.shape[:-1]
         last = grid.n_steps if increments is None else self._increments.shape[-1]
         if last != grid.n_steps:
             raise ConfigurationError(f"increments last axis {last} != n_steps {grid.n_steps}")
-
-    @property
-    def shape(self) -> tuple:
-        """The batch's leading axes, () for a single path, without building any array."""
-        if self._increments is not None:
-            return self._increments.shape[:-1]
-        return self.particles.shape if self._parts is None else self._parts[1].shape
 
     def block(self, rows: slice, steps: slice | None = None) -> np.ndarray:
         """The increments of the flat rows ``rows`` (C order over the batch axes) on the steps
@@ -217,18 +215,33 @@ class SamplePath:
         into the window or c1 * p1 + c2 * p2 on the window."""
         if self._increments is not None:
             return self._increments.reshape(-1, self.grid.n_steps)[rows, steps or slice(None)]
-        if self._parts is not None:
-            c1, p1, c2, p2 = self._parts
-            return c1 * p1.block(rows, steps) + c2 * p2.block(rows, steps)
-        jumps = self.particles.block(rows, steps)  # a driver's list
+        if self.parts is not None:
+            c1, p1, c2, p2 = self.parts
+            return (c1 * p1.block(_rows_of(p1, rows), steps)
+                    + c2 * p2.block(_rows_of(p2, rows), steps))
+        jumps = self.particles.block(rows, steps)
         width = self.grid.n_steps if steps is None else steps.stop - steps.start
         return jumps.scatter(width, jumps.marks + jumps.drift, jumps.drift)
+
+    def levels(self, rows: slice) -> np.ndarray:
+        """The levels of the flat rows ``rows``, as ``block`` gives increments: a view of
+        cached levels, else, caching nothing, c1 * p1's + c2 * p2's for a combination (exact
+        at every grid point), or 0 followed by the running sum of ``block``."""
+        if self._values is not None:
+            return self._values.reshape(-1, self.grid.n_steps + 1)[rows]
+        if self.parts is not None:
+            c1, p1, c2, p2 = self.parts
+            return c1 * p1.levels(_rows_of(p1, rows)) + c2 * p2.levels(_rows_of(p2, rows))
+        inc = self.block(rows)
+        out = np.zeros((inc.shape[0], inc.shape[1] + 1))
+        np.cumsum(inc, axis=-1, out=out[:, 1:])
+        return out
 
     @property
     def increments(self) -> np.ndarray:
         if self._increments is None:
             shape = self.shape + (self.grid.n_steps,)
-            self._increments = self.block(slice(0, math.prod(shape[:-1]))).reshape(shape)
+            self._increments = self.block(slice(0, math.prod(self.shape))).reshape(shape)
         return self._increments
 
     @property
@@ -239,26 +252,25 @@ class SamplePath:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            if self._levels is not None:
-                self._values, self._levels = self._levels(), None
-            else:
-                self._values = np.zeros(self.increments.shape[:-1] + (self.grid.n_steps + 1,))
-                np.cumsum(self.increments, axis=-1, out=self._values[..., 1:])
+            shape = self.shape + (self.grid.n_steps + 1,)
+            self._values = self.levels(slice(0, math.prod(self.shape))).reshape(shape)
         return self._values
 
     def select(self, index) -> "SamplePath":
-        """Extract one path (or a sub-batch) from a batch; only its built arrays, or the
-        parts of a combination, are sliced."""
-        increments = None if self._increments is None else self._increments[index]
-        parts = self._parts if increments is None else None
-        if parts is not None:
-            parts = parts[0], parts[1].select(index), parts[2], parts[3].select(index)
-        particles = None if self.particles is None else self.particles.select(index)
-        path = SamplePath(self.grid, increments, particles=particles, _parts=parts)
+        """One path (or a sub-batch) of a batch: its increments, list or batch parts and
+        its cached arrays, sliced."""
+        if self.parts is not None:
+            c1, p1, c2, p2 = self.parts
+            path = SamplePath(self.grid, parts=(c1, p1.select(index) if p1.shape else p1,
+                                                c2, p2.select(index) if p2.shape else p2))
+        elif self.particles is not None:
+            path = SamplePath(self.grid, particles=self.particles.select(index))
+        else:
+            path = SamplePath(self.grid, self._increments[index])
+        if self._increments is not None:
+            path._increments = self._increments[index]
         if self._values is not None:
             path._values = self._values[index]
-        elif self._levels is not None:  # stays lazy; one read fills this batch's cache
-            path._levels = lambda: self.values[index]
         return path
 
 

@@ -411,6 +411,14 @@ class TestRotatedChaos:
         with pytest.raises(ConfigurationError, match="finite"):
             RotatedChaos(F, B, B)(math.nan)
 
+    def test_rejects_unpaired_shapes(self, unit_grid):
+        # (3,) against (2, 3): neither one shape nor a single path against a batch
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 3)
+        M = martingale_batch("compound", unit_grid, SEED, 0, 6)
+        M = SamplePath(unit_grid, particles=dataclasses.replace(M.particles, shape=(2, 3)))
+        with pytest.raises(ConfigurationError, match=r"\(3,\) and \(2, 3\)"):
+            RotatedChaos(make_functional("second-chaos"), B, M)
+
 
 class TestParticleRoute:
     """RotatedChaos on a driver's particle list against the dense mixed sums of the
@@ -429,7 +437,7 @@ class TestParticleRoute:
     def _largest_gap(cls, F, B, M, particles):
         """max |list route - dense route| over kernels and angles, over the largest |value|."""
         dense = RotatedChaos(F, B, SamplePath(M.grid, M.increments))
-        listed = RotatedChaos(F, B, SamplePath(M.grid, M.increments, particles=particles))
+        listed = RotatedChaos(F, B, SamplePath(M.grid, particles=particles))
         pairs = [(got, want) for theta in cls.ANGLES
                  for got, want in zip(listed.integrals(theta), dense.integrals(theta))]
         scale = max(np.max(np.abs(want)) for _, want in pairs)
@@ -723,14 +731,13 @@ class TestExponentialVectorAngles:
         assert exponential_vector(self.H, B, M, []) == []
 
     @pytest.mark.parametrize("how", ["rotated", "lent-jump"])
-    @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_a_list_without_its_drift_is_refused_before_any_sum(self, unit_grid, monkeypatch,
-                                                                 kind, how):
-        # a rotated or jump-augmented path keeps a list that no longer gives every step
-        # without a jump, so its continuous part is not the drift
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "brownian-copy"])
+    def test_a_combination_is_refused_before_any_sum(self, unit_grid, monkeypatch, kind, how):
+        # a rotated or jump-augmented path has no list of its jumps: read as a continuous
+        # martingale, a lent jump would ride in V as drift
         B, M = _drivers(kind, unit_grid, 4)
         martingale = rotate(B, M, 0.7) if how == "rotated" else add_unit_jump(M, 0.4, 0.25)
-        assert martingale.particles is not None and martingale.particles.drift is None
+        assert martingale.parts is not None and martingale.particles is None
 
         def no_reduction(*args, **kwargs):
             raise AssertionError("reduced the batch before refusing the martingale")
@@ -738,6 +745,20 @@ class TestExponentialVectorAngles:
         monkeypatch.setattr(np, "einsum", no_reduction)
         with pytest.raises(ConfigurationError, match="must be a driver path"):
             exponential_vector(self.H, B, martingale, [0.3])
+
+    @pytest.mark.parametrize("kind", ["poisson", "brownian-copy"])
+    def test_unpaired_shapes_are_refused_before_any_sum(self, unit_grid, monkeypatch, kind):
+        B, M = _drivers(kind, unit_grid, 6)
+        B = B.select(slice(0, 3))
+        M = (SamplePath(unit_grid, M.increments.reshape(2, 3, -1)) if M.particles is None
+             else SamplePath(unit_grid, particles=dataclasses.replace(M.particles, shape=(2, 3))))
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("reduced the batch before refusing the shapes")
+
+        monkeypatch.setattr(np, "einsum", no_reduction)
+        with pytest.raises(ConfigurationError, match=r"\(3,\) and \(2, 3\)"):
+            exponential_vector(self.H, B, M, [0.3])
 
 
 class TestCovarianceCurve:

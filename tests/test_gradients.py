@@ -301,16 +301,15 @@ class TestSupremum:
         k = grid.index_at_or_after(u)
         return tuple(np.max(part, axis=-1).tobytes() for part in (levels[..., :k], levels[..., k:]))
 
-    def test_decomposition_reads_the_recorded_levels_of_a_jump_path(self, unit_grid):
-        # add_unit_jump's levels are the recipe's, not a fresh cumsum of its increments
+    def test_decomposition_reads_the_combined_levels_of_a_jump_path(self, unit_grid):
+        # add_unit_jump's levels are its parts' levels combined, not a fresh cumsum of its
+        # increments; they are read a row block at a time and not cached
         batch = martingale_batch("brownian", unit_grid, SEED, 0, 16)
         levels = add_unit_jump(batch, 0.3, 0.25).values
         path = add_unit_jump(batch, 0.3, 0.25)
         assert SamplePath(unit_grid, path.increments).values.tobytes() != levels.tobytes()
-        recipe, reads = path._levels, []
-        path._levels = lambda: reads.append(1) or recipe()
         got = supremum_decomposition(None, path, 0.5)
-        assert reads == [1]
+        assert path._values is None and batch._values is None
         assert tuple(g.tobytes() for g in got) == self._maxima(levels, unit_grid, 0.5)
 
     def test_decomposition_reads_cached_levels(self, unit_grid):

@@ -320,8 +320,9 @@ class TestParticles:
         flat = jumps.reshape(-1, jumps.shape[-1])
         rows, steps = np.nonzero(flat)  # sorted by row, then by step
         got = path.particles
-        want = Particles(jumps.shape[:-1], rows, steps, flat[rows, steps])
-        assert got is not None and got.shape == want.shape
+        assert got is not None
+        want = Particles(jumps.shape[:-1], rows, steps, flat[rows, steps], got.drift)
+        assert got.shape == want.shape
         for name in ("rows", "steps", "marks"):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -349,7 +350,7 @@ class TestParticles:
         assert M.increments.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_select_rotate_and_lent_jump_keep_the_list(self, kind):
+    def test_select_keeps_the_list_and_a_combination_has_none(self, kind):
         grid = TimeGrid(3.0, 300)
         B = martingale_batch("brownian", grid, SEED, 0, 12)
         M = martingale_batch(kind, grid, SEED, 0, 12)
@@ -361,13 +362,12 @@ class TestParticles:
             assert sub.particles.drift == M.particles.drift
             if np.size(sub.increments) > grid.n_steps:  # a batch of more than one path
                 self._assert_lists_the_jumps(sub.select(1))
-        for theta in (0.0, 0.7, math.pi / 2, -2.0):  # none left at 0, where c2 = 0
-            Y = rotate(B, M, theta)
-            self._assert_lists_the_jumps(Y)
-            assert Y.particles.drift is None  # Y has a continuous part
-        bumped = add_unit_jump(M, 0.4, 0.25)
-        self._assert_lists_the_jumps(bumped)
-        assert bumped.particles.drift is None  # the lent jump's step is not the drift
+        # a rotation or a lent jump is a combination of two paths: it holds its parts, and
+        # the one list of jumps is a driver's own
+        for path in [rotate(B, M, theta) for theta in (0.0, 0.7, math.pi / 2, -2.0)] + [
+                add_unit_jump(M, 0.4, 0.25), add_unit_jump(M, 0.4, 0.25).select(slice(2, 9))]:
+            assert path.parts is not None
+            assert path.particles is None and path.jump_increments is None
 
     def test_a_two_axis_list_counts_and_selects_its_paths(self):
         grid = TimeGrid(1.0, 10)
@@ -444,22 +444,16 @@ class TestLazyDenseArrays:
 
     @pytest.mark.parametrize("theta", [0.7, -0.7, math.pi / 2])
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_rotated_jump_part_is_the_scaled_list(self, kind, theta):
+    def test_rotated_path_is_its_parts_and_keeps_no_jump_part(self, kind, theta):
         grid = TimeGrid(3.0, 300)
         B = martingale_batch("brownian", grid, SEED, 0, 12)
         M = martingale_batch(kind, grid, SEED, 0, 12)
-        inc, jumps = self._eager(M, kind)
+        inc, _ = self._eager(M, kind)
         c, s = drivers._cos_sin(theta)
         Y = rotate(B, M, theta)
+        assert Y.parts == (c, B, s, M)
         assert Y.increments.tobytes() == (c * B.increments + s * inc).tobytes()
-        eager = s * jumps  # the jump part _combine used to build
-        assert np.array_equal(Y.jump_increments, eager)
-        on = jumps != 0.0
-        assert Y.jump_increments[on].tobytes() == eager[on].tobytes()
-        # off the jumps the list scatters +0.0; s * 0.0 was -0.0 at negative angles.
-        # The two compare equal, and no report reads the sign of a zero jump.
-        assert not np.signbit(Y.jump_increments[~on]).any()
-        assert np.signbit(eager[~on]).all() == (theta < 0)
+        assert Y.particles is None and Y.jump_increments is None
 
     @pytest.mark.parametrize("n_steps", [255, 256, 257, 513, 1000])
     @pytest.mark.parametrize("theta", [0.7, -1e-4, math.pi / 2, 2.0])
@@ -494,32 +488,49 @@ class TestLazyDenseArrays:
             assert sub.increments.tobytes() == dense[index].tobytes()
         assert Y.increments.tobytes() == dense.tobytes()
         assert self._unbuilt(M)
-        # one driver path against a batch broadcasts through its dense increments, built
-        # at once, and its windows are views of them
-        pair = rotate(B, M.select(5), theta)
+        # one driver path against a batch reads as its one row against every row, and
+        # neither the pair nor its selections build anything
+        one = M.select(5)
+        pair = rotate(B, one, theta)
         broadcast = c * B.increments + s * inc[5]
-        assert pair.shape == (300,) and pair.increments.tobytes() == broadcast.tobytes()
-        window = pair.block(slice(7, 9), windows[-1])
-        assert window.tobytes() == broadcast[7:9, 3:-1].tobytes()
-        assert np.shares_memory(window, pair.increments)
+        assert pair.shape == (300,)
+        for rows in (slice(0, 300), slice(7, 9)):
+            for steps in windows:
+                assert pair.block(rows, steps).tobytes() == broadcast[rows, steps].tobytes()
+        for index in (4, slice(3, 9)):
+            sub = pair.select(index)
+            assert sub.parts[3] is one and sub.shape == broadcast[index].shape[:-1]
+            flat = broadcast[index].reshape(-1, n_steps)
+            assert sub.block(slice(0, len(flat))).tobytes() == flat.tobytes()
+            assert self._unbuilt(sub) and self._unbuilt(pair) and self._unbuilt(one)
+            assert sub.increments.tobytes() == broadcast[index].tobytes()
+        assert self._unbuilt(pair) and self._unbuilt(one)
+        assert pair.increments.tobytes() == broadcast.tobytes()
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
-    def test_lent_jump_keeps_the_jump_part(self, kind):
+    def test_lent_jump_is_a_one_particle_path(self, kind):
         grid = TimeGrid(3.0, 300)
         M = martingale_batch(kind, grid, SEED, 0, 12)
-        inc, jumps = self._eager(M, kind)
+        inc, _ = self._eager(M, kind)
+        k = grid.index_at_or_after(0.4)
         bumped = add_unit_jump(M, 0.4, 0.25)
+        one, path, a, jump = bumped.parts
+        assert (one, path, a) == (1.0, M, 0.25) and jump.shape == ()
+        assert jump.particles.steps.tolist() == [k - 1] and jump.particles.marks.tolist() == [1.0]
+        assert jump.particles.drift == 0.0
         expected = inc.copy()
-        expected[:, grid.index_at_or_after(0.4) - 1] += 0.25
+        expected[:, k - 1] += 0.25
         assert bumped.increments.tobytes() == expected.tobytes()
-        assert bumped.jump_increments.tobytes() == jumps.tobytes()
+        assert self._unbuilt(M) and bumped.jump_increments is None
 
     def test_a_path_needs_increments_or_a_driver_list(self, unit_grid):
-        particles = martingale_batch("poisson", unit_grid, SEED, 0, 3).particles
+        M = martingale_batch("poisson", unit_grid, SEED, 0, 3)
         with pytest.raises(ConfigurationError, match="needs increments"):
             SamplePath(unit_grid)
-        with pytest.raises(ConfigurationError, match="needs increments"):
-            SamplePath(unit_grid, particles=particles.scaled(0.5))  # no drift
+        with pytest.raises(ConfigurationError, match="exactly one of them"):
+            SamplePath(unit_grid, M.increments, particles=M.particles)
+        with pytest.raises(ConfigurationError, match="exactly one of them"):
+            SamplePath(unit_grid, particles=M.particles, parts=(1.0, M, 1.0, M))
 
 
 class TestDrivers:
@@ -592,7 +603,7 @@ class TestRotate:
         mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
         rotated = rotate(brownian, mart, np.pi / 2)
         np.testing.assert_array_equal(rotated.values, mart.values)
-        np.testing.assert_array_equal(rotated.jump_increments, mart.jump_increments)
+        np.testing.assert_array_equal(rotated.increments, mart.increments)
 
     def test_levels_combine_exactly(self, unit_grid, brownian):
         mart = martingale_batch("poisson", unit_grid, SEED, 0, 1).select(0)
@@ -624,6 +635,51 @@ class TestAddUnitJump:
         np.testing.assert_array_equal(
             bumped.values[:, -1], batch.values[:, -1] + 1.0
         )
+
+
+class TestCombinations:
+    """A jump lent to a rotated path is a combination of combinations, read off its parts."""
+
+    THETA, U, A = 0.7, 0.4001, 0.125
+
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_jump_lent_to_a_rotation_is_exact_and_unbuilt(self, unit_grid, kind):
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 6)
+        M = martingale_batch(kind, unit_grid, SEED, 0, 6)
+        c, s = drivers._cos_sin(self.THETA)
+        k = unit_grid.index_at_or_after(self.U)
+        levels = c * B.values + s * M.values
+        levels[..., k:] += self.A  # c B + s M, plus a from the snap step on
+        dense = c * B.increments + s * M.increments
+        dense[..., k - 1] += self.A  # the dense formula, a added at the snap step only
+        B = martingale_batch("brownian", unit_grid, SEED, 0, 6)
+        M = martingale_batch(kind, unit_grid, SEED, 0, 6)
+        path = add_unit_jump(rotate(B, M, self.THETA), self.U, self.A)
+        single = add_unit_jump(rotate(B.select(2), M.select(2), self.THETA), self.U, self.A)
+        paths = [(path.select(4), 4), (path.select(slice(1, 3)), slice(1, 3)),
+                 (path, slice(None)), (single, 2)]
+        for sub, index in paths:
+            rotated = sub.parts[1]
+            for p in (sub, rotated, rotated.parts[3], M):
+                assert p._increments is None and p._values is None
+            assert B._values is None
+            assert sub.particles is None and sub.jump_increments is None
+            assert sub.values.tobytes() == levels[index].tobytes()
+            assert sub.increments.tobytes() == dense[index].tobytes()
+
+    @pytest.mark.parametrize("combine", [lambda p1, p2: rotate(p1, p2, 0.7),
+                                         lambda p1, p2: combine_paths(p1, p2, 0.6, -0.8)],
+                             ids=["rotate", "combine_paths"])
+    def test_unpaired_shapes_are_refused(self, unit_grid, combine):
+        rng = np.random.default_rng(SEED)
+        B = SamplePath(unit_grid, rng.standard_normal((3, unit_grid.n_steps)))
+        M = SamplePath(unit_grid, rng.standard_normal((2, 3, unit_grid.n_steps)))
+        for p1, p2 in ((B, M), (M, B)):
+            with pytest.raises(ConfigurationError, match=r"\(3,\) and \(2, 3\)|"
+                                                         r"\(2, 3\) and \(3,\)"):
+                combine(p1, p2)
+        # a single path pairs with a batch of any shape, read as its one row
+        assert combine(B.select(1), M).shape == combine(M, B.select(1)).shape == (2, 3)
 
 
 class TestLazyLevels:

@@ -45,7 +45,6 @@ ALLOWLIST = {
     "grid:SamplePath.jump_increments":
         "the benchmark tracer reads it (benchmarks/tracer.py, _path_bytes; item 3)",
     "drivers:add_unit_jump": "item 6 decides; the tests' reference for a lent jump",
-    "drivers:add_unit_jump.<locals>.levels": "item 6 decides, with add_unit_jump",
     "gradients:chaos_gradient_contraction":
         "item 6 decides; a reference the tests compare gradient_chaos against",
     "gradients:chaos_gradient_contraction.<locals>.<lambda>":
@@ -53,8 +52,6 @@ ALLOWLIST = {
     "gradients:lent_particle_sde": "the README's library example",
     "chaos:chaotic_extension.<locals>.<lambda>":
         "documented: any other functional on each rotated path (README, chaos row)",
-    "grid:SamplePath.select.<locals>.<lambda>":
-        "documented: a selection of a rotated batch keeps rotate's exact levels",
 }
 
 
